@@ -179,25 +179,41 @@ func syntheticInput(b *testing.B, ne, k int) *scheduler.Input {
 	}
 }
 
-// BenchmarkAlgorithm1 measures the scheduling algorithm's own cost as the
-// problem grows — the paper claims O(N_e log N_e + N_e N_s).
-func BenchmarkAlgorithm1(b *testing.B) {
-	for _, sz := range []struct{ ne, k int }{
-		{45, 10}, {100, 10}, {200, 20}, {400, 40}, {800, 40},
-	} {
+// roundSizes are the scheduling problems the round benchmarks grow over:
+// executors and nodes (4 slots each). The last three are the sizes the
+// per-layer cost table in ROADMAP.md budgets — a toy, a rack, and the
+// largest problem the system is specified for.
+var roundSizes = []struct{ ne, k int }{
+	{45, 10}, {100, 10}, {200, 20}, {400, 40}, {800, 40},
+	{12, 4}, {1000, 50}, {10000, 500},
+}
+
+// benchRounds times one Schedule call per iteration at every size; ci.sh
+// gates the Ne=1000 cases on allocs/op.
+func benchRounds(b *testing.B, algo scheduler.Algorithm) {
+	for _, sz := range roundSizes {
 		b.Run(fmt.Sprintf("Ne=%d/Ns=%d", sz.ne, sz.k*4), func(b *testing.B) {
 			in := syntheticInput(b, sz.ne, sz.k)
-			ta := core.NewTrafficAware(2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ta.Schedule(in); err != nil {
+				if _, err := algo.Schedule(in); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
+
+// BenchmarkAlgorithm1 measures the scheduling algorithm's own cost as the
+// problem grows — the paper claims O(N_e log N_e + N_e N_s); the placement
+// kernel scans nodes, not slots, so ours is O(N_e log N_e + F + N_e K).
+func BenchmarkAlgorithm1(b *testing.B) { benchRounds(b, core.NewTrafficAware(2)) }
+
+// BenchmarkRStorm and BenchmarkHetero measure the arena contenders' rounds
+// on the same inputs: same kernel, different order, score and constraints.
+func BenchmarkRStorm(b *testing.B) { benchRounds(b, scheduler.RStorm{}) }
+func BenchmarkHetero(b *testing.B) { benchRounds(b, scheduler.Hetero{}) }
 
 // hotPairInput builds the adversarial case for Algorithm 1's sort: a few
 // very hot executor pairs whose partners sit far apart in declaration
