@@ -68,7 +68,9 @@ func NewTrafficAware(gamma float64) *TrafficAware {
 // Name returns "tstorm".
 func (t *TrafficAware) Name() string { return "tstorm" }
 
-// Schedule runs Algorithm 1.
+// Schedule runs Algorithm 1: it fixes the placement order (line 2) and
+// hands the greedy itself — score, constraints, relaxation — to the
+// placement kernel shared with the arena contenders.
 func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -80,187 +82,56 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 	if load == nil {
 		load = &loaddb.Snapshot{}
 	}
-	// The usable-capacity fraction lives in the input's Constraints block
-	// (0 selects full capacity); only the CPU dimension matters here —
-	// Algorithm 1 is deliberately blind to memory and bandwidth, which is
-	// exactly what the rstorm/hetero contenders exist to contrast.
-	capFrac := in.Constraints.CPUFraction
-	if capFrac == 0 {
-		capFrac = 1
-	}
 
 	// Collect executors of all topologies (the paper's E over M
-	// topologies) with loads l_i and pairwise traffic r_ii'.
-	var execs []topology.ExecutorID
-	for _, top := range in.Topologies {
-		execs = append(execs, top.Executors()...)
+	// topologies) with loads l_i and total traffic.
+	type ranked struct {
+		exec    topology.ExecutorID
+		traffic float64
 	}
-	ne := len(execs)
-	k := in.Cluster.NumNodes()
-	// The paper's per-node executor cap γ·Ne/K, floored at one: a node
-	// that may host no executor at all would make every small topology
-	// (Ne < K) infeasible and hand control to the relaxation path, which
-	// packs — the opposite of the γ=1 "almost even distribution" intent.
-	countCap := t.Gamma * float64(ne) / float64(k)
-	if countCap < 1 {
-		countCap = 1
-	}
-
 	totalTraffic := load.TotalTraffic()
+	var order []ranked
+	for _, top := range in.Topologies {
+		for _, e := range top.Executors() {
+			order = append(order, ranked{e, totalTraffic[e]})
+		}
+	}
 	// Line 2: sort executors by descending total traffic; ties broken by
 	// executor identity for determinism.
 	if !t.DisableTrafficOrder {
-		sort.SliceStable(execs, func(i, j int) bool {
-			ti, tj := totalTraffic[execs[i]], totalTraffic[execs[j]]
-			if ti != tj {
-				return ti > tj
+		sort.SliceStable(order, func(i, j int) bool {
+			if order[i].traffic != order[j].traffic {
+				return order[i].traffic > order[j].traffic
 			}
-			return execs[i].Less(execs[j])
+			return order[i].exec.Less(order[j].exec)
 		})
 	}
-
-	// Pairwise traffic, symmetrized: r(i,i') + r(i',i).
-	pair := make(map[loaddb.FlowKey]float64, len(load.Flows))
-	for _, f := range load.Flows {
-		pair[loaddb.FlowKey{From: f.From, To: f.To}] += f.Rate
-		pair[loaddb.FlowKey{From: f.To, To: f.From}] += f.Rate
+	p := scheduler.Policy{
+		Algorithm: t.Name(),
+		Executors: make([]topology.ExecutorID, len(order)),
+		Demands:   make([]scheduler.Demand, len(order)),
+		Traffic:   make([]float64, len(order)),
+		// Only the CPU dimension matters here — Algorithm 1 is deliberately
+		// blind to memory and bandwidth, which is exactly what the
+		// rstorm/hetero contenders exist to contrast. The usable-capacity
+		// fraction lives in the input's Constraints block.
+		Enforce:        scheduler.LimitCPU | scheduler.LimitCount,
+		Relax:          []scheduler.Limit{scheduler.LimitCount, scheduler.LimitCPU},
+		Gamma:          t.Gamma,
+		OneSlotPerNode: true,
+	}
+	for i, o := range order {
+		p.Executors[i], p.Traffic[i] = o.exec, o.traffic
+		p.Demands[i].CPUMHz = load.ExecLoad[o.exec]
 	}
 
-	// Mutable assignment state.
-	slots := in.FreeSlots()
-	nodeLoad := make(map[cluster.NodeID]float64)
-	nodeCount := make(map[cluster.NodeID]int)
-	// topoSlot[node][topology] = slot chosen for that topology on that node.
-	topoSlot := make(map[cluster.NodeID]map[string]cluster.SlotID)
-	slotTopo := make(map[cluster.SlotID]string) // slot → owning topology
-	// trafficToNode[i] is computed per executor during its placement.
-	placedOnNode := make(map[cluster.NodeID][]topology.ExecutorID)
-
-	a := cluster.NewAssignment(0)
-	t.LastStats = Stats{}
-
-	capacityOf := func(n cluster.NodeID) float64 {
-		node, _ := in.Cluster.Node(n)
-		return node.CapacityMHz() * capFrac
+	a, relaxations, err := scheduler.Place(in, p)
+	t.LastStats = Stats{Relaxations: relaxations}
+	if err != nil {
+		return nil, err
 	}
-
-	probe := in.Probe
-	if probe != nil {
-		probe.Begin(t.Name(), ne, k)
-		probe.Policy(t.Gamma, capFrac, countCap)
-	}
-
-	for rank, e := range execs {
-		li := load.ExecLoad[e]
-		// The slot a topology must reuse per node, if any.
-		type candidate struct {
-			slot cluster.SlotID
-			gain float64 // co-located traffic (maximize = minimize incremental)
-		}
-		// Co-located traffic depends only on the node, not the slot:
-		// cache it per node across candidate slots.
-		gainCache := make(map[cluster.NodeID]float64)
-		nodeGain := func(n cluster.NodeID) float64 {
-			if g, ok := gainCache[n]; ok {
-				return g
-			}
-			g := 0.0
-			for _, other := range placedOnNode[n] {
-				g += pair[loaddb.FlowKey{From: e, To: other}]
-			}
-			gainCache[n] = g
-			return g
-		}
-		// classify reproduces eval's checks in order and names the first
-		// failing constraint — the probe's per-candidate verdict.
-		classify := func(s cluster.SlotID, relaxCount, relaxCapacity bool) decision.Constraint {
-			owner, owned := slotTopo[s]
-			if owned && owner != e.Topology {
-				return decision.RejectedSlot // slot belongs to another topology
-			}
-			ts := topoSlot[s.Node][e.Topology]
-			if ts != (cluster.SlotID{}) && ts != s {
-				return decision.RejectedSlot // constraint 1: one slot per topology per node
-			}
-			if !relaxCapacity && nodeLoad[s.Node]+li > capacityOf(s.Node) {
-				return decision.RejectedCapacity // constraint 2
-			}
-			if !relaxCount && float64(nodeCount[s.Node]+1) > countCap {
-				return decision.RejectedCount // constraint 3
-			}
-			return ""
-		}
-		var opts []decision.SlotOption
-		eval := func(relaxCount, relaxCapacity, record bool) (cluster.SlotID, bool) {
-			var best candidate
-			found := false
-			for _, s := range slots {
-				rejected := classify(s, relaxCount, relaxCapacity)
-				if record {
-					opts = append(opts, decision.SlotOption{
-						Slot: s, Gain: nodeGain(s.Node), Rejected: rejected,
-					})
-				}
-				if rejected != "" {
-					continue
-				}
-				gain := nodeGain(s.Node)
-				if !found || gain > best.gain {
-					best = candidate{slot: s, gain: gain}
-					found = true
-				}
-			}
-			return best.slot, found
-		}
-
-		slot, ok := eval(false, false, probe != nil)
-		relaxedCount, relaxedCapacity := false, false
-		if !ok {
-			t.LastStats.Relaxations++
-			relaxedCount = true
-			slot, ok = eval(true, false, false)
-		}
-		if !ok {
-			relaxedCapacity = true
-			slot, ok = eval(true, true, false)
-		}
-		if !ok {
-			return nil, fmt.Errorf("core: no slot available for executor %v", e)
-		}
-		if probe != nil {
-			for i := range opts {
-				if opts[i].Slot == slot {
-					opts[i].Chosen = true
-				}
-			}
-			probe.Place(decision.Placement{
-				Executor:        e,
-				Rank:            rank,
-				Traffic:         totalTraffic[e],
-				Load:            li,
-				Slot:            slot,
-				Gain:            nodeGain(slot.Node),
-				RelaxedCount:    relaxedCount,
-				RelaxedCapacity: relaxedCapacity,
-				Options:         opts,
-			})
-		}
-		a.Assign(e, slot)
-		nodeLoad[slot.Node] += li
-		nodeCount[slot.Node]++
-		placedOnNode[slot.Node] = append(placedOnNode[slot.Node], e)
-		if topoSlot[slot.Node] == nil {
-			topoSlot[slot.Node] = make(map[string]cluster.SlotID)
-		}
-		topoSlot[slot.Node][e.Topology] = slot
-		slotTopo[slot] = e.Topology
-	}
-
 	t.LastStats.NodesUsed = a.NumUsedNodes()
 	t.LastStats.InterNodeTraffic = InterNodeTraffic(a, load)
-	if probe != nil {
-		probe.Finish(a, load)
-	}
 	return a, nil
 }
 

@@ -1,11 +1,9 @@
 package scheduler
 
 import (
-	"fmt"
 	"sort"
 
 	"tstorm/internal/cluster"
-	"tstorm/internal/decision"
 	"tstorm/internal/topology"
 )
 
@@ -28,6 +26,17 @@ var _ Algorithm = Hetero{}
 // Name returns "hetero".
 func (Hetero) Name() string { return "hetero" }
 
+// heteroScore is the node's speed-weighted headroom: per-core clock speed
+// scaled by the fraction of usable CPU still free after the placement.
+// Fast idle nodes dominate, fast busy nodes fade, slow nodes lose.
+func heteroScore(n *NodeState, d Demand) float64 {
+	if n.CPULimit <= 0 {
+		return 0
+	}
+	headroom := (n.CPULimit - n.CPU - d.CPUMHz) / n.CPULimit
+	return n.CoreMHz * headroom
+}
+
 // Schedule places executors heaviest-first on the fastest feasible node.
 func (Hetero) Schedule(in *Input) (*cluster.Assignment, error) {
 	if err := in.Validate(); err != nil {
@@ -37,95 +46,24 @@ func (Hetero) Schedule(in *Input) (*cluster.Assignment, error) {
 	for _, top := range in.Topologies {
 		execs = append(execs, top.Executors()...)
 	}
-	sort.SliceStable(execs, func(i, j int) bool {
-		di, dj := in.DemandFor(execs[i]).CPUMHz, in.DemandFor(execs[j]).CPUMHz
-		if di != dj {
-			return di > dj
-		}
-		return execs[i].Less(execs[j])
-	})
+	p := resourcePolicy(in, "hetero", execs, heteroScore)
+	sort.Stable(byCPUDescending(p))
+	a, _, err := Place(in, p)
+	return a, err
+}
 
-	a := cluster.NewAssignment(0)
-	rs := newResourceState(in)
-	slots := in.FreeSlots()
-	probe := in.Probe
-	if probe != nil {
-		probe.Begin("hetero", in.NumExecutors(), in.Cluster.NumNodes())
-	}
+// byCPUDescending orders a policy's executors (and their demands with
+// them) heaviest CPU demand first, ties by executor identity.
+type byCPUDescending Policy
 
-	// score is the slot's speed-weighted headroom: per-core clock speed
-	// scaled by the fraction of usable CPU still free after the placement.
-	// Fast idle nodes dominate, fast busy nodes fade, slow nodes lose.
-	score := func(n cluster.NodeID, d Demand) float64 {
-		node, _ := in.Cluster.Node(n)
-		limit := in.Constraints.CPULimitMHz(node)
-		if limit <= 0 {
-			return 0
-		}
-		headroom := (limit - rs.cpu[n] - d.CPUMHz) / limit
-		return node.CoreMHz * headroom
+func (p byCPUDescending) Len() int { return len(p.Executors) }
+func (p byCPUDescending) Less(i, j int) bool {
+	if p.Demands[i].CPUMHz != p.Demands[j].CPUMHz {
+		return p.Demands[i].CPUMHz > p.Demands[j].CPUMHz
 	}
-
-	for rank, e := range execs {
-		d := in.DemandFor(e)
-		var opts []decision.SlotOption
-		eval := func(relaxNet, relaxMem, relaxCPU, record bool) (cluster.SlotID, bool) {
-			var best cluster.SlotID
-			bestScore := 0.0
-			found := false
-			for _, s := range slots {
-				rejected := rs.classify(s, e.Topology, d, relaxNet, relaxMem, relaxCPU)
-				sc := score(s.Node, d)
-				if record {
-					opts = append(opts, decision.SlotOption{Slot: s, Gain: sc, Rejected: rejected})
-				}
-				if rejected != "" {
-					continue
-				}
-				if !found || sc > bestScore {
-					best, bestScore = s, sc
-					found = true
-				}
-			}
-			return best, found
-		}
-
-		slot, ok := eval(false, false, false, probe != nil)
-		relaxed := false
-		if !ok {
-			relaxed = true
-			slot, ok = eval(true, false, false, false)
-		}
-		if !ok {
-			slot, ok = eval(true, true, false, false)
-		}
-		if !ok {
-			slot, ok = eval(true, true, true, false)
-		}
-		if !ok {
-			return nil, fmt.Errorf("scheduler: hetero found no slot for executor %v", e)
-		}
-		if probe != nil {
-			for i := range opts {
-				if opts[i].Slot == slot {
-					opts[i].Chosen = true
-				}
-			}
-			probe.Place(decision.Placement{
-				Executor:        e,
-				Rank:            rank,
-				Load:            d.CPUMHz,
-				Slot:            slot,
-				Gain:            score(slot.Node, d),
-				RelaxedCapacity: relaxed,
-				Options:         opts,
-			})
-		}
-		a.Assign(e, slot)
-		rs.commit(e, slot, d)
-	}
-	if probe != nil {
-		probe.Finish(a, in.Load)
-	}
-	return a, nil
+	return p.Executors[i].Less(p.Executors[j])
+}
+func (p byCPUDescending) Swap(i, j int) {
+	p.Executors[i], p.Executors[j] = p.Executors[j], p.Executors[i]
+	p.Demands[i], p.Demands[j] = p.Demands[j], p.Demands[i]
 }

@@ -1,11 +1,9 @@
 package scheduler
 
 import (
-	"fmt"
 	"math"
 
 	"tstorm/internal/cluster"
-	"tstorm/internal/decision"
 	"tstorm/internal/topology"
 )
 
@@ -31,70 +29,17 @@ var _ Algorithm = RStorm{}
 // Name returns "rstorm".
 func (RStorm) Name() string { return "rstorm" }
 
-// resourceState tracks per-node committed resources during one packing
-// run, against the usable limits set by the input's Constraints.
-type resourceState struct {
-	in       *Input
-	cpu      map[cluster.NodeID]float64 // committed MHz
-	mem      map[cluster.NodeID]float64 // committed MB
-	net      map[cluster.NodeID]float64 // committed MB/s
-	slotTopo map[cluster.SlotID]string  // slot → owning topology
-}
-
-func newResourceState(in *Input) *resourceState {
-	return &resourceState{
-		in:       in,
-		cpu:      make(map[cluster.NodeID]float64),
-		mem:      make(map[cluster.NodeID]float64),
-		net:      make(map[cluster.NodeID]float64),
-		slotTopo: make(map[cluster.SlotID]string),
-	}
-}
-
-// classify names the first constraint that makes the slot infeasible for
-// the demand (empty when feasible). The per-dimension labels are what the
-// decision probe reports, so an explain run shows exactly which resource
-// priced a node out. relaxNet/relaxMem/relaxCPU drop the corresponding
-// dimension — the progressive totality fallback.
-func (rs *resourceState) classify(s cluster.SlotID, topo string, d Demand, relaxNet, relaxMem, relaxCPU bool) decision.Constraint {
-	if owner, owned := rs.slotTopo[s]; owned && owner != topo {
-		return decision.RejectedSlot
-	}
-	node, _ := rs.in.Cluster.Node(s.Node)
-	c := rs.in.Constraints
-	if !relaxCPU && rs.cpu[s.Node]+d.CPUMHz > c.CPULimitMHz(node) {
-		return decision.RejectedCapacity
-	}
-	if !relaxMem && rs.mem[s.Node]+d.MemMB > c.MemLimitMB(node) {
-		return decision.RejectedMemory
-	}
-	if !relaxNet && rs.net[s.Node]+d.NetMBps > c.NetLimitMBps(node) {
-		return decision.RejectedNet
-	}
-	return ""
-}
-
-// commit records the executor's demand against the slot's node.
-func (rs *resourceState) commit(e topology.ExecutorID, s cluster.SlotID, d Demand) {
-	rs.cpu[s.Node] += d.CPUMHz
-	rs.mem[s.Node] += d.MemMB
-	rs.net[s.Node] += d.NetMBps
-	rs.slotTopo[s] = e.Topology
-}
-
-// distance is R-Storm's packing objective: the Euclidean distance between
-// the demand vector and the node's remaining-availability vector, each
-// dimension normalized by the node's usable capacity so a 100 MB memory
-// gap and a 100 MB/s bandwidth gap aren't conflated. Smaller is a tighter
-// (better) fit.
-func (rs *resourceState) distance(n cluster.NodeID, d Demand) float64 {
-	node, _ := rs.in.Cluster.Node(n)
-	c := rs.in.Constraints
+// rstormScore is R-Storm's packing objective, negated so the tightest fit
+// scores highest: the Euclidean distance between the demand vector and the
+// node's remaining-availability vector, each dimension normalized by the
+// node's usable capacity so a 100 MB memory gap and a 100 MB/s bandwidth
+// gap aren't conflated.
+func rstormScore(n *NodeState, d Demand) float64 {
 	dist := 0.0
 	for _, dim := range [3]struct{ limit, used, want float64 }{
-		{c.CPULimitMHz(node), rs.cpu[n], d.CPUMHz},
-		{c.MemLimitMB(node), rs.mem[n], d.MemMB},
-		{c.NetLimitMBps(node), rs.net[n], d.NetMBps},
+		{n.CPULimit, n.CPU, d.CPUMHz},
+		{n.MemLimit, n.Mem, d.MemMB},
+		{n.NetLimit, n.Net, d.NetMBps},
 	} {
 		if dim.limit <= 0 {
 			continue
@@ -102,7 +47,25 @@ func (rs *resourceState) distance(n cluster.NodeID, d Demand) float64 {
 		gap := (dim.limit - dim.used - dim.want) / dim.limit
 		dist += gap * gap
 	}
-	return math.Sqrt(dist)
+	return -math.Sqrt(dist)
+}
+
+// resourcePolicy is the part of the placement policy rstorm and hetero
+// share: all three resource dimensions enforced, relaxed bandwidth first,
+// then memory, then CPU.
+func resourcePolicy(in *Input, algorithm string, execs []topology.ExecutorID, score func(*NodeState, Demand) float64) Policy {
+	p := Policy{
+		Algorithm: algorithm,
+		Executors: execs,
+		Demands:   make([]Demand, len(execs)),
+		Enforce:   LimitCPU | LimitMem | LimitNet,
+		Relax:     []Limit{LimitNet, LimitMem, LimitCPU},
+		Score:     score,
+	}
+	for i, e := range execs {
+		p.Demands[i] = in.DemandFor(e)
+	}
+	return p
 }
 
 // Schedule packs every executor by 3D min-distance best fit.
@@ -110,80 +73,10 @@ func (RStorm) Schedule(in *Input) (*cluster.Assignment, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	a := cluster.NewAssignment(0)
-	rs := newResourceState(in)
-	slots := in.FreeSlots()
-	probe := in.Probe
-	if probe != nil {
-		probe.Begin("rstorm", in.NumExecutors(), in.Cluster.NumNodes())
-	}
-
-	rank := 0
+	var execs []topology.ExecutorID
 	for _, top := range in.Topologies {
-		for _, e := range bfsOrderedExecutors(top) {
-			d := in.DemandFor(e)
-			var opts []decision.SlotOption
-			eval := func(relaxNet, relaxMem, relaxCPU, record bool) (cluster.SlotID, bool) {
-				var best cluster.SlotID
-				bestDist := math.Inf(1)
-				found := false
-				for _, s := range slots {
-					rejected := rs.classify(s, e.Topology, d, relaxNet, relaxMem, relaxCPU)
-					dist := rs.distance(s.Node, d)
-					if record {
-						// Gain is the probe's maximize-me score; negate the
-						// distance so the tightest fit reads as the best gain.
-						opts = append(opts, decision.SlotOption{Slot: s, Gain: -dist, Rejected: rejected})
-					}
-					if rejected != "" {
-						continue
-					}
-					if !found || dist < bestDist {
-						best, bestDist = s, dist
-						found = true
-					}
-				}
-				return best, found
-			}
-
-			slot, ok := eval(false, false, false, probe != nil)
-			relaxed := false
-			if !ok {
-				relaxed = true
-				slot, ok = eval(true, false, false, false)
-			}
-			if !ok {
-				slot, ok = eval(true, true, false, false)
-			}
-			if !ok {
-				slot, ok = eval(true, true, true, false)
-			}
-			if !ok {
-				return nil, fmt.Errorf("scheduler: rstorm found no slot for executor %v", e)
-			}
-			if probe != nil {
-				for i := range opts {
-					if opts[i].Slot == slot {
-						opts[i].Chosen = true
-					}
-				}
-				probe.Place(decision.Placement{
-					Executor:        e,
-					Rank:            rank,
-					Load:            d.CPUMHz,
-					Slot:            slot,
-					Gain:            -rs.distance(slot.Node, d),
-					RelaxedCapacity: relaxed,
-					Options:         opts,
-				})
-			}
-			a.Assign(e, slot)
-			rs.commit(e, slot, d)
-			rank++
-		}
+		execs = append(execs, bfsOrderedExecutors(top)...)
 	}
-	if probe != nil {
-		probe.Finish(a, in.Load)
-	}
-	return a, nil
+	a, _, err := Place(in, resourcePolicy(in, "rstorm", execs, rstormScore))
+	return a, err
 }
