@@ -399,3 +399,33 @@ func TestTrafficAwareBeatsLoadBalancedOnObjective(t *testing.T) {
 		t.Fatalf("T-Storm objective %.0f not below load-balanced %.0f", got, other)
 	}
 }
+
+// TestCountCapIgnoresFencedNodes: the K of γ·Ne/K counts the nodes an
+// executor can actually go to. With one of four nodes fenced off after a
+// failure, 12 executors at γ = 1 spread 4 + 4 + 4 over the three alive
+// ones; counting the dead node made the cap 3 × 3 = 9 < 12, so every
+// round after a failure relaxed and packed.
+func TestCountCapIgnoresFencedNodes(t *testing.T) {
+	top := buildChain(t, "t", 4, 2, 4, 2) // 2+4+4+2 = 12 executors
+	cl, err := cluster.Uniform(4, 4, 2000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := scheduler.NewInput([]*topology.Topology{top}, cl, chainLoad(top, 100, 100).Snapshot(), 0)
+	in.OccupyNode("node02")
+	ta := NewTrafficAware(1)
+	a, err := ta.Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ta.LastStats.Relaxations != 0 {
+		t.Fatalf("Relaxations = %d, want 0", ta.LastStats.Relaxations)
+	}
+	perNode := make(map[cluster.NodeID]int)
+	for _, s := range a.Executors {
+		perNode[s.Node]++
+	}
+	if len(perNode) != 3 || perNode["node01"] != 4 || perNode["node03"] != 4 || perNode["node04"] != 4 {
+		t.Fatalf("executors per node = %v, want 4 on each of node01, node03, node04", perNode)
+	}
+}

@@ -102,7 +102,9 @@ type Report struct {
 	Gamma            float64 `json:"gamma,omitempty"`
 	CapacityFraction float64 `json:"capacity_fraction,omitempty"`
 	CountCap         float64 `json:"count_cap,omitempty"`
-	// Executors and Nodes are the round's N_e and K.
+	// Executors and Nodes are the round's N_e and K. For Algorithm 1 and
+	// the resource-aware contenders K counts the nodes with a free slot —
+	// the divisor of the count cap — not nodes fenced off as failed.
 	Executors int `json:"executors"`
 	Nodes     int `json:"nodes"`
 	// NodesUsed counts distinct nodes in the produced assignment.

@@ -64,7 +64,7 @@ type Policy struct {
 	Enforce Limit
 	Relax   []Limit
 	// Gamma is the consolidation factor behind LimitCount: the cap is
-	// γ·Ne/K, floored at one — a node that may host no executor at all
+	// γ·Ne/K over the K nodes with a free slot, floored at one — a node that may host no executor at all
 	// would make every small topology (Ne < K) infeasible and hand control
 	// to the relaxation path, which packs — the opposite of the γ=1
 	// "almost even distribution" intent.
@@ -271,14 +271,17 @@ func Place(in *Input, p Policy) (*cluster.Assignment, int, error) {
 	if p.Score == nil && in.Load != nil {
 		k.loadFlows(p.Executors, in.Load.Flows)
 	}
-	ne := len(p.Executors)
+	// The paper's N_e and K. K counts the nodes an executor can go to: one
+	// the generator fenced off with OccupyNode is not in k.nodes, and
+	// counting it would set a cap the usable nodes cannot hold.
+	ne, nodes := len(p.Executors), len(k.nodes)
 	probe := in.Probe
 	if probe != nil {
-		probe.Begin(p.Algorithm, ne, in.Cluster.NumNodes())
+		probe.Begin(p.Algorithm, ne, nodes)
 	}
 	countCap := 0.0
 	if p.Enforce&LimitCount != 0 {
-		countCap = max(p.Gamma*float64(ne)/float64(in.Cluster.NumNodes()), 1)
+		countCap = max(p.Gamma*float64(ne)/float64(nodes), 1)
 		if probe != nil {
 			probe.Policy(p.Gamma, fraction(in.Constraints.CPUFraction), countCap)
 		}
