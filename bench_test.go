@@ -180,9 +180,9 @@ func syntheticInput(b *testing.B, ne, k int) *scheduler.Input {
 }
 
 // roundSizes are the scheduling problems the round benchmarks grow over:
-// executors and nodes (4 slots each). The last three are the sizes the
-// per-layer cost table in ROADMAP.md budgets — a toy, a rack, and the
-// largest problem the system is specified for.
+// executors and nodes (4 slots each). The last three are the sizes of the
+// per-layer cost table in DESIGN.md §10 — a toy, a rack, and the largest
+// problem the system is specified for.
 var roundSizes = []struct{ ne, k int }{
 	{45, 10}, {100, 10}, {200, 20}, {400, 40}, {800, 40},
 	{12, 4}, {1000, 50}, {10000, 500},

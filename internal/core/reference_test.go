@@ -8,6 +8,7 @@ import (
 	"tstorm/internal/decision"
 	"tstorm/internal/loaddb"
 	"tstorm/internal/scheduler"
+	"tstorm/internal/scheduler/schedtest"
 	"tstorm/internal/topology"
 )
 
@@ -44,7 +45,7 @@ func referenceSchedule(t *TrafficAware, in *scheduler.Input) (*cluster.Assignmen
 	ne := len(execs)
 	// The one line that is not the parent's: K counts the nodes that still
 	// have a free slot (the parent counted fenced-off nodes too).
-	k := usableNodes(in)
+	k := schedtest.UsableNodes(in)
 	// The paper's per-node executor cap γ·Ne/K, floored at one: a node
 	// that may host no executor at all would make every small topology
 	// (Ne < K) infeasible and hand control to the relaxation path, which
@@ -210,13 +211,4 @@ func referenceSchedule(t *TrafficAware, in *scheduler.Input) (*cluster.Assignmen
 		probe.Finish(a, load)
 	}
 	return a, nil
-}
-
-// usableNodes counts the nodes with at least one free slot.
-func usableNodes(in *scheduler.Input) int {
-	seen := make(map[cluster.NodeID]bool)
-	for _, s := range in.FreeSlots() {
-		seen[s.Node] = true
-	}
-	return len(seen)
 }

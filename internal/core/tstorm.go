@@ -83,34 +83,12 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		load = &loaddb.Snapshot{}
 	}
 
-	// Collect executors of all topologies (the paper's E over M
-	// topologies) with loads l_i and total traffic.
-	type ranked struct {
-		exec    topology.ExecutorID
-		traffic float64
-	}
-	totalTraffic := load.TotalTraffic()
-	var order []ranked
-	for _, top := range in.Topologies {
-		for _, e := range top.Executors() {
-			order = append(order, ranked{e, totalTraffic[e]})
-		}
-	}
-	// Line 2: sort executors by descending total traffic; ties broken by
-	// executor identity for determinism.
-	if !t.DisableTrafficOrder {
-		sort.SliceStable(order, func(i, j int) bool {
-			if order[i].traffic != order[j].traffic {
-				return order[i].traffic > order[j].traffic
-			}
-			return order[i].exec.Less(order[j].exec)
-		})
-	}
+	ne := in.NumExecutors()
 	p := scheduler.Policy{
 		Algorithm: t.Name(),
-		Executors: make([]topology.ExecutorID, len(order)),
-		Demands:   make([]scheduler.Demand, len(order)),
-		Traffic:   make([]float64, len(order)),
+		Executors: make([]topology.ExecutorID, 0, ne),
+		Demands:   make([]scheduler.Demand, 0, ne),
+		Traffic:   make([]float64, 0, ne),
 		// Only the CPU dimension matters here — Algorithm 1 is deliberately
 		// blind to memory and bandwidth, which is exactly what the
 		// rstorm/hetero contenders exist to contrast. The usable-capacity
@@ -120,9 +98,25 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		Gamma:          t.Gamma,
 		OneSlotPerNode: true,
 	}
-	for i, o := range order {
-		p.Executors[i], p.Traffic[i] = o.exec, o.traffic
-		p.Demands[i].CPUMHz = load.ExecLoad[o.exec]
+	// Collect executors of all topologies (the paper's E over M
+	// topologies) with loads l_i and total traffic.
+	totalTraffic := load.TotalTraffic()
+	for _, top := range in.Topologies {
+		for _, e := range top.Executors() {
+			p.Executors = append(p.Executors, e)
+			p.Demands = append(p.Demands, scheduler.Demand{CPUMHz: load.ExecLoad[e]})
+			p.Traffic = append(p.Traffic, totalTraffic[e])
+		}
+	}
+	// Line 2: sort executors by descending total traffic; ties broken by
+	// executor identity for determinism.
+	if !t.DisableTrafficOrder {
+		p.SortStable(func(i, j int) bool {
+			if p.Traffic[i] != p.Traffic[j] {
+				return p.Traffic[i] > p.Traffic[j]
+			}
+			return p.Executors[i].Less(p.Executors[j])
+		})
 	}
 
 	a, relaxations, err := scheduler.Place(in, p)

@@ -1,8 +1,6 @@
 package scheduler
 
 import (
-	"sort"
-
 	"tstorm/internal/cluster"
 	"tstorm/internal/topology"
 )
@@ -47,23 +45,12 @@ func (Hetero) Schedule(in *Input) (*cluster.Assignment, error) {
 		execs = append(execs, top.Executors()...)
 	}
 	p := resourcePolicy(in, "hetero", execs, heteroScore)
-	sort.Stable(byCPUDescending(p))
+	p.SortStable(func(i, j int) bool {
+		if p.Demands[i].CPUMHz != p.Demands[j].CPUMHz {
+			return p.Demands[i].CPUMHz > p.Demands[j].CPUMHz
+		}
+		return p.Executors[i].Less(p.Executors[j])
+	})
 	a, _, err := Place(in, p)
 	return a, err
-}
-
-// byCPUDescending orders a policy's executors (and their demands with
-// them) heaviest CPU demand first, ties by executor identity.
-type byCPUDescending Policy
-
-func (p byCPUDescending) Len() int { return len(p.Executors) }
-func (p byCPUDescending) Less(i, j int) bool {
-	if p.Demands[i].CPUMHz != p.Demands[j].CPUMHz {
-		return p.Demands[i].CPUMHz > p.Demands[j].CPUMHz
-	}
-	return p.Executors[i].Less(p.Executors[j])
-}
-func (p byCPUDescending) Swap(i, j int) {
-	p.Executors[i], p.Executors[j] = p.Executors[j], p.Executors[i]
-	p.Demands[i], p.Demands[j] = p.Demands[j], p.Demands[i]
 }

@@ -13,6 +13,7 @@ package scheduler
 
 import (
 	"fmt"
+	"sort"
 
 	"tstorm/internal/cluster"
 	"tstorm/internal/decision"
@@ -82,6 +83,27 @@ type Policy struct {
 	Score func(n *NodeState, d Demand) float64
 }
 
+// SortStable reorders the placement order — the executors, with their
+// demands and traffic — by less, keeping equals in their current order.
+func (p *Policy) SortStable(less func(i, j int) bool) {
+	sort.Stable(policyOrder{p, less})
+}
+
+type policyOrder struct {
+	*Policy
+	less func(i, j int) bool
+}
+
+func (o policyOrder) Len() int           { return len(o.Executors) }
+func (o policyOrder) Less(i, j int) bool { return o.less(i, j) }
+func (o policyOrder) Swap(i, j int) {
+	o.Executors[i], o.Executors[j] = o.Executors[j], o.Executors[i]
+	o.Demands[i], o.Demands[j] = o.Demands[j], o.Demands[i]
+	if o.Traffic != nil {
+		o.Traffic[i], o.Traffic[j] = o.Traffic[j], o.Traffic[i]
+	}
+}
+
 // kernel is the interned state of one Place call.
 type kernel struct {
 	slots     []cluster.SlotID // in.FreeSlots()
@@ -102,7 +124,12 @@ type kernel struct {
 }
 
 func newKernel(in *Input, execs []topology.ExecutorID) *kernel {
-	k := &kernel{slots: in.FreeSlots(), topoOf: make([]int32, len(execs)), nodeOf: make([]int32, len(execs))}
+	k := &kernel{
+		slots:    in.FreeSlots(),
+		topoOf:   make([]int32, len(execs)),
+		nodeOf:   make([]int32, len(execs)),
+		adjStart: make([]int32, len(execs)+1), // every row empty until loadFlows
+	}
 	k.slotOwner = make([]int32, len(k.slots))
 	for i, s := range k.slots {
 		k.slotOwner[i] = -1
@@ -186,7 +213,6 @@ func (k *kernel) loadFlows(execs []topology.ExecutorID, flows []loaddb.Flow) {
 	bucket(sorted, edges, func(e edge) int32 { return e.lo })
 	bucket(edges, sorted, func(e edge) int32 { return e.hi })
 
-	k.adjStart = make([]int32, ne+1)
 	k.adjTo = make([]int32, 0, len(edges))
 	k.adjRate = make([]float64, 0, len(edges))
 	for i, e := range edges {
@@ -293,12 +319,9 @@ func Place(in *Input, p Policy) (*cluster.Assignment, int, error) {
 		d, topo := p.Demands[r], k.topoOf[r]
 		// Adding the placed neighbours' weights in rank order gives each
 		// node's sum the order its executors were placed in.
-		var neighbours []int32
-		if k.adjStart != nil {
-			neighbours = k.adjTo[k.adjStart[r]:k.adjStart[r+1]]
-			for i, other := range neighbours {
-				k.gain[k.nodeOf[other]] += k.adjRate[int(k.adjStart[r])+i]
-			}
+		neighbours, rates := k.adjTo[k.adjStart[r]:k.adjStart[r+1]], k.adjRate[k.adjStart[r]:k.adjStart[r+1]]
+		for i, other := range neighbours {
+			k.gain[k.nodeOf[other]] += rates[i]
 		}
 		var opts []decision.SlotOption
 		if probe != nil {

@@ -94,16 +94,6 @@ func (rs *resourceState) distance(n cluster.NodeID, d scheduler.Demand) float64 
 	return math.Sqrt(dist)
 }
 
-// usableNodes counts the nodes with at least one free slot — the K every
-// decision report carries since the kernel; the references' only edit.
-func usableNodes(in *scheduler.Input) int {
-	seen := make(map[cluster.NodeID]bool)
-	for _, s := range in.FreeSlots() {
-		seen[s.Node] = true
-	}
-	return len(seen)
-}
-
 // referenceRStorm is RStorm.Schedule as shipped before the kernel.
 func referenceRStorm(in *scheduler.Input) (*cluster.Assignment, error) {
 	if err := in.Validate(); err != nil {
@@ -114,7 +104,7 @@ func referenceRStorm(in *scheduler.Input) (*cluster.Assignment, error) {
 	slots := in.FreeSlots()
 	probe := in.Probe
 	if probe != nil {
-		probe.Begin("rstorm", in.NumExecutors(), usableNodes(in))
+		probe.Begin("rstorm", in.NumExecutors(), schedtest.UsableNodes(in))
 	}
 
 	rank := 0
@@ -209,7 +199,7 @@ func referenceHetero(in *scheduler.Input) (*cluster.Assignment, error) {
 	slots := in.FreeSlots()
 	probe := in.Probe
 	if probe != nil {
-		probe.Begin("hetero", in.NumExecutors(), usableNodes(in))
+		probe.Begin("hetero", in.NumExecutors(), schedtest.UsableNodes(in))
 	}
 
 	// score is the slot's speed-weighted headroom: per-core clock speed

@@ -140,3 +140,14 @@ func Generate(next Source) (Case, error) {
 		DisableTrafficOrder: next(4) == 0,
 	}, nil
 }
+
+// UsableNodes counts the nodes with at least one free slot — the K the
+// kernel-backed algorithms use. The reference implementations take it in
+// place of the Cluster.NumNodes() they shipped with.
+func UsableNodes(in *scheduler.Input) int {
+	seen := make(map[cluster.NodeID]bool)
+	for _, s := range in.FreeSlots() {
+		seen[s.Node] = true
+	}
+	return len(seen)
+}
