@@ -37,6 +37,14 @@
 # silently alter placements. The arena smoke then runs every registered
 # algorithm over the live workload — a contender that panics, drops an
 # executor, or shares a slot across topologies exits non-zero here.
+# The scheduler-round gate reruns one Algorithm 1, rstorm and hetero round
+# at Ne = 1000 (50 nodes) and fails when allocs/op passes a budget of twice
+# what the placement kernel measured when it landed (80 / 70 / 56; the
+# map-based Algorithm 1 took 7109): allocation counts repeat exactly, wall
+# time on a shared box does not, so there is no wall-clock gate. The
+# FuzzSchedule smoke then spends 15 s holding the kernel to the map-based
+# reference Algorithm 1 — same assignment, Stats and decision report, and
+# the three per-node constraints wherever no relaxation is flagged.
 # The experiment package replays full paper figures, which is slow under
 # the race detector — hence the raised per-package timeout.
 # The shuffled pass reorders test execution within every package, catching
@@ -58,6 +66,14 @@ go test -count=1 -run '^$' -bench BenchmarkEmit -benchmem ./internal/live |
 	           exit bad }'
 go test -count=1 -fuzz 'FuzzDecodeValues' -fuzztime 15s -run '^$' ./internal/live
 go test -count=1 -fuzz 'FuzzDecodeFrame' -fuzztime 15s -run '^$' ./internal/live
+go test -count=1 -run '^$' -bench 'Benchmark(Algorithm1|RStorm|Hetero)/^Ne=1000$' -benchmem -benchtime 3x . |
+	awk 'BEGIN { budget["BenchmarkAlgorithm1"] = 160; budget["BenchmarkRStorm"] = 140; budget["BenchmarkHetero"] = 112 }
+	     /^Benchmark/ { seen++; split($1, name, "/"); allocs = $(NF-1); b = budget[name[1]]
+	       if (allocs + 0 > b) { print "scheduler-round allocation regression: " $1 " at " allocs " allocs/op (budget " b ")"; bad = 1 }
+	       else { print "scheduler-round allocs/op: " $1 " " allocs " (budget " b ")" } }
+	     END { if (seen != 3) { print "scheduler-round allocation gate: expected 3 benchmarks, saw " seen + 0; exit 1 }
+	           exit bad }'
+go test -count=1 -fuzz 'FuzzSchedule' -fuzztime 15s -run '^$' ./internal/core
 go test -race -count=1 -run 'TestGoldenAssignments' ./internal/scheduler
 go test -race -count=1 -run 'TestHotSwapMidRunReschedulesCleanly' ./internal/live
 go run ./cmd/tstorm-bench -arena -duration 250ms -json /tmp/tstorm_arena_smoke.json
