@@ -27,7 +27,9 @@
 # them regressed past 1 alloc/op: the pooled emission rewrite holds both
 # the plain path and the tracing-enabled unsampled path at 0, and a
 # regression here silently costs double-digit throughput on the GC-bound
-# 1-CPU benchmark hosts.
+# 1-CPU benchmark hosts. BenchmarkPoolRoundTrip rides in the same gate at
+# 0 allocs/op: a batch pool's steady-state get/put pair recycles the
+# slice's holder with the slice.
 # The codec fuzz smoke throws 30s of generated hostile bytes at the wire
 # decoders (workers decode frames from the network, so malformed input
 # must error, never panic).
@@ -58,11 +60,11 @@ go test -race -count=1 -run 'TestRoutingSnapshotStress|TestRouteObservesSinglePl
 go test -race -count=1 -run 'TestScrapeUnderChurnStress|TestHealthUnderChurnStress' ./internal/telemetry
 go test -race -count=2 -run 'TestChaos|TestReliabilityParityShape' ./internal/live
 go test -race -count=1 -run 'TestDistributed|TestStaleGen' ./internal/dist
-go test -count=1 -run '^$' -bench BenchmarkEmit -benchmem ./internal/live |
-	awk '/^BenchmarkEmit/ { seen++; allocs = $(NF-1)
-	       if (allocs + 0 > 1) { print "emit-path allocation regression: " $1 " at " allocs " allocs/op (budget 1)"; bad = 1 }
-	       else { print "emit-path allocs/op: " $1 " " allocs " (budget 1)" } }
-	     END { if (!seen) { print "emit-path allocation gate: no BenchmarkEmit output"; exit 1 }
+go test -count=1 -run '^$' -bench 'BenchmarkEmit|BenchmarkPoolRoundTrip' -benchmem ./internal/live |
+	awk '/^Benchmark(Emit|PoolRoundTrip)/ { seen++; allocs = $(NF-1); budget = ($1 ~ /^BenchmarkEmit/) ? 1 : 0
+	       if (allocs + 0 > budget) { print "emit-path allocation regression: " $1 " at " allocs " allocs/op (budget " budget ")"; bad = 1 }
+	       else { print "emit-path allocs/op: " $1 " " allocs " (budget " budget ")" } }
+	     END { if (seen < 3) { print "emit-path allocation gate: expected BenchmarkEmit, BenchmarkEmitTraced and BenchmarkPoolRoundTrip, saw " seen + 0; exit 1 }
 	           exit bad }'
 go test -count=1 -fuzz 'FuzzDecodeValues' -fuzztime 15s -run '^$' ./internal/live
 go test -count=1 -fuzz 'FuzzDecodeFrame' -fuzztime 15s -run '^$' ./internal/live

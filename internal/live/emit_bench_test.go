@@ -128,3 +128,18 @@ func BenchmarkEmitTraced(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPoolRoundTrip is one steady-state get/put pair of a batch
+// pool: it must allocate nothing (the slice's holder is recycled with it).
+// ci.sh gates it at 0 allocs/op.
+func BenchmarkPoolRoundTrip(b *testing.B) {
+	var p batchPool[liveMsg]
+	p.put(p.get())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := p.get()
+		s = append(s, liveMsg{from: i})
+		p.put(s)
+	}
+}
