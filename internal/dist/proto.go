@@ -70,7 +70,7 @@ const (
 	msgHalt      = "halt"      // driver → worker: halt spouts
 	msgResume    = "resume"    // driver → worker: resume spouts
 	msgApply     = "apply"     // driver → worker: install published assignment (RPC)
-	msgPending   = "pending"   // driver → worker: report in-flight tuple count (RPC)
+	msgPending   = "pending"   // driver → worker: report in-flight tuples + unsent frames (RPC)
 	msgTotals    = "totals"    // driver → worker: report counters + audits (RPC)
 	msgMonitor   = "monitor"   // driver → worker: change the monitor period
 	msgStop      = "stop"      // driver → worker: exit cleanly
@@ -104,15 +104,18 @@ type msg struct {
 	PeriodNs   int64               `json:"period_ns,omitempty"`
 
 	// replies and telemetry pushes
-	OK      bool         `json:"ok,omitempty"`
-	Err     string       `json:"err,omitempty"`
-	Moved   int          `json:"moved,omitempty"`
-	Pending int64        `json:"pending,omitempty"`
-	Totals  *live.Totals `json:"totals,omitempty"`
-	Audits  []auditEntry `json:"audits,omitempty"`
-	Loads   []loadEntry  `json:"loads,omitempty"`
-	Flows   []flowEntry  `json:"flows,omitempty"`
-	Forget  string       `json:"forget,omitempty"`
+	OK      bool   `json:"ok,omitempty"`
+	Err     string `json:"err,omitempty"`
+	Moved   int    `json:"moved,omitempty"`
+	Pending int64  `json:"pending,omitempty"`
+	// DroppedFrames is the worker's lifetime count of data-plane frames
+	// that never reached a peer (peerSet.dropped).
+	DroppedFrames int64        `json:"dropped_frames,omitempty"`
+	Totals        *live.Totals `json:"totals,omitempty"`
+	Audits        []auditEntry `json:"audits,omitempty"`
+	Loads         []loadEntry  `json:"loads,omitempty"`
+	Flows         []flowEntry  `json:"flows,omitempty"`
+	Forget        string       `json:"forget,omitempty"`
 	// Spans ships sampled tuple-tracing spans drained from the worker's
 	// executor rings with each heartbeat; the driver's collector assembles
 	// them into tuple trees (internal/tracing).

@@ -33,10 +33,13 @@ func TestDistributedTraceUnderMigration(t *testing.T) {
 	e := startFleet(t, dist.Config{
 		Nodes:      3,
 		AckTimeout: 2 * time.Second,
-		// ~60 sampled trees out of 2000 roots. Each sampled line fans out
+		// ~30 sampled trees out of 2000 roots. Each sampled line fans out
 		// into ~20 spans (split + per-word count + mongo), so the fast
-		// heartbeat keeps the 256-slot executor rings from overflowing.
-		TraceSampling:   32,
+		// heartbeat keeps the 256-slot executor rings from overflowing:
+		// the single mongo executor sees every word, and at 1/32 the fleet
+		// (≈ 200 k words/s since the coalesced wire hop) filled its ring
+		// whenever a heartbeat ran ~15 ms late.
+		TraceSampling:   64,
 		HeartbeatPeriod: 25 * time.Millisecond,
 	}, p, initial)
 

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -180,11 +179,7 @@ func (w *worker) controlLoop() int {
 			}
 			w.ctrl.send(reply)
 		case msgPending:
-			var p int64
-			if w.eng != nil {
-				p = w.eng.Pending()
-			}
-			w.ctrl.send(&msg{Type: msgReply, ID: m.ID, OK: true, Pending: p})
+			w.ctrl.send(&msg{Type: msgReply, ID: m.ID, OK: true, Pending: w.pending()})
 		case msgTotals:
 			w.ctrl.send(w.statusMsg(msgReply, m.ID))
 		case msgMonitor:
@@ -277,6 +272,14 @@ func (w *worker) peersUpdate(m *msg) {
 	}
 }
 
+// pending is the engine's count of tuples queued or in process.
+func (w *worker) pending() int64 {
+	if w.eng == nil {
+		return 0
+	}
+	return w.eng.Pending()
+}
+
 // statusMsg assembles a totals/heartbeat message.
 func (w *worker) statusMsg(typ string, id int64) *msg {
 	out := &msg{Type: typ, ID: id, OK: true, Slot: w.slot}
@@ -285,7 +288,8 @@ func (w *worker) statusMsg(typ string, id int64) *msg {
 	}
 	t := w.eng.Totals()
 	out.Totals = &t
-	out.Pending = w.eng.Pending()
+	out.Pending = w.pending()
+	out.DroppedFrames = w.peers.dropped.Load()
 	names := make([]string, 0, len(w.audits))
 	for name, fn := range w.audits {
 		if fn != nil {
@@ -337,16 +341,17 @@ func (w *worker) serveData() {
 	}
 }
 
-// handleData drains frames off one peer connection into the engine. A
-// frame whose target migrated away is forwarded to the current owner
-// while its hop budget lasts; a frame that fails to decode closes the
-// connection — malformed input from a peer is a protocol breach, and the
-// peer's redial starts a clean stream.
+// handleData drains frames off one peer connection into the engine,
+// straight out of the connection's read buffer (Ingest and the forwarding
+// send only borrow them). A frame whose target migrated away is forwarded
+// to the current owner while its hop budget lasts; a frame that fails to
+// decode closes the connection — malformed input from a peer is a
+// protocol breach, and the peer's redial starts a clean stream.
 func (w *worker) handleData(c net.Conn) {
 	defer c.Close()
-	r := bufio.NewReaderSize(c, 64<<10)
+	r := newWireReader(c)
 	for {
-		gen, hops, frame, err := readWireFrame(r)
+		gen, hops, frame, err := r.next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				w.log().Warnf("data connection from %s dropped: %v", c.RemoteAddr(), err)

@@ -215,9 +215,11 @@ func (eng *Engine) sendCtl(from *liveExec, to *liveExec, msgs []ctlMsg, die <-ch
 	if !rt.local[to.dense] {
 		// Acker in another worker process: ship the batch as a ctl frame
 		// (counted as traffic below, like the channel path — the sender
-		// owns all counting). The encode copies the batch out, so it is
-		// recycled here either way.
-		sent := eng.remoteSend(rt.slotOf[to.dense], encodeCtlFrame(to.id, msgs))
+		// owns all counting), encoded into the sending executor's scratch.
+		// The encode copies the batch out, so it is recycled here either
+		// way.
+		from.wireScratch = appendCtlFrame(from.wireScratch, to.id, msgs)
+		sent := eng.remoteSend(rt.slotOf[to.dense], from.wireScratch)
 		eng.ctlPool.put(msgs)
 		if !sent {
 			eng.dropped.Add(n)
@@ -362,7 +364,8 @@ func (le *liveExec) flushCompletions(rt *routeTable) {
 		if !rt.local[sp.dense] {
 			// Spout in another worker process: an undeliverable frame
 			// recovers via the spout's wheel.
-			eng.remoteSend(rt.slotOf[sp.dense], encodeAckFrame(sp.id, evs))
+			le.wireScratch = appendAckFrame(le.wireScratch, sp.id, evs)
+			eng.remoteSend(rt.slotOf[sp.dense], le.wireScratch)
 		} else {
 			sp.ackMu.Lock()
 			if sp.ackEvents == nil {

@@ -60,6 +60,16 @@ type liveMsg struct {
 	sentAt     int64
 }
 
+// inBatch is one element of an executor's input queue: a batch of
+// transfers and, for a batch Ingest decoded off the wire, the pooled slab
+// every msgs[i].enc aliases (nil for a batch built in this process, whose
+// messages carry pooled encode buffers of their own). The consumer
+// releases both together (releaseInput).
+type inBatch struct {
+	msgs []liveMsg
+	slab []byte
+}
+
 // liveExec is one executor: a goroutine with (for bolts) a bounded input
 // queue of delivery batches. The queue is part of the executor and
 // travels with it across re-assignments — the per-executor queue handoff
@@ -80,7 +90,7 @@ type liveExec struct {
 	ctx   *engine.Context
 	rand  *rand.Rand
 
-	in       chan []liveMsg
+	in       chan inBatch
 	ctl      chan []ctlMsg // acker input (nil otherwise)
 	interval time.Duration
 	terminal bool
@@ -94,6 +104,16 @@ type liveExec struct {
 	localScratch  []int
 	keyScratch    []byte
 	scratch       byte
+
+	// Wire-side scratch, owned by the executor goroutine like the routing
+	// state above and reused because RemoteSink.Send only borrows a frame:
+	// encScratch holds one tuple's encoded values on their way into a
+	// frame, frameBufs the spare data-frame buffers (one is in use per
+	// non-resident target between two flushes), wireScratch the ctl or
+	// ack frame being sent.
+	encScratch  []byte
+	frameBufs   [][]byte
+	wireScratch []byte
 
 	// ackers is the topology's acker task list, cached once at Start (the
 	// executor set never changes after Submit, so the pointers are stable
@@ -195,6 +215,14 @@ const spoutBatchMax = 64
 // a high-fan-out Execute flushes mid-batch past it.
 const boltBatchMax = 256
 
+// frameBufCap is the capacity a fresh data-frame buffer starts with (a
+// 64-tuple frame of short words fits); frameBufMax bounds what an
+// executor keeps as a spare.
+const (
+	frameBufCap = 4 << 10
+	frameBufMax = 1 << 20
+)
+
 // runSpout drives emit cycles. As in Storm's spout executor, NextTuple is
 // called in a tight loop and the configured interval is slept only after
 // an empty cycle (idle backoff); when the topology is saturated the
@@ -294,7 +322,7 @@ func (le *liveExec) runSpout(die <-chan struct{}) {
 func (le *liveExec) flushSpout(em *spoutEmitter, die <-chan struct{}) bool {
 	eng := le.eng
 	for i := range em.deliveries {
-		if !eng.deliver(&em.deliveries[i], die) {
+		if !le.deliver(&em.deliveries[i], die) {
 			return false
 		}
 	}
@@ -348,10 +376,10 @@ func (le *liveExec) runBolt(die <-chan struct{}) {
 		case <-eng.stopCh:
 			return
 		case <-die:
-			le.dropRemaining(nil, 0)
 			return
 		case batch := <-le.in:
-			for i := range batch {
+			pooledEnc := batch.slab == nil
+			for i := range batch.msgs {
 				select {
 				case <-die:
 					// Crashed mid-batch: the unprocessed tail AND everything
@@ -364,7 +392,7 @@ func (le *liveExec) runBolt(die <-chan struct{}) {
 					return
 				default:
 				}
-				le.process(batch[i], em)
+				le.process(batch.msgs[i], pooledEnc, em)
 				if em.buffered >= boltBatchMax {
 					if !le.flushBolt(em, die) {
 						le.dropRemaining(batch, i+1)
@@ -372,20 +400,24 @@ func (le *liveExec) runBolt(die <-chan struct{}) {
 					}
 				}
 			}
-			if !le.flushBolt(em, die) {
+			ok := le.flushBolt(em, die)
+			eng.releaseInput(batch, len(batch.msgs))
+			if !ok {
 				return
 			}
-			eng.msgPool.put(batch)
 		}
 	}
 }
 
-// dropRemaining accounts for a batch tail abandoned by a dying bolt.
-func (le *liveExec) dropRemaining(batch []liveMsg, from int) {
-	if n := int64(len(batch) - from); n > 0 {
+// dropRemaining accounts for a batch tail abandoned by a dying bolt and
+// returns the batch (with its slab, or the tail's encode buffers) to the
+// pools.
+func (le *liveExec) dropRemaining(batch inBatch, from int) {
+	if n := int64(len(batch.msgs) - from); n > 0 {
 		le.eng.pending.Add(-n)
 		le.eng.dropped.Add(n)
 	}
+	le.eng.releaseInput(batch, from)
 }
 
 // flushBolt delivers the emitter's buffered downstream batches, then the
@@ -401,10 +433,9 @@ func (le *liveExec) flushBolt(em *boltEmitter, die <-chan struct{}) bool {
 	ok := true
 	for i := range em.deliveries {
 		if ok {
-			ok = eng.deliver(&em.deliveries[i], die)
+			ok = le.deliver(&em.deliveries[i], die)
 		} else {
-			eng.dropped.Add(int64(len(em.deliveries[i].msgs)))
-			eng.recycleBatch(em.deliveries[i].msgs)
+			le.discard(&em.deliveries[i])
 		}
 	}
 	em.deliveries = em.deliveries[:0]
@@ -426,8 +457,7 @@ func (le *liveExec) flushBolt(em *boltEmitter, die <-chan struct{}) bool {
 func (le *liveExec) abortBolt(em *boltEmitter) {
 	eng := le.eng
 	for i := range em.deliveries {
-		eng.dropped.Add(int64(len(em.deliveries[i].msgs)))
-		eng.recycleBatch(em.deliveries[i].msgs)
+		le.discard(&em.deliveries[i])
 	}
 	em.deliveries = em.deliveries[:0]
 	em.buffered = 0
@@ -439,14 +469,18 @@ func (le *liveExec) abortBolt(em *boltEmitter) {
 // process runs the bolt on one input tuple, buffering its emissions and
 // its XOR ack (input edge ^ new edges) in the persistent emitter; the
 // batch-level flush ships both and releases the pending credits. Remote
-// inputs are decoded here — and their pooled encode buffer recycled the
-// moment decode returns, since decodeValues copies every payload out.
-func (le *liveExec) process(m liveMsg, em *boltEmitter) {
+// inputs are decoded here, inside the timed window — and, when the
+// message carries a pooled encode buffer of its own (pooledEnc; a message
+// off the wire aliases its batch's slab instead), the buffer is recycled
+// the moment decode returns, since decodeValues copies every payload out.
+func (le *liveExec) process(m liveMsg, pooledEnc bool, em *boltEmitter) {
 	eng := le.eng
 	t0 := time.Now()
 	if m.enc != nil {
 		vals, err := decodeValues(m.enc, m.extras)
-		eng.encPool.put(m.enc)
+		if pooledEnc {
+			eng.encPool.put(m.enc)
+		}
 		if err != nil {
 			// Corrupt payload: drop the tuple (cannot happen with the
 			// symmetric codec; defensive).

@@ -171,9 +171,9 @@ func (le *liveExec) drainWhileDead(stop <-chan struct{}, done chan<- struct{}) {
 		case <-eng.stopCh:
 			return
 		case batch := <-le.in:
-			eng.pending.Add(-int64(len(batch)))
-			eng.dropped.Add(int64(len(batch)))
-			eng.recycleBatch(batch)
+			eng.pending.Add(-int64(len(batch.msgs)))
+			eng.dropped.Add(int64(len(batch.msgs)))
+			eng.releaseInput(batch, 0)
 		case batch := <-le.ctl:
 			eng.dropped.Add(int64(len(batch)))
 			eng.ctlPool.put(batch)

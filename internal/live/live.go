@@ -286,12 +286,13 @@ type Engine struct {
 	tracedRoots atomic.Int64
 
 	// Batch pools for the zero-alloc emission path (pool.go): delivery
-	// batches, acker control batches, completion-event batches, and codec
-	// encode buffers.
-	msgPool batchPool[liveMsg]
-	ctlPool batchPool[ctlMsg]
-	ackPool batchPool[ackEvent]
-	encPool batchPool[byte]
+	// batches, acker control batches, completion-event batches, codec
+	// encode buffers, and the slabs Ingest copies wire frames into.
+	msgPool  batchPool[liveMsg]
+	ctlPool  batchPool[ctlMsg]
+	ackPool  batchPool[ackEvent]
+	encPool  batchPool[byte]
+	slabPool batchPool[byte]
 }
 
 // NewEngine returns a live engine over the given emulated cluster.
@@ -315,6 +316,7 @@ func NewEngine(cfg Config, cl *cluster.Cluster) (*Engine, error) {
 		rootLat:   metrics.NewSyncLatencyHistogram(),
 	}
 	eng.encPool.newCap = encBufCap
+	eng.slabPool.newCap, eng.slabPool.maxCap = frameBufCap, frameBufMax
 	if len(cfg.LocalSlots) > 0 {
 		if cfg.Remote == nil {
 			return nil, fmt.Errorf("live: LocalSlots requires a Remote sink")
@@ -459,7 +461,7 @@ func (eng *Engine) newExec(app *engine.App, id topology.ExecutorID) *liveExec {
 	default:
 		le.kind = boltExec
 		le.bolt = app.Bolts[id.Component]()
-		le.in = make(chan []liveMsg, eng.cfg.QueueCapacity)
+		le.in = make(chan inBatch, eng.cfg.QueueCapacity)
 		le.terminal = isTerminal(app.Topology, comp)
 		le.procLat = metrics.NewProcLatencyHistogram()
 	}

@@ -8,18 +8,22 @@ import (
 // This file is the engine's object-pooling layer: every batch slice that
 // crosses an executor boundary on the hot path — delivery batches
 // ([]liveMsg), acker control batches ([]ctlMsg), completion-event batches
-// ([]ackEvent) and codec encode buffers ([]byte) — is drawn from a
-// sync.Pool and returned after its single consumer is done with it, so
-// steady-state emission allocates nothing per tuple.
+// ([]ackEvent), codec encode buffers ([]byte) and the slabs wire frames
+// are ingested into ([]byte) — is drawn from a sync.Pool and returned
+// after its single consumer is done with it, so steady-state emission
+// allocates nothing per tuple.
 //
 // Ownership rules (see DESIGN.md "Pooling lifetime rules"):
 //
 //   - The sender allocates a batch from the pool and owns it until the
-//     hand-off point (channel send or remote frame encode) succeeds.
+//     hand-off point (channel send) succeeds.
 //   - A successful channel send transfers ownership to the single receiver
 //     goroutine, which returns the batch after folding/processing it.
-//   - On the remote path the frame encode copies everything out, so the
-//     sending side returns the batch immediately after encoding.
+//   - Tuples for a target in another process never enter a pool on the
+//     sending side: they are encoded into frame buffers the sending
+//     executor owns and reuses (RemoteSink.Send only borrows them). A
+//     batch stranded by a migration is encoded by encodeDataFrame, which
+//     copies everything out, and returned right after.
 //   - Batches dropped at dead executors are returned by the dropper.
 //   - put clears the used prefix so pooled memory never pins tuple
 //     payloads; oversized batches are left to the GC to bound pool growth.
@@ -28,6 +32,14 @@ import (
 // the sender in appendDelivery, released by the receiving bolt right after
 // decodeValues copied the payload out (decode copies strings and byte
 // runs, so the buffer is dead the moment it returns).
+//
+// A slab is the receiving side's one copy of a wire frame: Ingest (which
+// only borrows its argument) allocates it, every enc of the decoded batch
+// aliases it, and it travels with the batch as inBatch.slab. Whoever
+// returns the batch returns the slab with it (releaseInput): the bolt
+// after the batch's flush, the dying bolt for an abandoned tail, the
+// dead-executor drainer, the stranded-queue pump after re-encoding, and
+// Ingest itself for a frame it could not enqueue.
 
 const (
 	// poolMinCap is the capacity of a freshly allocated pooled batch.
@@ -50,7 +62,8 @@ const (
 type batchPool[T any] struct {
 	pool    sync.Pool // *[]T, each holding a recycled slice
 	holders sync.Pool // *[]T, emptied by get, awaiting the next put
-	newCap  int
+	newCap  int       // capacity of a freshly allocated slice (0 = poolMinCap)
+	maxCap  int       // largest capacity put accepts back (0 = poolMaxCap)
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
@@ -77,7 +90,11 @@ func (p *batchPool[T]) get() []T {
 // used prefix is cleared so recycled backing arrays never keep dead tuple
 // payloads (or their encode buffers) reachable.
 func (p *batchPool[T]) put(s []T) {
-	if cap(s) == 0 || cap(s) > poolMaxCap {
+	maxCap := p.maxCap
+	if maxCap <= 0 {
+		maxCap = poolMaxCap
+	}
+	if cap(s) == 0 || cap(s) > maxCap {
 		return
 	}
 	clear(s)
@@ -96,7 +113,7 @@ func (p *batchPool[T]) stats() (hits, misses int64) {
 
 // PoolStat is one batch pool's lifetime reuse counters, for telemetry.
 type PoolStat struct {
-	// Name identifies the pool: "msg", "ctl", "ack" or "enc".
+	// Name identifies the pool: "msg", "ctl", "ack", "enc" or "slab".
 	Name string
 	// Hits counts gets served from recycled memory; Misses counts gets
 	// that had to allocate.
@@ -106,7 +123,7 @@ type PoolStat struct {
 
 // PoolStats snapshots every batch pool's counters in fixed order.
 func (eng *Engine) PoolStats() []PoolStat {
-	out := make([]PoolStat, 0, 4)
+	out := make([]PoolStat, 0, 5)
 	h, m := eng.msgPool.stats()
 	out = append(out, PoolStat{Name: "msg", Hits: h, Misses: m})
 	h, m = eng.ctlPool.stats()
@@ -115,5 +132,7 @@ func (eng *Engine) PoolStats() []PoolStat {
 	out = append(out, PoolStat{Name: "ack", Hits: h, Misses: m})
 	h, m = eng.encPool.stats()
 	out = append(out, PoolStat{Name: "enc", Hits: h, Misses: m})
+	h, m = eng.slabPool.stats()
+	out = append(out, PoolStat{Name: "slab", Hits: h, Misses: m})
 	return out
 }

@@ -19,15 +19,22 @@ import (
 // (codec.go), so the serialization cost the in-process engine emulates is
 // exactly the cost the distributed engine pays for real.
 //
-// Frames may arrive from an untrusted socket, so decodeFrame validates
+// Frames may arrive from an untrusted socket, so the decoder validates
 // every length against the bytes that remain before allocating or slicing
 // — malformed input returns an error (the dist layer logs it and closes
 // the connection), never a panic.
+//
+// One ownership rule covers both directions of the hop: RemoteSink.Send
+// and Engine.Ingest only BORROW the slice they are handed, for the
+// duration of the call. A sender therefore builds its frames in buffers
+// it reuses the moment Send returns, and a receiver may hand Ingest bytes
+// straight out of its read buffer; whoever needs the bytes longer copies
+// them (Ingest does, once, into a pooled slab the decoded batch owns).
 
 // RemoteSink carries frames to the worker process owning a slot. Send
-// reports false when the frame could not be handed to the peer (unknown
-// address, dead connection); the caller counts the batch as dropped and
-// anchored roots recover via timeout + replay.
+// borrows frame until it returns and reports false when the frame could
+// not be handed to the peer (unknown address); the caller counts the
+// batch as dropped and anchored roots recover via timeout + replay.
 type RemoteSink interface {
 	Send(to cluster.SlotID, frame []byte) bool
 }
@@ -127,9 +134,10 @@ func (r *frameReader) uint64() uint64 {
 	return v
 }
 
-// bytes returns a copy of a length-prefixed byte run. The length is
-// validated against the remaining input before any conversion to int, so
-// adversarial 64-bit lengths cannot wrap negative or over-allocate.
+// bytes returns a length-prefixed byte run aliasing the frame (capacity
+// clipped to the run). The length is validated against the remaining
+// input before any conversion to int, so adversarial 64-bit lengths
+// cannot wrap negative or over-read.
 func (r *frameReader) bytes() []byte {
 	l := r.uvarint()
 	if r.err != nil {
@@ -139,14 +147,24 @@ func (r *frameReader) bytes() []byte {
 		r.fail("truncated %d-byte run at %d", l, r.pos)
 		return nil
 	}
-	out := make([]byte, l)
-	copy(out, r.buf[r.pos:r.pos+int(l)])
+	out := r.buf[r.pos : r.pos+int(l) : r.pos+int(l)]
 	r.pos += int(l)
 	return out
 }
 
-func (r *frameReader) string() string {
-	return string(r.bytes())
+// name reads a length-prefixed string that is, in every well-formed
+// frame, a topology, component or stream name: equal to prev (the same
+// field of the previous message — true for every message of a frame in
+// practice) or a key of names, and then returned without allocating.
+func (r *frameReader) name(prev string, names map[string]string) string {
+	b := r.bytes()
+	if string(b) == prev {
+		return prev
+	}
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }
 
 // count reads an item count and sanity-bounds it: each item occupies at
@@ -164,13 +182,25 @@ func (r *frameReader) count(minItemBytes int) int {
 	return int(n)
 }
 
-// wireFrame is one decoded inter-process frame.
+// wireFrame is one decoded inter-process frame. Its batch slices come from
+// the engine's pools; the enc field of every data message aliases slab,
+// the pooled copy of the frame that the batch owns from here on.
 type wireFrame struct {
 	kind byte
 	to   topology.ExecutorID
 	data []liveMsg
+	slab []byte
 	ctl  []ctlMsg
 	acks []ackEvent
+}
+
+// release returns everything the frame drew from the pools — the decode
+// error and undeliverable-frame paths.
+func (f *wireFrame) release(eng *Engine) {
+	eng.releaseInput(inBatch{msgs: f.data, slab: f.slab}, 0)
+	eng.ctlPool.put(f.ctl)
+	eng.ackPool.put(f.acks)
+	*f = wireFrame{}
 }
 
 func appendFrameHeader(buf []byte, kind byte, to topology.ExecutorID) []byte {
@@ -181,15 +211,72 @@ func appendFrameHeader(buf []byte, kind byte, to topology.ExecutorID) []byte {
 	return buf
 }
 
-// encodeDataFrame serializes a routed batch for one remote executor.
-// Messages whose payload holds by-reference extras cannot cross a process
-// boundary and are skipped; the second return value counts them so the
-// caller can account the drop. Messages still carrying in-memory values
-// (a local-hop batch stranded by a migration) are encoded here. A batch
+func unixNanoOrZero(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
+}
+
+// dataFrame is a frameData / frameDataT under construction in a buffer
+// its caller owns: opened for one target, grown a message at a time,
+// finished by bytes. Both encoders of data frames go through it — the
+// router's per-tuple path (appendWire) and encodeDataFrame.
+type dataFrame struct {
+	buf     []byte
+	countAt int  // offset of the fixed32 message count
+	n       int  // messages appended
+	spans   bool // frameDataT: span fields on every message
+}
+
+// openDataFrame starts a data frame for one executor in buf[:0]. A frame
+// opened with spans leaves as a frameDataT; a plain one keeps the PR 6
+// frameData format byte for byte.
+func openDataFrame(buf []byte, to topology.ExecutorID, spans bool) dataFrame {
+	if spans {
+		buf = append(appendFrameHeader(buf[:0], frameDataT, to), flagSpans)
+	} else {
+		buf = appendFrameHeader(buf[:0], frameData, to)
+	}
+	countAt := len(buf)
+	return dataFrame{buf: append(buf, 0, 0, 0, 0), countAt: countAt, spans: spans}
+}
+
+// add appends one message: m's header fields and enc, its encoded values.
+func (f *dataFrame) add(m *liveMsg, enc []byte) {
+	buf := binary.LittleEndian.AppendUint64(f.buf, uint64(m.tup.Root))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.tup.Edge))
+	buf = appendFrameString(buf, m.tup.Stream)
+	buf = appendFrameString(buf, m.tup.SrcComponent)
+	buf = binary.AppendUvarint(buf, uint64(m.tup.SrcTask))
+	buf = binary.AppendUvarint(buf, uint64(m.tup.Size))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(unixNanoOrZero(m.bornAt)))
+	buf = binary.AppendUvarint(buf, uint64(m.from))
+	if f.spans {
+		buf = binary.LittleEndian.AppendUint64(buf, m.parentSpan)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.sentAt))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(enc)))
+	f.buf = append(buf, enc...)
+	f.n++
+}
+
+// bytes patches the message count in and returns the finished frame.
+func (f *dataFrame) bytes() []byte {
+	binary.LittleEndian.PutUint32(f.buf[f.countAt:], uint32(f.n))
+	return f.buf
+}
+
+// encodeDataFrame serializes a routed batch for one remote executor — the
+// stranded-batch path (a batch built for a resident target that a
+// migration took away before it was enqueued or processed); tuples routed
+// to a non-resident target are encoded straight into their frame by
+// appendWire and never form a batch. Messages whose payload holds
+// by-reference extras cannot cross a process boundary and are skipped;
+// the second return value counts them so the caller can account the drop.
+// Messages still carrying in-memory values are encoded here. A batch
 // containing at least one sampled tuple (non-zero sentAt) leaves as a
-// frameDataT with span fields on every message; plain batches — all of
-// them when tracing is off — keep the PR 6 frameData format byte for
-// byte.
+// frameDataT with span fields on every message.
 func encodeDataFrame(to topology.ExecutorID, msgs []liveMsg) (frame []byte, skipped int64) {
 	traced := false
 	for i := range msgs {
@@ -198,16 +285,7 @@ func encodeDataFrame(to topology.ExecutorID, msgs []liveMsg) (frame []byte, skip
 			break
 		}
 	}
-	buf := make([]byte, 0, 64+64*len(msgs))
-	if traced {
-		buf = appendFrameHeader(buf, frameDataT, to)
-		buf = append(buf, flagSpans)
-	} else {
-		buf = appendFrameHeader(buf, frameData, to)
-	}
-	countAt := len(buf)
-	n := 0
-	buf = append(buf, 0, 0, 0, 0) // fixed32 count patched below
+	f := openDataFrame(make([]byte, 0, 64+64*len(msgs)), to, traced)
 	for i := range msgs {
 		m := &msgs[i]
 		enc, extras := m.enc, m.extras
@@ -218,51 +296,32 @@ func encodeDataFrame(to topology.ExecutorID, msgs []liveMsg) (frame []byte, skip
 			skipped++
 			continue
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.tup.Root))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.tup.Edge))
-		buf = appendFrameString(buf, m.tup.Stream)
-		buf = appendFrameString(buf, m.tup.SrcComponent)
-		buf = binary.AppendUvarint(buf, uint64(m.tup.SrcTask))
-		buf = binary.AppendUvarint(buf, uint64(m.tup.Size))
-		var born int64
-		if !m.bornAt.IsZero() {
-			born = m.bornAt.UnixNano()
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(born))
-		buf = binary.AppendUvarint(buf, uint64(m.from))
-		if traced {
-			buf = binary.LittleEndian.AppendUint64(buf, m.parentSpan)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.sentAt))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(enc)))
-		buf = append(buf, enc...)
-		n++
+		f.add(m, enc)
 	}
-	binary.LittleEndian.PutUint32(buf[countAt:], uint32(n))
-	return buf, skipped
+	return f.bytes(), skipped
 }
 
-func encodeCtlFrame(to topology.ExecutorID, msgs []ctlMsg) []byte {
-	buf := make([]byte, 0, 64+32*len(msgs))
-	buf = appendFrameHeader(buf, frameCtl, to)
+// appendCtlFrame encodes a control batch for a remote acker into buf[:0].
+func appendCtlFrame(buf []byte, to topology.ExecutorID, msgs []ctlMsg) []byte {
+	buf = appendFrameHeader(buf[:0], frameCtl, to)
 	buf = binary.AppendUvarint(buf, uint64(len(msgs)))
 	for _, m := range msgs {
 		buf = append(buf, byte(m.kind))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.root))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.xor))
 		buf = binary.AppendUvarint(buf, uint64(m.spoutDense))
-		var at int64
-		if !m.emitAt.IsZero() {
-			at = m.emitAt.UnixNano()
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(unixNanoOrZero(m.emitAt)))
 	}
 	return buf
 }
 
-func encodeAckFrame(to topology.ExecutorID, evs []ackEvent) []byte {
-	buf := make([]byte, 0, 32+17*len(evs))
-	buf = appendFrameHeader(buf, frameAck, to)
+func encodeCtlFrame(to topology.ExecutorID, msgs []ctlMsg) []byte {
+	return appendCtlFrame(make([]byte, 0, 64+32*len(msgs)), to, msgs)
+}
+
+// appendAckFrame encodes completion events for a remote spout into buf[:0].
+func appendAckFrame(buf []byte, to topology.ExecutorID, evs []ackEvent) []byte {
+	buf = appendFrameHeader(buf[:0], frameAck, to)
 	buf = binary.AppendUvarint(buf, uint64(len(evs)))
 	for _, ev := range evs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.root))
@@ -271,11 +330,7 @@ func encodeAckFrame(to topology.ExecutorID, evs []ackEvent) []byte {
 			late = 1
 		}
 		buf = append(buf, late)
-		var at int64
-		if !ev.at.IsZero() {
-			at = ev.at.UnixNano()
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(unixNanoOrZero(ev.at)))
 	}
 	return buf
 }
@@ -283,8 +338,9 @@ func encodeAckFrame(to topology.ExecutorID, evs []ackEvent) []byte {
 // decodeDataMsgs parses the shared data-message body of frameData and
 // frameDataT into f.data. spans selects the frameDataT/flagSpans layout,
 // where each message carries its producer's span ID and hand-off instant
-// between the from field and the payload.
-func decodeDataMsgs(r *frameReader, f *wireFrame, spans bool) error {
+// between the from field and the payload. The payloads are not copied:
+// every enc aliases r.buf.
+func decodeDataMsgs(r *frameReader, f *wireFrame, names map[string]string, spans bool) error {
 	if len(r.buf)-r.pos < 4 {
 		return fmt.Errorf("live: truncated data-frame count at %d", r.pos)
 	}
@@ -295,13 +351,14 @@ func decodeDataMsgs(r *frameReader, f *wireFrame, spans bool) error {
 	if n > maxFrameItems || n > uint32((len(r.buf)-r.pos)/21+1) {
 		return fmt.Errorf("live: data frame claims %d messages in %d bytes", n, len(r.buf)-r.pos)
 	}
-	f.data = make([]liveMsg, 0, n)
+	var stream, src string
 	for i := uint32(0); i < n; i++ {
 		var m liveMsg
 		m.tup.Root = tuple.ID(r.uint64())
 		m.tup.Edge = tuple.ID(r.uint64())
-		m.tup.Stream = r.string()
-		m.tup.SrcComponent = r.string()
+		stream = r.name(stream, names)
+		src = r.name(src, names)
+		m.tup.Stream, m.tup.SrcComponent = stream, src
 		m.tup.SrcTask = int(r.uvarint())
 		m.tup.Size = int(r.uvarint())
 		if born := int64(r.uint64()); born != 0 {
@@ -321,40 +378,54 @@ func decodeDataMsgs(r *frameReader, f *wireFrame, spans bool) error {
 	return nil
 }
 
-// decodeFrame parses one inter-process frame from untrusted bytes.
-func decodeFrame(buf []byte) (*wireFrame, error) {
+// decodeFrame parses one inter-process frame from untrusted bytes into f,
+// drawing its batch slice (and, for data frames, the slab the frame is
+// copied into first) from the engine's pools. buf is only read; on error
+// everything drawn is returned and f is left empty. names is the routing
+// snapshot's name table.
+func (eng *Engine) decodeFrame(f *wireFrame, names map[string]string, buf []byte) (err error) {
+	defer func() {
+		if err != nil {
+			f.release(eng)
+		}
+	}()
 	r := &frameReader{buf: buf}
-	f := &wireFrame{kind: r.byte()}
-	f.to.Topology = r.string()
-	f.to.Component = r.string()
+	f.kind = r.byte()
+	f.to.Topology = r.name("", names)
+	f.to.Component = r.name("", names)
 	f.to.Index = int(r.uvarint())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	switch f.kind {
-	case frameData:
-		if err := decodeDataMsgs(r, f, false); err != nil {
-			return nil, err
+	case frameData, frameDataT:
+		// The messages alias what they are decoded from, and buf is only
+		// borrowed: the batch gets its own copy, once, whole.
+		f.slab = append(eng.slabPool.get(), buf...)
+		r.buf = f.slab
+		spans := false
+		if f.kind == frameDataT {
+			flags := r.byte()
+			if r.err != nil {
+				return r.err
+			}
+			if flags&^byte(flagSpans) != 0 {
+				return fmt.Errorf("live: unknown data-frame flags %#x", flags)
+			}
+			spans = flags&flagSpans != 0
 		}
-	case frameDataT:
-		flags := r.byte()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if flags&^byte(flagSpans) != 0 {
-			return nil, fmt.Errorf("live: unknown data-frame flags %#x", flags)
-		}
-		if err := decodeDataMsgs(r, f, flags&flagSpans != 0); err != nil {
-			return nil, err
+		f.data = eng.msgPool.get()
+		if err := decodeDataMsgs(r, f, names, spans); err != nil {
+			return err
 		}
 	case frameCtl:
 		n := r.count(26)
-		f.ctl = make([]ctlMsg, 0, n)
+		f.ctl = eng.ctlPool.get()
 		for i := 0; i < n; i++ {
 			var m ctlMsg
 			m.kind = ctlKind(r.byte())
 			if m.kind != ctlInit && m.kind != ctlAck {
-				return nil, fmt.Errorf("live: unknown ctl kind %d", m.kind)
+				return fmt.Errorf("live: unknown ctl kind %d", m.kind)
 			}
 			m.root = tuple.ID(r.uint64())
 			m.xor = tuple.ID(r.uint64())
@@ -363,13 +434,13 @@ func decodeFrame(buf []byte) (*wireFrame, error) {
 				m.emitAt = time.Unix(0, at)
 			}
 			if r.err != nil {
-				return nil, r.err
+				return r.err
 			}
 			f.ctl = append(f.ctl, m)
 		}
 	case frameAck:
 		n := r.count(17)
-		f.acks = make([]ackEvent, 0, n)
+		f.acks = eng.ackPool.get()
 		for i := 0; i < n; i++ {
 			var ev ackEvent
 			ev.root = tuple.ID(r.uint64())
@@ -378,34 +449,40 @@ func decodeFrame(buf []byte) (*wireFrame, error) {
 				ev.at = time.Unix(0, at)
 			}
 			if r.err != nil {
-				return nil, r.err
+				return r.err
 			}
 			f.acks = append(f.acks, ev)
 		}
 	default:
-		return nil, fmt.Errorf("live: unknown frame kind %d", f.kind)
+		return fmt.Errorf("live: unknown frame kind %d", f.kind)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.pos != len(r.buf) {
-		return nil, fmt.Errorf("live: %d trailing bytes after frame", len(r.buf)-r.pos)
+		return fmt.Errorf("live: %d trailing bytes after frame", len(r.buf)-r.pos)
 	}
-	return f, nil
+	return nil
 }
 
 // Ingest accepts one frame received from a peer worker process and
-// dispatches it to the target executor's queue. A decode failure returns
-// the error (the caller should drop the connection); a structurally valid
-// frame whose target executor is not resident here returns a
-// *NotLocalError naming the slot this engine currently routes the
-// executor to, so the dist layer can forward it.
+// dispatches it to the target executor's queue. buf is borrowed for the
+// duration of the call only — the caller may overwrite it the moment
+// Ingest returns (a data frame is copied once into a pooled slab that
+// travels with the decoded batch; its values are still decoded by the
+// executor, inside its timed window). A decode failure returns the error
+// (the caller should drop the connection); a structurally valid frame
+// whose target executor is not resident here returns a *NotLocalError
+// naming the slot this engine currently routes the executor to, so the
+// dist layer can forward it.
 func (eng *Engine) Ingest(buf []byte) error {
-	f, err := decodeFrame(buf)
-	if err != nil {
+	rt := eng.routes.Load()
+	var f wireFrame
+	if err := eng.decodeFrame(&f, rt.names, buf); err != nil {
 		return err
 	}
-	rt := eng.routes.Load()
+	// Whatever is not handed to the executor below goes back to the pools.
+	defer f.release(eng)
 	le := rt.executor(f.to.Topology, f.to.Component, f.to.Index)
 	if le == nil {
 		return fmt.Errorf("live: frame for unknown executor %v", f.to)
@@ -428,7 +505,8 @@ func (eng *Engine) Ingest(buf []byte) error {
 		}
 		eng.pending.Add(n)
 		select {
-		case le.in <- f.data:
+		case le.in <- inBatch{msgs: f.data, slab: f.slab}:
+			f.data, f.slab = nil, nil
 		case <-eng.stopCh:
 			eng.pending.Add(-n)
 		}
@@ -445,6 +523,7 @@ func (eng *Engine) Ingest(buf []byte) error {
 		}
 		select {
 		case le.ctl <- f.ctl:
+			f.ctl = nil
 		case <-eng.stopCh:
 		}
 	case frameAck:
@@ -473,55 +552,41 @@ func (eng *Engine) remoteSend(to cluster.SlotID, frame []byte) bool {
 	return eng.cfg.Remote.Send(to, frame)
 }
 
-// sendRemoteData ships one routed batch across the process boundary and
-// accounts it exactly as deliver does for local enqueues (the sender owns
-// all traffic counting, so per-edge statistics are consistent across the
-// fleet). Undeliverable or unencodable messages count as dropped.
-func (eng *Engine) sendRemoteData(rt *routeTable, d *delivery) bool {
-	n := int64(len(d.msgs))
-	from := d.msgs[0].from
-	frame, skipped := encodeDataFrame(d.to.id, d.msgs)
-	// The frame encode copied everything out; the batch and its pooled
-	// encode buffers are recycled here whatever happens to the frame.
-	eng.recycleBatch(d.msgs)
-	d.msgs = nil
-	if skipped > 0 {
-		eng.dropped.Add(skipped)
-		n -= skipped
-	}
+// sendRemoteData ships one data frame of n tuples across the process
+// boundary and accounts it exactly as deliver does for local enqueues
+// (the sender owns all traffic counting, so per-edge statistics are
+// consistent across the fleet). An undeliverable frame counts as dropped.
+// The frame is only lent to the sink: the caller reuses it on return.
+func (eng *Engine) sendRemoteData(from int, d *delivery, slot cluster.SlotID, frame []byte, n int64) {
 	if n <= 0 {
-		return true
+		return
 	}
-	if !eng.remoteSend(rt.slotOf[d.to.dense], frame) {
+	if !eng.remoteSend(slot, frame) {
 		eng.dropped.Add(n)
-		return true
+		return
 	}
-	eng.tuplesSent.Add(n)
-	switch d.hop {
-	case hopInterNode:
-		eng.interNodeSent.Add(n)
-	case hopInterProc:
-		eng.interProcSent.Add(n)
-	}
-	if m := eng.edges.Load(); m != nil {
-		m.counts[from*m.n+d.to.dense].byHop[d.hop].Add(n)
-	}
-	eng.traffic.Add(from, d.to.dense, float64(n))
-	return true
+	eng.countSent(from, d, n)
+}
+
+// encodeStranded turns a batch that can no longer be enqueued here into
+// its frame and recycles it (the encode copies everything out),
+// returning how many messages the frame holds; the by-reference ones
+// that cannot cross are counted as dropped.
+func (eng *Engine) encodeStranded(to topology.ExecutorID, b inBatch) (frame []byte, n int64) {
+	frame, skipped := encodeDataFrame(to, b.msgs)
+	n = int64(len(b.msgs)) - skipped
+	eng.releaseInput(b, 0)
+	eng.dropped.Add(skipped)
+	return frame, n
 }
 
 // forwardStranded re-ships batches that landed in a non-resident
 // executor's local queue — senders holding a pre-migration routing
 // snapshot, or frames that arrived while the handoff was in flight — to
 // the slot that owns the executor now. Runs on the remote pump goroutine.
-func (eng *Engine) forwardStranded(le *liveExec, batch []liveMsg) {
+func (eng *Engine) forwardStranded(le *liveExec, batch inBatch) {
 	rt := eng.routes.Load()
-	frame, skipped := encodeDataFrame(le.id, batch)
-	n := int64(len(batch)) - skipped
-	eng.recycleBatch(batch)
-	if skipped > 0 {
-		eng.dropped.Add(skipped)
-	}
+	frame, n := eng.encodeStranded(le.id, batch)
 	if n <= 0 {
 		return
 	}
@@ -556,7 +621,7 @@ func (le *liveExec) pumpRemote(stop <-chan struct{}, done chan<- struct{}) {
 		case <-eng.stopCh:
 			return
 		case batch := <-le.in:
-			eng.pending.Add(-int64(len(batch)))
+			eng.pending.Add(-int64(len(batch.msgs)))
 			eng.forwardStranded(le, batch)
 		case batch := <-le.ctl:
 			eng.forwardStrandedCtl(le, batch)

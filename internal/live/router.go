@@ -23,10 +23,34 @@ const (
 // operation, so a cycle pays one send per distinct target instead of one
 // per tuple. The msgs slice comes from the engine's batch pool; ownership
 // transfers to the receiver on a successful enqueue (see pool.go).
+//
+// A delivery whose target is not resident in this process never forms a
+// batch: its tuples are encoded straight into wire, a frame under
+// construction in one of the sending executor's reusable buffers, and
+// msgs stays nil. The frame is addressed to slot, the target's placement
+// when it was routed — like a frame already on the wire, it chases a
+// target that migrates meanwhile through the receiver's NotLocalError.
+// sealed closes a plain frame a sampled tuple arrived behind: the traced
+// frame opened after it takes everything that follows, which keeps the
+// order and lets tracing-off fleets never emit a frameDataT.
 type delivery struct {
-	to   *liveExec
-	hop  hopKind
-	msgs []liveMsg
+	to     *liveExec
+	hop    hopKind
+	msgs   []liveMsg
+	wire   dataFrame
+	slot   cluster.SlotID
+	sealed bool
+}
+
+// remote reports whether the delivery leaves as a wire frame.
+func (d *delivery) remote() bool { return d.wire.buf != nil }
+
+// tuples is the number of transfers the delivery holds.
+func (d *delivery) tuples() int {
+	if d.remote() {
+		return d.wire.n
+	}
+	return len(d.msgs)
 }
 
 // outEdge is one cached consumer edge of an output stream with its
@@ -151,8 +175,10 @@ func (le *liveExec) routeDirect(out *[]delivery, consumer string, taskIndex int,
 // boundary it crosses, and appends it to the target's batch (opening a
 // new pooled batch for a target not yet seen since the last flush). Local
 // transfers share the Values slice (tuples are immutable by contract);
-// remote transfers carry the payload encoded into a pooled buffer and the
-// receiver decodes (and then recycles) it.
+// transfers to another slot of this process carry the payload encoded
+// into a pooled buffer and the receiver decodes (and then recycles) it;
+// transfers to another process are encoded into the executor's scratch
+// and copied into the target's frame (appendWire).
 func (le *liveExec) appendDelivery(out *[]delivery, rt *routeTable, tgt *liveExec, srcSlot cluster.SlotID, stream string, vals tuple.Values, size int, bornAt time.Time, root, edge tuple.ID) {
 	dstSlot := rt.slotOf[tgt.dense]
 	msg := liveMsg{
@@ -174,41 +200,99 @@ func (le *liveExec) appendDelivery(out *[]delivery, rt *routeTable, tgt *liveExe
 		msg.parentSpan = le.curParent
 		msg.sentAt = time.Now().UnixNano()
 	}
-	var hop hopKind
+	hop := hopLocal
 	switch {
 	case srcSlot == dstSlot:
-		hop = hopLocal
-		msg.tup.Values = vals
 	case srcSlot.Node == dstSlot.Node:
 		hop = hopInterProc
-		msg.enc, msg.extras = encodeValuesInto(le.eng.encPool.get(), vals)
 	default:
 		hop = hopInterNode
-		msg.enc, msg.extras = encodeValuesInto(le.eng.encPool.get(), vals)
-		// Kernel/NIC copy work: extra passes over the wire bytes.
-		for i := 0; i < le.eng.cfg.InterNodeCopies; i++ {
-			for _, b := range msg.enc {
-				le.scratch ^= b
+	}
+	remote := !rt.local[tgt.dense]
+	if hop == hopLocal && !remote {
+		msg.tup.Values = vals
+	} else {
+		var enc []byte
+		if remote {
+			enc, msg.extras = encodeValuesInto(le.encScratch[:0], vals)
+			le.encScratch = enc
+		} else {
+			enc, msg.extras = encodeValuesInto(le.eng.encPool.get(), vals)
+			msg.enc = enc
+		}
+		if hop == hopInterNode {
+			// Kernel/NIC copy work: extra passes over the wire bytes.
+			for i := 0; i < le.eng.cfg.InterNodeCopies; i++ {
+				for _, b := range enc {
+					le.scratch ^= b
+				}
+			}
+			// Per-message network-stack cost, burned on the sender's goroutine.
+			// Emitters run inside the executor's timed NextTuple/Execute window,
+			// so this also shows up in the monitor's load measurements.
+			if wc := le.eng.cfg.WireCost; wc > 0 {
+				for t0 := time.Now(); time.Since(t0) < wc; { //nolint:staticcheck // busy-wait is the point
+				}
 			}
 		}
-		// Per-message network-stack cost, burned on the sender's goroutine.
-		// Emitters run inside the executor's timed NextTuple/Execute window,
-		// so this also shows up in the monitor's load measurements.
-		if wc := le.eng.cfg.WireCost; wc > 0 {
-			for t0 := time.Now(); time.Since(t0) < wc; { //nolint:staticcheck // busy-wait is the point
-			}
+		if remote {
+			le.appendWire(out, tgt, hop, dstSlot, &msg, enc)
+			return
 		}
 	}
 	// Batch with an existing delivery to the same queue. Hop kinds are
 	// matched too: two emissions of one cycle may straddle an Apply and
 	// classify the same target differently.
 	for i := range *out {
-		if b := &(*out)[i]; b.to == tgt && b.hop == hop {
+		if b := &(*out)[i]; b.to == tgt && b.hop == hop && !b.remote() {
 			b.msgs = append(b.msgs, msg)
 			return
 		}
 	}
 	*out = append(*out, delivery{to: tgt, hop: hop, msgs: append(le.eng.msgPool.get(), msg)})
+}
+
+// appendWire appends one transfer to the open frame for a non-resident
+// target, opening one (in a spare buffer of this executor) when there is
+// none. A payload holding by-reference extras cannot cross a process
+// boundary: the transfer is dropped here, and an anchored root recovers
+// by timeout + replay.
+func (le *liveExec) appendWire(out *[]delivery, tgt *liveExec, hop hopKind, slot cluster.SlotID, m *liveMsg, enc []byte) {
+	if len(m.extras) > 0 {
+		le.eng.dropped.Add(1)
+		return
+	}
+	sampled := m.sentAt != 0
+	for i := range *out {
+		d := &(*out)[i]
+		if d.to != tgt || d.hop != hop || !d.remote() || d.sealed {
+			continue
+		}
+		if sampled && !d.wire.spans {
+			d.sealed = true
+			break
+		}
+		d.wire.add(m, enc)
+		return
+	}
+	var buf []byte
+	if n := len(le.frameBufs); n > 0 {
+		buf, le.frameBufs = le.frameBufs[n-1], le.frameBufs[:n-1]
+	} else {
+		buf = make([]byte, 0, frameBufCap)
+	}
+	*out = append(*out, delivery{to: tgt, hop: hop, slot: slot, wire: openDataFrame(buf, tgt.id, sampled)})
+	(*out)[len(*out)-1].wire.add(m, enc)
+}
+
+// reclaim takes a sent (or abandoned) delivery's frame buffer back: Send
+// only borrowed it. Buffers a fat tuple grew past frameBufMax are left to
+// the GC.
+func (le *liveExec) reclaim(d *delivery) {
+	if cap(d.wire.buf) <= frameBufMax {
+		le.frameBufs = append(le.frameBufs, d.wire.buf)
+	}
+	d.wire = dataFrame{}
 }
 
 // chooseTargets picks the receiving task indexes for one consumer edge
@@ -264,41 +348,76 @@ func (le *liveExec) chooseTargets(rt *routeTable, e *outEdge, vals tuple.Values,
 // recycleBatch returns an un-enqueued delivery batch and its encode
 // buffers to the pools — the drop paths' side of the ownership contract.
 func (eng *Engine) recycleBatch(msgs []liveMsg) {
-	for i := range msgs {
-		if msgs[i].enc != nil {
-			eng.encPool.put(msgs[i].enc)
+	eng.releaseInput(inBatch{msgs: msgs}, 0)
+}
+
+// releaseInput returns a queued batch to the pools once msgs[:from] were
+// processed: a slab-backed batch (Ingest) gives up its slab, which every
+// enc aliases; a batch built in this process gives up the pooled encode
+// buffers of the messages not yet processed (process already returned the
+// others).
+func (eng *Engine) releaseInput(b inBatch, from int) {
+	if b.slab != nil {
+		eng.slabPool.put(b.slab)
+	} else {
+		for i := from; i < len(b.msgs); i++ {
+			if enc := b.msgs[i].enc; enc != nil {
+				eng.encPool.put(enc)
+			}
 		}
 	}
-	eng.msgPool.put(msgs)
+	eng.msgPool.put(b.msgs)
+}
+
+// discard drops a delivery that will never be sent, counting its tuples.
+func (le *liveExec) discard(d *delivery) {
+	le.eng.dropped.Add(int64(d.tuples()))
+	if d.remote() {
+		le.reclaim(d)
+		return
+	}
+	le.eng.recycleBatch(d.msgs)
+	d.msgs = nil
 }
 
 // deliver enqueues one routed batch, blocking while the target queue is
-// full (backpressure). It reports false when the engine is stopping or the
-// sending incarnation was killed (die). Batches for a dead executor are
-// dropped on the floor — anchored roots recover via timeout + replay — so
-// senders never wedge on a crashed worker's full queue. The transfers are
-// counted only once enqueued, so the statistics match what receivers will
-// actually observe. deliver owns d.msgs on every outcome: a successful
-// channel send hands it to the receiver, every other path recycles it.
-func (eng *Engine) deliver(d *delivery, die <-chan struct{}) bool {
+// full (backpressure), or hands a wire-bound one to the remote sink. It
+// reports false when the engine is stopping or the sending incarnation
+// was killed (die). Batches for a dead executor are dropped on the floor
+// — anchored roots recover via timeout + replay — so senders never wedge
+// on a crashed worker's full queue. The transfers are counted only once
+// enqueued, so the statistics match what receivers will actually observe.
+// deliver owns d.msgs on every outcome: a successful channel send hands
+// it to the receiver, every other path recycles it. Runs on le's
+// goroutine (the frame buffers are the executor's own).
+func (le *liveExec) deliver(d *delivery, die <-chan struct{}) bool {
+	eng := le.eng
+	if d.remote() {
+		eng.sendRemoteData(le.dense, d, d.slot, d.wire.bytes(), int64(d.wire.n))
+		le.reclaim(d)
+		return true
+	}
 	n := int64(len(d.msgs))
 	if n == 0 {
 		return true
 	}
 	if rt := eng.routes.Load(); !rt.local[d.to.dense] {
-		// The target executes in another worker process: the batch leaves
-		// as an encoded frame instead of a channel send (remote.go).
-		return eng.sendRemoteData(rt, d)
+		// The target left this process after the batch was built (an Apply
+		// between the emission and this flush): the batch leaves as an
+		// encoded frame, as one stranded in the departed queue would.
+		frame, n := eng.encodeStranded(d.to.id, inBatch{msgs: d.msgs})
+		d.msgs = nil
+		eng.sendRemoteData(le.dense, d, rt.slotOf[d.to.dense], frame, n)
+		return true
 	}
 	if d.to.dead.Load() {
 		eng.dropped.Add(n)
 		eng.recycleBatch(d.msgs)
 		return true
 	}
-	from := d.msgs[0].from
 	eng.pending.Add(n)
 	select {
-	case d.to.in <- d.msgs:
+	case d.to.in <- inBatch{msgs: d.msgs}:
 	case <-eng.stopCh:
 		eng.pending.Add(-n)
 		eng.recycleBatch(d.msgs)
@@ -308,6 +427,14 @@ func (eng *Engine) deliver(d *delivery, die <-chan struct{}) bool {
 		eng.recycleBatch(d.msgs)
 		return false
 	}
+	eng.countSent(le.dense, d, n)
+	return true
+}
+
+// countSent accounts n transfers of a delivery as sent by the executor
+// with dense index from: lifetime totals, the per-edge matrix and the
+// monitor's traffic window.
+func (eng *Engine) countSent(from int, d *delivery, n int64) {
 	eng.tuplesSent.Add(n)
 	switch d.hop {
 	case hopInterNode:
@@ -319,5 +446,4 @@ func (eng *Engine) deliver(d *delivery, die <-chan struct{}) bool {
 		m.counts[from*m.n+d.to.dense].byHop[d.hop].Add(n)
 	}
 	eng.traffic.Add(from, d.to.dense, float64(n))
-	return true
 }

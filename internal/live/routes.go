@@ -41,6 +41,10 @@ type routeTable struct {
 	// groups lists the executors resident in each active slot — the
 	// locality set LocalOrShuffleGrouping inspects.
 	groups map[cluster.SlotID][]*liveExec
+	// names maps every topology, component and stream name to itself: the
+	// frame decoder resolves the names in a frame against it instead of
+	// allocating a string per field.
+	names map[string]string
 }
 
 // emptyRouteTable is what an engine routes with before anything is
@@ -65,8 +69,14 @@ func (eng *Engine) rebuildRoutesLocked() {
 		local:    make([]bool, len(eng.denseRev)),
 		byComp:   make(map[compKey][]*liveExec),
 		groups:   make(map[cluster.SlotID][]*liveExec, len(eng.groups)),
+		names:    map[string]string{topology.DefaultStream: topology.DefaultStream},
 	}
 	for id, le := range eng.execs {
+		rt.names[id.Topology] = id.Topology
+		rt.names[id.Component] = id.Component
+		for stream := range le.comp.Outputs {
+			rt.names[stream] = stream
+		}
 		rt.byDense[le.dense] = le
 		rt.slotOf[le.dense] = eng.placement[id]
 		rt.local[le.dense] = eng.isLocalSlot(eng.placement[id])
