@@ -643,10 +643,11 @@ func (e *Engine) setSpoutsHalted(halted bool) {
 	}
 }
 
-// quiesce polls the fleet's in-flight tuple counts until they reach zero
-// twice in a row (a frame on the wire is invisible between the sender's
-// decrement and the receiver's increment, so one zero reading can lie) or
-// the drain timeout passes.
+// quiesce polls the fleet's in-flight counts — each worker's queued or
+// executing tuples plus the frames its peer writers hold — until they
+// reach zero twice in a row (a frame in a socket buffer is invisible
+// between the sender's decrement and the receiver's increment, so one
+// zero reading can lie) or the drain timeout passes.
 func (e *Engine) quiesce() {
 	deadline := time.Now().Add(e.cfg.DrainTimeout)
 	zeros := 0

@@ -272,12 +272,15 @@ func (w *worker) peersUpdate(m *msg) {
 	}
 }
 
-// pending is the engine's count of tuples queued or in process.
+// pending is what this worker still owes the fleet's quiescence: tuples
+// queued or in process in the engine, plus frames its peer writers have
+// accepted but not yet handed to the kernel. The engine is read first —
+// work moves from it into the writers' queues, never back.
 func (w *worker) pending() int64 {
 	if w.eng == nil {
 		return 0
 	}
-	return w.eng.Pending()
+	return w.eng.Pending() + w.peers.inFlight.Load()
 }
 
 // statusMsg assembles a totals/heartbeat message.
