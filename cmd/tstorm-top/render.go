@@ -63,6 +63,7 @@ type workerDoc struct {
 	Alive    bool  `json:"alive"`
 	Restarts int   `json:"restarts"`
 	Pending  int64 `json:"pending"`
+	Dropped  int64 `json:"dropped_frames"`
 }
 
 // workersDoc mirrors the /debug/workers response.
@@ -263,8 +264,8 @@ func renderFrame(w io.Writer, f *frame) {
 			if !ww.Alive {
 				state = "DOWN"
 			}
-			fmt.Fprintf(w, "  %s:%-5d %-4s pid=%-7d restarts=%-3d pending=%d\n",
-				ww.Slot.Node, ww.Slot.Port, state, ww.PID, ww.Restarts, ww.Pending)
+			fmt.Fprintf(w, "  %s:%-5d %-4s pid=%-7d restarts=%-3d pending=%-6d dropped_frames=%d\n",
+				ww.Slot.Node, ww.Slot.Port, state, ww.PID, ww.Restarts, ww.Pending, ww.Dropped)
 		}
 	}
 }

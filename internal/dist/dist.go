@@ -138,6 +138,10 @@ type workerHandle struct {
 	lastTotals  live.Totals
 	lastAudits  []auditEntry
 	lastPending int64
+	// lastDropped is the current incarnation's dropped-frames count;
+	// retiredDropped sums those of the slot's dead incarnations.
+	lastDropped    int64
+	retiredDropped int64
 	// lastBeat is when the current incarnation last reported status —
 	// the liveness signal health rules and /debug/workers age against.
 	lastBeat time.Time
@@ -186,6 +190,7 @@ func (h *workerHandle) storeStatus(m *msg) {
 	}
 	h.lastAudits = m.Audits
 	h.lastPending = m.Pending
+	h.lastDropped = m.DroppedFrames
 	h.lastBeat = time.Now()
 	h.mu.Unlock()
 }
@@ -761,6 +766,8 @@ func (e *Engine) retireWorker(h *workerHandle) {
 	h.lastTotals = live.Totals{}
 	h.lastAudits = nil
 	h.lastPending = 0
+	h.retiredDropped += h.lastDropped
+	h.lastDropped = 0
 	h.cmd = nil
 	sess := h.sess
 	h.restarts++
@@ -865,6 +872,11 @@ type WorkerStatus struct {
 	Restarts int            `json:"restarts"`
 	DataAddr string         `json:"data_addr"`
 	Pending  int64          `json:"pending"`
+	// DroppedFrames counts data-plane frames this slot's worker (all its
+	// incarnations) could not get to a peer: no route, dial refused, or
+	// shed by a peer writer after a write error or deadline. The tuples in
+	// them are what at-least-once replay re-sends.
+	DroppedFrames int64 `json:"dropped_frames"`
 	// LastBeat is when the current incarnation last reported status
 	// (zero before its first heartbeat).
 	LastBeat time.Time `json:"last_beat,omitempty"`
@@ -887,6 +899,8 @@ func (e *Engine) Workers() []WorkerStatus {
 			DataAddr: h.dataAddr,
 			Pending:  h.lastPending,
 			LastBeat: h.lastBeat,
+			// Retired incarnations included: a kill -9 must not zero it.
+			DroppedFrames: h.retiredDropped + h.lastDropped,
 		})
 		h.mu.Unlock()
 	}

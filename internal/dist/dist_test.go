@@ -215,6 +215,53 @@ func TestDistributedKillWorkerRecovers(t *testing.T) {
 	}
 }
 
+// TestDistributedKillCountsDroppedFrames: frames a worker could not get
+// to a peer are counted, carried up on status messages and survive in
+// Workers() — the counter that explains the replays an audit only shows
+// the result of. The victim stays dead past the ack timeout, so the
+// reader's replays are certain to be sent at a process that is not there.
+func TestDistributedKillCountsDroppedFrames(t *testing.T) {
+	p := workloads.SelfFedParams{
+		Spouts: 1, Splitters: 2, Counters: 2, Mongos: 1, Workers: 3,
+		Reliable: true, Ackers: 1, MaxPending: 64, Limit: 20000,
+	}
+	victim := slotOn("node02")
+	initial := placeByComponent(t, p, map[string]cluster.SlotID{
+		"reader":                slotOn("node01"),
+		topology.AckerComponent: slotOn("node01"),
+		"split":                 victim,
+		"count":                 slotOn("node03"),
+		"mongo":                 slotOn("node03"),
+	})
+	e := startFleet(t, dist.Config{
+		Nodes:       3,
+		AckTimeout:  time.Second,
+		BackoffBase: 2500 * time.Millisecond,
+	}, p, initial)
+	waitFor(t, 30*time.Second, "initial progress", func() bool {
+		acked, _, _ := e.Audit("wordcount-live")
+		return acked > 100
+	})
+	if n := e.CrashWorker(victim); n != 1 {
+		t.Fatalf("CrashWorker(%s) = %d, want 1", victim, n)
+	}
+	dropped := func() (sum int64) {
+		for _, w := range e.Workers() {
+			sum += w.DroppedFrames
+		}
+		return sum
+	}
+	waitFor(t, 30*time.Second, "a worker to report dropped frames", func() bool { return dropped() > 0 })
+	want := p.Spouts * p.Limit
+	waitFor(t, 60*time.Second, "all lines acked after crash", func() bool {
+		acked, outstanding, _ := e.Audit("wordcount-live")
+		return acked == want && outstanding == 0
+	})
+	if tot := e.Totals(); tot.Replayed == 0 {
+		t.Errorf("%d frames dropped but no root replayed", dropped())
+	}
+}
+
 // TestDistributedMigrationConservation moves executors between worker
 // processes mid-run (§IV-D across process boundaries: halt, drain,
 // publish through the coord store, fleet confirmation, resume) and

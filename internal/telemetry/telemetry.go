@@ -52,6 +52,9 @@ type WorkerStatus struct {
 	Restarts int            `json:"restarts"`
 	DataAddr string         `json:"data_addr,omitempty"`
 	Pending  int64          `json:"pending"`
+	// DroppedFrames counts data-plane frames the slot's worker could not
+	// get to a peer (see dist.WorkerStatus).
+	DroppedFrames int64 `json:"dropped_frames"`
 }
 
 // Config selects what a Server exposes. An engine-backed server sets
@@ -69,8 +72,9 @@ type Config struct {
 	// Placement supplies the executor→slot map when Engine is nil.
 	Placement func() []live.PlacementEntry
 	// Workers, when non-nil, adds /debug/workers and the tstorm_worker_up /
-	// tstorm_worker_process_restarts_total process-liveness families —
-	// the distributed backend's worker fleet.
+	// tstorm_worker_process_restarts_total /
+	// tstorm_worker_dropped_frames_total per-process families — the
+	// distributed backend's worker fleet.
 	Workers func() []WorkerStatus
 	// Monitor, when non-nil, contributes the sampling gauges
 	// (tstorm_monitor_*) to /metrics.
@@ -342,6 +346,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		e.family("tstorm_worker_process_restarts_total", "Worker-process respawns performed by the supervisor.", "counter")
 		for i := range workers {
 			e.sample("tstorm_worker_process_restarts_total", slotLabels(&workers[i]), float64(workers[i].Restarts))
+		}
+		e.family("tstorm_worker_dropped_frames_total", "Data-plane frames the worker could not get to a peer (no route, dial refused, shed after a write error or deadline).", "counter")
+		for i := range workers {
+			e.sample("tstorm_worker_dropped_frames_total", slotLabels(&workers[i]), float64(workers[i].DroppedFrames))
 		}
 		e.family("tstorm_workers_alive", "Live worker processes in the fleet.", "gauge")
 		e.sample("tstorm_workers_alive", nil, float64(alive))
