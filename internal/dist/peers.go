@@ -215,9 +215,8 @@ func (pc *peerConn) write(buf []byte) error {
 	c := pc.c
 	pc.mu.Unlock()
 	if c == nil {
-		d := net.Dialer{Timeout: dialTimeout}
 		var err error
-		if c, err = d.DialContext(pc.ctx, "tcp", pc.addr); err != nil {
+		if c, err = pc.set.dial(pc.ctx, pc.addr); err != nil {
 			return err
 		}
 		pc.mu.Lock()
@@ -229,7 +228,7 @@ func (pc *peerConn) write(buf []byte) error {
 		pc.c = c
 		pc.mu.Unlock()
 	}
-	c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	c.SetWriteDeadline(time.Now().Add(pc.set.writeTimeout))
 	_, err := c.Write(buf)
 	return err
 }
@@ -264,6 +263,11 @@ func (pc *peerConn) close() {
 type peerSet struct {
 	local   cluster.SlotID
 	maxHops int
+	// dial and writeTimeout are fixed at construction (net.Dialer with
+	// dialTimeout, and the writeTimeout constant); the fault-injection
+	// tests substitute their own.
+	dial         func(ctx context.Context, addr string) (net.Conn, error)
+	writeTimeout time.Duration
 
 	mu     sync.Mutex
 	addrs  map[cluster.SlotID]string
@@ -297,8 +301,13 @@ func newPeerSet(local cluster.SlotID, maxHops int) *peerSet {
 	return &peerSet{
 		local:   local,
 		maxHops: maxHops,
-		addrs:   make(map[cluster.SlotID]string),
-		conns:   make(map[cluster.SlotID]*peerConn),
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			d := net.Dialer{Timeout: dialTimeout}
+			return d.DialContext(ctx, "tcp", addr)
+		},
+		writeTimeout: writeTimeout,
+		addrs:        make(map[cluster.SlotID]string),
+		conns:        make(map[cluster.SlotID]*peerConn),
 	}
 }
 
