@@ -30,6 +30,14 @@
 # 1-CPU benchmark hosts. BenchmarkPoolRoundTrip rides in the same gate at
 # 0 allocs/op: a batch pool's steady-state get/put pair recycles the
 # slice's holder with the slice.
+# The wire-hop gate holds the inter-process hop to its allocation budget
+# per FRAME, whatever the tuples per frame (1, 16, 256): BenchmarkIngest
+# (decode into a pooled batch over a pooled slab, enqueue, release) at
+# exactly 0 allocs/op, and BenchmarkWireHop (remote delivery → peer writer
+# → loopback TCP → handleData → Ingest → sink) below 0.5 allocs/frame — it
+# measures 0.0002–0.02, the rare pool miss, and a single allocation added
+# to the per-frame path reads 1.0; before the borrowed-buffer hop it read
+# 19 / 124 / 1804. Counts, not wall time: the box is shared.
 # The codec fuzz smoke throws 30s of generated hostile bytes at the wire
 # decoders (workers decode frames from the network, so malformed input
 # must error, never panic).
@@ -65,6 +73,19 @@ go test -count=1 -run '^$' -bench 'BenchmarkEmit|BenchmarkPoolRoundTrip' -benchm
 	       if (allocs + 0 > budget) { print "emit-path allocation regression: " $1 " at " allocs " allocs/op (budget " budget ")"; bad = 1 }
 	       else { print "emit-path allocs/op: " $1 " " allocs " (budget " budget ")" } }
 	     END { if (seen < 3) { print "emit-path allocation gate: expected BenchmarkEmit, BenchmarkEmitTraced and BenchmarkPoolRoundTrip, saw " seen + 0; exit 1 }
+	           exit bad }'
+go test -count=1 -run '^$' -bench 'BenchmarkIngest' -benchmem -benchtime 20000x ./internal/live |
+	awk '/^BenchmarkIngest/ { seen++; allocs = $(NF-1)
+	       if (allocs + 0 > 0) { print "wire-hop allocation regression: " $1 " at " allocs " allocs/frame (budget 0)"; bad = 1 }
+	       else { print "wire-hop allocs/frame: " $1 " " allocs " (budget 0)" } }
+	     END { if (seen != 3) { print "wire-hop allocation gate: expected 3 BenchmarkIngest sizes, saw " seen + 0; exit 1 }
+	           exit bad }'
+go test -count=1 -run '^$' -bench 'BenchmarkWireHop' -benchtime 1000000x ./internal/dist |
+	awk '/^BenchmarkWireHop/ { seen++; allocs = -1
+	       for (i = 2; i < NF; i++) if ($(i+1) == "allocs/frame") allocs = $i
+	       if (allocs < 0 || allocs + 0 >= 0.5) { print "wire-hop allocation regression: " $1 " at " allocs " allocs/frame (budget < 0.5)"; bad = 1 }
+	       else { print "wire-hop allocs/frame: " $1 " " allocs " (budget < 0.5)" } }
+	     END { if (seen != 3) { print "wire-hop allocation gate: expected 3 BenchmarkWireHop sizes, saw " seen + 0; exit 1 }
 	           exit bad }'
 go test -count=1 -fuzz 'FuzzDecodeValues' -fuzztime 15s -run '^$' ./internal/live
 go test -count=1 -fuzz 'FuzzDecodeFrame' -fuzztime 15s -run '^$' ./internal/live

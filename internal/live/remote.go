@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"tstorm/internal/cluster"
@@ -351,6 +352,7 @@ func decodeDataMsgs(r *frameReader, f *wireFrame, names map[string]string, spans
 	if n > maxFrameItems || n > uint32((len(r.buf)-r.pos)/21+1) {
 		return fmt.Errorf("live: data frame claims %d messages in %d bytes", n, len(r.buf)-r.pos)
 	}
+	f.data = slices.Grow(f.data, int(n))
 	var stream, src string
 	for i := uint32(0); i < n; i++ {
 		var m liveMsg
