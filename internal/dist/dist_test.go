@@ -161,9 +161,11 @@ func TestDistributedWordCountSmoke(t *testing.T) {
 // the audit converges to exactly Spouts×Limit distinct acked lines with
 // nothing outstanding.
 func TestDistributedKillWorkerRecovers(t *testing.T) {
+	// Long enough (a few hundred ms of work) that the kill lands mid-run:
+	// since the coalesced wire hop a 1500-line corpus was done before it.
 	p := workloads.SelfFedParams{
 		Spouts: 1, Splitters: 2, Counters: 2, Mongos: 1, Workers: 3,
-		Reliable: true, Ackers: 1, MaxPending: 64, Limit: 1500,
+		Reliable: true, Ackers: 1, MaxPending: 64, Limit: 8000,
 	}
 	victim := slotOn("node02")
 	initial := placeByComponent(t, p, map[string]cluster.SlotID{
@@ -189,9 +191,12 @@ func TestDistributedKillWorkerRecovers(t *testing.T) {
 		t.Fatalf("CrashWorker(%s) = %d, want 1", victim, n)
 	}
 	waitFor(t, 30*time.Second, "supervisor respawn", func() bool {
+		// e.Restarts counts completed respawns; the handle's own counter
+		// ticks when the death is noticed, while the dead incarnation's
+		// session may still look attached.
 		for _, w := range e.Workers() {
 			if w.Slot == victim {
-				return w.Alive && w.Restarts >= 1
+				return w.Alive && w.Restarts >= 1 && e.Restarts() >= 1
 			}
 		}
 		return false

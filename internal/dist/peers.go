@@ -95,10 +95,11 @@ func (wr *wireReader) next() (gen uint32, hops byte, frame []byte, err error) {
 		}
 	} else {
 		wr.r.Discard(frameHeaderLen)
-		if n := total - frameHeaderLen; cap(wr.big) < n {
+		n := total - frameHeaderLen
+		if cap(wr.big) < n {
 			wr.big = make([]byte, n)
 		}
-		frame = wr.big[:total-frameHeaderLen]
+		frame = wr.big[:n]
 		if _, err = io.ReadFull(wr.r, frame); err == nil {
 			return gen, hops, frame, nil
 		}
