@@ -195,13 +195,13 @@ type wireFrame struct {
 	acks []ackEvent
 }
 
-// release returns everything the frame drew from the pools — the decode
-// error and undeliverable-frame paths.
+// release returns to the pools whatever the frame drew from them and
+// still holds — everything, on the decode-error and undeliverable-frame
+// paths.
 func (f *wireFrame) release(eng *Engine) {
 	eng.releaseInput(inBatch{msgs: f.data, slab: f.slab}, 0)
 	eng.ctlPool.put(f.ctl)
 	eng.ackPool.put(f.acks)
-	*f = wireFrame{}
 }
 
 func appendFrameHeader(buf []byte, kind byte, to topology.ExecutorID) []byte {
@@ -355,7 +355,8 @@ func decodeDataMsgs(r *frameReader, f *wireFrame, names map[string]string, spans
 	f.data = slices.Grow(f.data, int(n))
 	var stream, src string
 	for i := uint32(0); i < n; i++ {
-		var m liveMsg
+		f.data = append(f.data, liveMsg{})
+		m := &f.data[len(f.data)-1]
 		m.tup.Root = tuple.ID(r.uint64())
 		m.tup.Edge = tuple.ID(r.uint64())
 		stream = r.name(stream, names)
@@ -375,22 +376,16 @@ func decodeDataMsgs(r *frameReader, f *wireFrame, names map[string]string, spans
 		if r.err != nil {
 			return r.err
 		}
-		f.data = append(f.data, m)
 	}
 	return nil
 }
 
 // decodeFrame parses one inter-process frame from untrusted bytes into f,
 // drawing its batch slice (and, for data frames, the slab the frame is
-// copied into first) from the engine's pools. buf is only read; on error
-// everything drawn is returned and f is left empty. names is the routing
-// snapshot's name table.
-func (eng *Engine) decodeFrame(f *wireFrame, names map[string]string, buf []byte) (err error) {
-	defer func() {
-		if err != nil {
-			f.release(eng)
-		}
-	}()
+// copied into first) from the engine's pools. buf is only read. Whatever
+// the outcome, f holds what was drawn: the caller releases it. names is
+// the routing snapshot's name table.
+func (eng *Engine) decodeFrame(f *wireFrame, names map[string]string, buf []byte) error {
 	r := &frameReader{buf: buf}
 	f.kind = r.byte()
 	f.to.Topology = r.name("", names)
@@ -480,11 +475,11 @@ func (eng *Engine) decodeFrame(f *wireFrame, names map[string]string, buf []byte
 func (eng *Engine) Ingest(buf []byte) error {
 	rt := eng.routes.Load()
 	var f wireFrame
+	// Whatever is not handed to the executor below goes back to the pools.
+	defer f.release(eng)
 	if err := eng.decodeFrame(&f, rt.names, buf); err != nil {
 		return err
 	}
-	// Whatever is not handed to the executor below goes back to the pools.
-	defer f.release(eng)
 	le := rt.executor(f.to.Topology, f.to.Component, f.to.Index)
 	if le == nil {
 		return fmt.Errorf("live: frame for unknown executor %v", f.to)

@@ -20,7 +20,7 @@ import (
 func decodeFrame(buf []byte) (*wireFrame, error) {
 	f := &wireFrame{}
 	if err := new(Engine).decodeFrame(f, nil, buf); err != nil {
-		return nil, err
+		return nil, err // the throwaway engine's pools need nothing back
 	}
 	return f, nil
 }

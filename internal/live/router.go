@@ -45,14 +45,6 @@ type delivery struct {
 // remote reports whether the delivery leaves as a wire frame.
 func (d *delivery) remote() bool { return d.wire.buf != nil }
 
-// tuples is the number of transfers the delivery holds.
-func (d *delivery) tuples() int {
-	if d.remote() {
-		return d.wire.n
-	}
-	return len(d.msgs)
-}
-
 // outEdge is one cached consumer edge of an output stream with its
 // grouping state: the consumer's parallelism, pre-resolved field indexes
 // for fields grouping, and the round-robin counter shuffle groupings
@@ -371,11 +363,12 @@ func (eng *Engine) releaseInput(b inBatch, from int) {
 
 // discard drops a delivery that will never be sent, counting its tuples.
 func (le *liveExec) discard(d *delivery) {
-	le.eng.dropped.Add(int64(d.tuples()))
 	if d.remote() {
+		le.eng.dropped.Add(int64(d.wire.n))
 		le.reclaim(d)
 		return
 	}
+	le.eng.dropped.Add(int64(len(d.msgs)))
 	le.eng.recycleBatch(d.msgs)
 	d.msgs = nil
 }
