@@ -23,6 +23,9 @@
 # (TestDistributedTraceUnderMigration): sampled tuple trees crossing a
 # live §IV-D migration must assemble completely at the driver — no orphan
 # spans — with critical-path shares summing to the completion latency.
+# TestDistributedSpansShippedByLoad holds the other half of that: at the
+# default heartbeat no span is dropped to a full ring, because a worker
+# beats early once a ring is half full.
 # The allocation gate reruns the emit-path benchmarks and fails if ANY of
 # them regressed past 1 alloc/op: the pooled emission rewrite holds both
 # the plain path and the tracing-enabled unsampled path at 0, and a

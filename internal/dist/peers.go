@@ -333,7 +333,14 @@ func (p *peerSet) update(entries []peerEntry) {
 
 // Send implements live.RemoteSink: encode-side transfer of one frame to
 // the worker owning slot `to`. False means undeliverable — the engine
-// counts the drop and at-least-once replay recovers the tuples.
+// counts the drop and at-least-once replay recovers the tuples. True
+// means queued, not delivered: the engine counts the frame's tuples as
+// sent (totals, edge matrix, the monitor's traffic window) and a frame
+// the writer sheds later is not taken back out. Toward a peer that just
+// died that over-counts by what was queued for it — at most
+// peerQueueBound, plus what senders add while they block on the full
+// queue, for at most writeTimeout — and only dropped (in frames, not
+// tuples) explains the difference.
 func (p *peerSet) Send(to cluster.SlotID, frame []byte) bool {
 	return p.send(to, frame, byte(p.maxHops))
 }

@@ -33,13 +33,10 @@ func TestDistributedTraceUnderMigration(t *testing.T) {
 	e := startFleet(t, dist.Config{
 		Nodes:      3,
 		AckTimeout: 2 * time.Second,
-		// ~30 sampled trees out of 2000 roots. Each sampled line fans out
+		// ~60 sampled trees out of 2000 roots. Each sampled line fans out
 		// into ~20 spans (split + per-word count + mongo), so the fast
-		// heartbeat keeps the 256-slot executor rings from overflowing:
-		// the single mongo executor sees every word, and at 1/32 the fleet
-		// (≈ 200 k words/s since the coalesced wire hop) filled its ring
-		// whenever a heartbeat ran ~15 ms late.
-		TraceSampling:   64,
+		// heartbeat keeps the 256-slot executor rings from overflowing.
+		TraceSampling:   32,
 		HeartbeatPeriod: 25 * time.Millisecond,
 	}, p, initial)
 
@@ -139,4 +136,38 @@ func TestDistributedTraceUnderMigration(t *testing.T) {
 		t.Errorf("ShareByClassOf fractions sum to %.6f, want 1", frac)
 	}
 	t.Logf("%d trees assembled; share by class: %v", len(trees), shares)
+}
+
+// TestDistributedSpansShippedByLoad: at the default 100 ms heartbeat the
+// single mongo executor — it sees every word — records several rings of
+// spans between two beats. A worker beats early when a ring has taken half
+// its capacity, so none is dropped: the period bounds how stale a quiet
+// ring gets, not how many spans a busy one may hold.
+func TestDistributedSpansShippedByLoad(t *testing.T) {
+	p := workloads.SelfFedParams{
+		Spouts: 1, Splitters: 2, Counters: 2, Mongos: 1, Workers: 3,
+		Reliable: true, Ackers: 1, MaxPending: 64, Limit: 4000,
+	}
+	initial := placeByComponent(t, p, map[string]cluster.SlotID{
+		"reader":                slotOn("node01"),
+		topology.AckerComponent: slotOn("node01"),
+		"split":                 slotOn("node02"),
+		"count":                 slotOn("node02"),
+		"mongo":                 slotOn("node03"),
+	})
+	e := startFleet(t, dist.Config{Nodes: 3, AckTimeout: 2 * time.Second, TraceSampling: 32}, p, initial)
+	want := p.Spouts * p.Limit
+	waitFor(t, 60*time.Second, "all lines acked", func() bool {
+		acked, outstanding, _ := e.Audit("wordcount-live")
+		return acked == want && outstanding == 0
+	})
+	tot := e.Totals()
+	// ≈ 125 sampled lines of ≈ 20 words: the mongo executor alone records
+	// ≈ 2500 spans, ten times its ring.
+	if tot.TraceSampled < 50 {
+		t.Fatalf("%d roots sampled of %d at 1/32", tot.TraceSampled, want)
+	}
+	if tot.TraceSpanDropped != 0 {
+		t.Errorf("%d spans dropped to full rings between two heartbeats", tot.TraceSpanDropped)
+	}
 }

@@ -321,14 +321,17 @@ func (w *worker) heartbeatLoop() {
 		case <-w.eng.Done():
 			return
 		case <-tk.C:
-			hb := w.statusMsg(msgHeartbeat, 0)
-			// Drain span rings here and only here: heartbeatLoop is the span
-			// rings' single consumer (statusMsg itself must stay drain-free —
-			// the totals RPC runs it on the control goroutine).
-			hb.Spans = w.eng.DrainSpans()
-			if err := w.ctrl.send(hb); err != nil {
-				return
-			}
+		case <-w.eng.SpansReady():
+			// A span ring is half full: beat now rather than drop what
+			// the rest of the period would add.
+		}
+		hb := w.statusMsg(msgHeartbeat, 0)
+		// Drain span rings here and only here: heartbeatLoop is the span
+		// rings' single consumer (statusMsg itself must stay drain-free —
+		// the totals RPC runs it on the control goroutine).
+		hb.Spans = w.eng.DrainSpans()
+		if err := w.ctrl.send(hb); err != nil {
+			return
 		}
 	}
 }

@@ -108,11 +108,11 @@ type liveExec struct {
 	// Wire-side scratch, owned by the executor goroutine like the routing
 	// state above and reused because RemoteSink.Send only borrows a frame:
 	// encScratch holds one tuple's encoded values on their way into a
-	// frame, frameBufs the spare data-frame buffers (one is in use per
-	// non-resident target between two flushes), wireScratch the ctl or
-	// ack frame being sent.
+	// frame, frames the spare data frames (one is in use per non-resident
+	// target between two flushes), wireScratch the ctl or ack frame being
+	// sent.
 	encScratch  []byte
-	frameBufs   [][]byte
+	frames      []*outFrame
 	wireScratch []byte
 
 	// ackers is the topology's acker task list, cached once at Start (the
@@ -174,8 +174,10 @@ type liveExec struct {
 	// curParent is the span identity the next emission inherits — the
 	// input tuple's edge for bolts, the fresh root for anchored spout
 	// emissions. Both touched only on the owning goroutine's sampled path.
+	// spanSeq counts the spans pushed, for pushSpan's drain request.
 	spans     *tracing.Ring
 	curParent uint64
+	spanSeq   atomic.Uint32
 
 	// procLat records per-tuple process time (decode + Execute,
 	// milliseconds) for bolts; atomic increments only, so the scraper can

@@ -279,11 +279,14 @@ type Engine struct {
 	// Tuple tracing (tracing.go). traceRate/traceMask are set before Start
 	// and immutable after; collector assembles sampled trees in-process
 	// (nil for distributed workers, which export spans via DrainSpans);
-	// tracedRoots counts sampled root registrations, replays included.
+	// tracedRoots counts sampled root registrations, replays included;
+	// spanReady is how an executor whose ring is filling wakes the rings'
+	// drainer ahead of its period (SpansReady).
 	traceRate   int
 	traceMask   uint64
 	collector   *tracing.Collector
 	tracedRoots atomic.Int64
+	spanReady   chan struct{}
 
 	// Batch pools for the zero-alloc emission path (pool.go): delivery
 	// batches, acker control batches, completion-event batches, codec
@@ -311,6 +314,7 @@ func NewEngine(cfg Config, cl *cluster.Cluster) (*Engine, error) {
 		groups:    make(map[cluster.SlotID][]*liveExec),
 		downNodes: make(map[cluster.NodeID]bool),
 		stopCh:    make(chan struct{}),
+		spanReady: make(chan struct{}, 1),
 		traffic:   metrics.NewSyncTrafficMatrix(),
 		latency:   metrics.NewSyncLatencyHistogram(),
 		rootLat:   metrics.NewSyncLatencyHistogram(),

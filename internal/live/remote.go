@@ -380,25 +380,28 @@ func decodeDataMsgs(r *frameReader, f *wireFrame, names map[string]string, spans
 	return nil
 }
 
-// decodeFrame parses one inter-process frame from untrusted bytes into f,
-// drawing its batch slice (and, for data frames, the slab the frame is
-// copied into first) from the engine's pools. buf is only read. Whatever
-// the outcome, f holds what was drawn: the caller releases it. names is
-// the routing snapshot's name table.
-func (eng *Engine) decodeFrame(f *wireFrame, names map[string]string, buf []byte) error {
-	r := &frameReader{buf: buf}
+// decodeHeader reads a frame's kind and target executor from untrusted
+// bytes, leaving r at the body. It is all Ingest needs to tell a frame it
+// will only forward or refuse from one it will enqueue. names is the
+// routing snapshot's name table.
+func (f *wireFrame) decodeHeader(r *frameReader, names map[string]string) error {
 	f.kind = r.byte()
 	f.to.Topology = r.name("", names)
 	f.to.Component = r.name("", names)
 	f.to.Index = int(r.uvarint())
-	if r.err != nil {
-		return r.err
-	}
+	return r.err
+}
+
+// decodeBody parses the rest of the frame r holds into f, drawing its
+// batch slice (and, for data frames, the slab the frame is copied into
+// first) from the engine's pools. r.buf is only read. Whatever the
+// outcome, f holds what was drawn: the caller releases it.
+func (eng *Engine) decodeBody(f *wireFrame, r *frameReader, names map[string]string) error {
 	switch f.kind {
 	case frameData, frameDataT:
-		// The messages alias what they are decoded from, and buf is only
+		// The messages alias what they are decoded from, and r.buf is only
 		// borrowed: the batch gets its own copy, once, whole.
-		f.slab = append(eng.slabPool.get(), buf...)
+		f.slab = append(eng.slabPool.get(), r.buf...)
 		r.buf = f.slab
 		spans := false
 		if f.kind == frameDataT {
@@ -471,13 +474,13 @@ func (eng *Engine) decodeFrame(f *wireFrame, names map[string]string, buf []byte
 // (the caller should drop the connection); a structurally valid frame
 // whose target executor is not resident here returns a *NotLocalError
 // naming the slot this engine currently routes the executor to, so the
-// dist layer can forward it.
+// dist layer can forward it — decided on the header alone, so a frame that
+// is only passing through is neither copied nor decoded here.
 func (eng *Engine) Ingest(buf []byte) error {
 	rt := eng.routes.Load()
 	var f wireFrame
-	// Whatever is not handed to the executor below goes back to the pools.
-	defer f.release(eng)
-	if err := eng.decodeFrame(&f, rt.names, buf); err != nil {
+	r := &frameReader{buf: buf}
+	if err := f.decodeHeader(r, rt.names); err != nil {
 		return err
 	}
 	le := rt.executor(f.to.Topology, f.to.Component, f.to.Index)
@@ -486,6 +489,11 @@ func (eng *Engine) Ingest(buf []byte) error {
 	}
 	if !rt.local[le.dense] {
 		return &NotLocalError{Slot: rt.slotOf[le.dense]}
+	}
+	// Whatever is not handed to the executor below goes back to the pools.
+	defer f.release(eng)
+	if err := eng.decodeBody(&f, r, rt.names); err != nil {
+		return err
 	}
 	switch f.kind {
 	case frameData, frameDataT:

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,11 @@ import (
 // that knows no names and whose pools are empty: the codec tests and fuzz
 // targets drive the production decoder through it.
 func decodeFrame(buf []byte) (*wireFrame, error) {
-	f := &wireFrame{}
-	if err := new(Engine).decodeFrame(f, nil, buf); err != nil {
+	f, r := &wireFrame{}, &frameReader{buf: buf}
+	if err := f.decodeHeader(r, nil); err != nil {
+		return nil, err
+	}
+	if err := new(Engine).decodeBody(f, r, nil); err != nil {
 		return nil, err // the throwaway engine's pools need nothing back
 	}
 	return f, nil
@@ -237,5 +241,38 @@ func TestSlabRecycleNoAliasing(t *testing.T) {
 func TestLiveMsgSize(t *testing.T) {
 	if got := unsafe.Sizeof(liveMsg{}); got != 184 {
 		t.Fatalf("unsafe.Sizeof(liveMsg{}) = %d, want 184", got)
+	}
+}
+
+// TestIngestRoutesOnHeaderAlone: a frame for an executor that lives
+// elsewhere comes back as NotLocalError without its body being copied or
+// decoded — the forwarding worker re-sends the borrowed bytes as they are,
+// and the owner is the one to judge them.
+func TestIngestRoutesOnHeaderAlone(t *testing.T) {
+	a, _, _, _ := wirePair(t, 1, false, 0)
+	keep := topology.ExecutorID{Topology: "wire-pair", Component: "keep", Index: 0}
+	frame, _ := encodeDataFrame(keep, []liveMsg{{tup: tuple.Tuple{Stream: "words", Values: tuple.Values{int64(1), "x"}}}})
+	var nl *NotLocalError
+	slab := func() (hits, misses int64) {
+		for _, ps := range a.PoolStats() {
+			if ps.Name == "slab" {
+				return ps.Hits, ps.Misses
+			}
+		}
+		t.Fatal("no slab pool in PoolStats")
+		return 0, 0
+	}
+	h0, m0 := slab()
+	// Whole, and cut short inside the body: the header decides either way.
+	for _, buf := range [][]byte{frame, frame[:len(frame)-3]} {
+		if err := a.Ingest(buf); !errors.As(err, &nl) {
+			t.Fatalf("Ingest of a %d-byte frame for a non-resident executor = %v, want NotLocalError", len(buf), err)
+		}
+	}
+	if h1, m1 := slab(); h1 != h0 || m1 != m0 {
+		t.Errorf("slab pool gets went %d+%d → %d+%d for frames that were only passing through", h0, m0, h1, m1)
+	}
+	if err := a.Ingest(frame[:3]); err == nil || errors.As(err, &nl) {
+		t.Fatalf("Ingest of a frame cut inside its header = %v, want a decode error", err)
 	}
 }

@@ -26,24 +26,31 @@ const (
 //
 // A delivery whose target is not resident in this process never forms a
 // batch: its tuples are encoded straight into wire, a frame under
-// construction in one of the sending executor's reusable buffers, and
-// msgs stays nil. The frame is addressed to slot, the target's placement
+// construction that the sending executor owns, and msgs stays nil. An
+// engine that never crosses a process boundary pays one nil pointer for it.
+type delivery struct {
+	to   *liveExec
+	hop  hopKind
+	msgs []liveMsg
+	wire *outFrame
+}
+
+// outFrame is the wire frame a delivery to a non-resident target builds,
+// in a buffer its executor reuses from flush to flush (RemoteSink.Send
+// only borrows the bytes). It is addressed to slot, the target's placement
 // when it was routed — like a frame already on the wire, it chases a
 // target that migrates meanwhile through the receiver's NotLocalError.
 // sealed closes a plain frame a sampled tuple arrived behind: the traced
 // frame opened after it takes everything that follows, which keeps the
 // order and lets tracing-off fleets never emit a frameDataT.
-type delivery struct {
-	to     *liveExec
-	hop    hopKind
-	msgs   []liveMsg
-	wire   dataFrame
+type outFrame struct {
+	dataFrame
 	slot   cluster.SlotID
 	sealed bool
 }
 
 // remote reports whether the delivery leaves as a wire frame.
-func (d *delivery) remote() bool { return d.wire.buf != nil }
+func (d *delivery) remote() bool { return d.wire != nil }
 
 // outEdge is one cached consumer edge of an output stream with its
 // grouping state: the consumer's parallelism, pre-resolved field indexes
@@ -257,34 +264,35 @@ func (le *liveExec) appendWire(out *[]delivery, tgt *liveExec, hop hopKind, slot
 	sampled := m.sentAt != 0
 	for i := range *out {
 		d := &(*out)[i]
-		if d.to != tgt || d.hop != hop || !d.remote() || d.sealed {
+		if d.to != tgt || d.hop != hop || !d.remote() || d.wire.sealed {
 			continue
 		}
 		if sampled && !d.wire.spans {
-			d.sealed = true
+			d.wire.sealed = true
 			break
 		}
 		d.wire.add(m, enc)
 		return
 	}
-	var buf []byte
-	if n := len(le.frameBufs); n > 0 {
-		buf, le.frameBufs = le.frameBufs[n-1], le.frameBufs[:n-1]
+	var f *outFrame
+	if n := len(le.frames); n > 0 {
+		f, le.frames = le.frames[n-1], le.frames[:n-1]
 	} else {
-		buf = make([]byte, 0, frameBufCap)
+		f = &outFrame{dataFrame: dataFrame{buf: make([]byte, 0, frameBufCap)}}
 	}
-	*out = append(*out, delivery{to: tgt, hop: hop, slot: slot, wire: openDataFrame(buf, tgt.id, sampled)})
-	(*out)[len(*out)-1].wire.add(m, enc)
+	f.dataFrame, f.slot, f.sealed = openDataFrame(f.buf, tgt.id, sampled), slot, false
+	f.add(m, enc)
+	*out = append(*out, delivery{to: tgt, hop: hop, wire: f})
 }
 
-// reclaim takes a sent (or abandoned) delivery's frame buffer back: Send
-// only borrowed it. Buffers a fat tuple grew past frameBufMax are left to
-// the GC.
+// reclaim takes a sent (or abandoned) delivery's frame back: Send only
+// borrowed its bytes. One that a fat tuple grew past frameBufMax is left
+// to the GC.
 func (le *liveExec) reclaim(d *delivery) {
 	if cap(d.wire.buf) <= frameBufMax {
-		le.frameBufs = append(le.frameBufs, d.wire.buf)
+		le.frames = append(le.frames, d.wire)
 	}
-	d.wire = dataFrame{}
+	d.wire = nil
 }
 
 // chooseTargets picks the receiving task indexes for one consumer edge
@@ -386,7 +394,7 @@ func (le *liveExec) discard(d *delivery) {
 func (le *liveExec) deliver(d *delivery, die <-chan struct{}) bool {
 	eng := le.eng
 	if d.remote() {
-		eng.sendRemoteData(le.dense, d, d.slot, d.wire.bytes(), int64(d.wire.n))
+		eng.sendRemoteData(le.dense, d, d.wire.slot, d.wire.bytes(), int64(d.wire.n))
 		le.reclaim(d)
 		return true
 	}

@@ -20,7 +20,10 @@ import (
 // in-process engine drains them into its own collector on a background
 // loop, while a distributed worker engine (LocalSlots set) leaves the
 // rings to the dist layer's heartbeat, which ships them to the driver's
-// collector.
+// collector. Either drainer runs on a period and, ahead of it, whenever an
+// executor has pushed half a ring of spans since it last asked (SpansReady):
+// the period sets how stale a quiet ring may get, the load how often a busy
+// one is emptied, so a faster fleet ships more often instead of dropping.
 //
 // Unsampled tuples — all of them, at the default 1/1024 rate, in any
 // benchmark window that matters — pay exactly one predictable branch per
@@ -100,6 +103,24 @@ func (eng *Engine) traceSpanDropped() int64 {
 	return n
 }
 
+// SpansReady is signalled when some executor's ring has taken half its
+// capacity in spans since that executor last signalled. DrainSpans'
+// caller selects on it beside its period.
+func (eng *Engine) SpansReady() <-chan struct{} { return eng.spanReady }
+
+// pushSpan records one span and, every half ring of them, asks the drainer
+// to come now: an executor that fills its ring faster than the drain
+// period would otherwise drop the overflow.
+func (le *liveExec) pushSpan(sp tracing.Span) {
+	le.spans.Push(sp)
+	if le.spanSeq.Add(1)%(spanRingCap/2) == 0 {
+		select {
+		case le.eng.spanReady <- struct{}{}:
+		default: // a request is already waiting
+		}
+	}
+}
+
 // collectSpans is the in-process engine's drain loop: rings → collector.
 func (eng *Engine) collectSpans() {
 	defer eng.wg.Done()
@@ -111,8 +132,9 @@ func (eng *Engine) collectSpans() {
 			eng.collector.Add(eng.DrainSpans())
 			return
 		case <-tk.C:
-			eng.collector.Add(eng.DrainSpans())
+		case <-eng.spanReady:
 		}
+		eng.collector.Add(eng.DrainSpans())
 	}
 }
 
@@ -121,7 +143,7 @@ func (eng *Engine) collectSpans() {
 // the engine's rootLat metric.
 func (le *liveExec) recordRoot(root tuple.ID, emitAt time.Time) {
 	le.eng.tracedRoots.Add(1)
-	le.spans.Push(tracing.Span{
+	le.pushSpan(tracing.Span{
 		Root: uint64(root), Self: uint64(root), Kind: tracing.KindRoot,
 		Topology: le.id.Topology, Component: le.id.Component, Task: le.id.Index,
 		EmitAt: emitAt.UnixNano(),
@@ -132,7 +154,7 @@ func (le *liveExec) recordRoot(root tuple.ID, emitAt time.Time) {
 // hop against the current route snapshot.
 func (le *liveExec) recordExecute(m *liveMsg, t0 time.Time, busy time.Duration) {
 	rt := le.eng.routes.Load()
-	le.spans.Push(tracing.Span{
+	le.pushSpan(tracing.Span{
 		Root: uint64(m.tup.Root), Self: uint64(m.tup.Edge), Parent: m.parentSpan,
 		Kind:     tracing.KindExecute,
 		Topology: le.id.Topology, Component: le.id.Component, Task: le.id.Index,
@@ -144,7 +166,7 @@ func (le *liveExec) recordExecute(m *liveMsg, t0 time.Time, busy time.Duration) 
 // recordAck pushes the spout-side completion span; at is the instant the
 // acker observed the tree complete (carried with the ack event).
 func (le *liveExec) recordAck(root tuple.ID, at time.Time) {
-	le.spans.Push(tracing.Span{
+	le.pushSpan(tracing.Span{
 		Root: uint64(root), Self: uint64(root), Kind: tracing.KindAck,
 		Topology: le.id.Topology, Component: le.id.Component, Task: le.id.Index,
 		AckAt: at.UnixNano(),

@@ -102,10 +102,7 @@ func NewCollector(cfg Config) *Collector {
 }
 
 // Add merges a span batch, finalizes every tree that is complete and has
-// settled, and evicts pending trees past the TTL. The readers (Trees,
-// Drain, Stats, ShareByClass) sweep too: the last trees of a run settle
-// after the last span has arrived, and must not wait for spans that will
-// never come.
+// settled, and evicts pending trees past the TTL.
 func (c *Collector) Add(spans []Span) {
 	if len(spans) == 0 {
 		return
@@ -276,7 +273,6 @@ func (c *Collector) retain(t Tree) {
 func (c *Collector) Trees(n int) []Tree {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked(time.Now())
 	if n <= 0 || n > len(c.done) {
 		n = len(c.done)
 	}
@@ -292,7 +288,6 @@ func (c *Collector) Trees(n int) []Tree {
 func (c *Collector) Drain() []Tree {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked(time.Now())
 	out := c.done
 	c.done = nil
 	return out
@@ -302,7 +297,6 @@ func (c *Collector) Drain() []Tree {
 func (c *Collector) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked(time.Now())
 	s := c.stats
 	s.Pending = len(c.pending)
 	return s
@@ -315,7 +309,6 @@ func (c *Collector) Stats() Stats {
 func (c *Collector) ShareByClass() map[string]float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked(time.Now())
 	return shareByClass(c.done)
 }
 

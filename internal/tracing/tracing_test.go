@@ -223,21 +223,3 @@ func TestCollectorCapacityAndDrain(t *testing.T) {
 		t.Fatalf("trees retained after drain: %d", len(got))
 	}
 }
-
-// TestCollectorFinalizesOnRead: the last trees of a run settle after the
-// last span has arrived; looking at the collector must finalize them — no
-// further span will come to trigger the sweep.
-func TestCollectorFinalizesOnRead(t *testing.T) {
-	c := NewCollector(Config{Settle: 5 * time.Millisecond})
-	c.Add(testTreeSpans(time.Now().UnixNano()))
-	if st := c.Stats(); st.Completed != 0 || st.Pending != 1 {
-		t.Fatalf("before the settle delay: %+v, want the tree pending", st)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if st := c.Stats(); st.Completed != 1 || st.Pending != 0 {
-		t.Fatalf("after the settle delay, with no further Add: %+v, want the tree finalized", st)
-	}
-	if got := c.Trees(0); len(got) != 1 {
-		t.Fatalf("got %d trees, want 1", len(got))
-	}
-}
