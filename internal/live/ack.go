@@ -367,12 +367,7 @@ func (le *liveExec) flushCompletions(rt *routeTable) {
 			le.wireScratch = appendAckFrame(le.wireScratch, sp.id, evs)
 			eng.remoteSend(rt.slotOf[sp.dense], le.wireScratch)
 		} else {
-			sp.ackMu.Lock()
-			if sp.ackEvents == nil {
-				sp.ackEvents = eng.ackPool.get()
-			}
-			sp.ackEvents = append(sp.ackEvents, evs...)
-			sp.ackMu.Unlock()
+			sp.postAcks(evs)
 		}
 		eng.ackPool.put(evs)
 	}
@@ -380,6 +375,23 @@ func (le *liveExec) flushCompletions(rt *routeTable) {
 }
 
 // ---- spout side ----
+
+// postAcks appends completions to the spout's mailbox (copying them: evs
+// stays the caller's) and wakes the spout if it is asleep. Called from
+// acker goroutines and, for a remote acker's ack frame, from Ingest; it
+// never blocks.
+func (le *liveExec) postAcks(evs []ackEvent) {
+	le.ackMu.Lock()
+	if le.ackEvents == nil {
+		le.ackEvents = le.eng.ackPool.get()
+	}
+	le.ackEvents = append(le.ackEvents, evs...)
+	le.ackMu.Unlock()
+	select {
+	case le.ackWake <- struct{}{}:
+	default: // a wake is already waiting
+	}
+}
 
 // comparableMsgID reports whether msgID can key the first-emit map.
 func comparableMsgID(msgID any) bool {

@@ -206,6 +206,36 @@ func TestAnchoredAckingEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAckWakesSleepingSpout gives the spout an idle sleep no test outlasts:
+// after its one root it finds nothing to emit and goes to sleep, so the
+// user's Ack can only run if the completion itself wakes the spout. A
+// spout that found its completions by timer alone took them up a sleep
+// late — by however long the runtime stretched that sleep.
+func TestAckWakesSleepingSpout(t *testing.T) {
+	ledger := newAckLedger()
+	app, cl, initial := ackTestApp(t, ledger, 1,
+		func() engine.Bolt { return devnullBolt{} }, 0)
+	app.SpoutInterval["s"] = time.Hour
+
+	cfg := testConfig()
+	cfg.AckTimeout = time.Hour
+	eng, err := NewEngine(cfg, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit(app, initial); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+
+	waitFor(t, 10*time.Second, "the sleeping spout's Ack", func() bool {
+		return ledger.ackedCount() == 1
+	})
+}
+
 // TestAnchoredTimeoutReplay forces timeouts with a bolt that stalls past
 // the ack timeout on first sight of each tuple: every root must fail once,
 // replay, and complete — at-least-once with zero loss.

@@ -145,8 +145,11 @@ type liveExec struct {
 
 	// ackEvents is the acker→spout completion mailbox: appended under
 	// ackMu by acker goroutines (never blocking), drained by the spout.
+	// ackWake (one slot, anchored spouts only) tells a sleeping spout the
+	// mailbox is no longer empty; see postAcks.
 	ackMu     sync.Mutex
 	ackEvents []ackEvent
+	ackWake   chan struct{}
 
 	// Supervision. dead is the router's lock-free drop check; die is
 	// closed to kill the current incarnation (each goroutine holds its own
@@ -270,7 +273,7 @@ func (le *liveExec) runSpout(die <-chan struct{}) {
 			if !le.flushSpout(em, die) {
 				return
 			}
-			if !le.sleep(haltPollInterval, die) {
+			if !le.sleep(haltPollInterval, nil, die) {
 				return
 			}
 			continue
@@ -282,7 +285,7 @@ func (le *liveExec) runSpout(die <-chan struct{}) {
 				if !le.flushSpout(em, die) {
 					return
 				}
-				if !le.sleep(haltPollInterval, die) {
+				if !le.sleep(haltPollInterval, nil, die) {
 					return
 				}
 				continue
@@ -308,7 +311,7 @@ func (le *liveExec) runSpout(die <-chan struct{}) {
 			}
 		}
 		if cycleRoots == 0 {
-			if !le.sleep(idleSleep, die) {
+			if !le.sleep(idleSleep, le.ackWake, die) {
 				return
 			}
 		}
@@ -355,14 +358,25 @@ func (le *liveExec) flushSpout(em *spoutEmitter, die <-chan struct{}) bool {
 	return true
 }
 
-// sleep waits d or until the engine stops or the incarnation is killed;
-// it reports false when the executor should exit.
-func (le *liveExec) sleep(d time.Duration, die <-chan struct{}) bool {
+// sleep waits d — or, given a wake channel, until a token arrives on it
+// — or until the engine stops or the incarnation is killed; it reports
+// false when the executor should exit. The idle backoff passes ackWake,
+// which keeps the spout's cadence its own: a sub-millisecond runtime
+// timer fires on time only while something else keeps the process's
+// scheduler awake (an idle Go process polls the network in whole
+// milliseconds), so a spout that found its completions by timer alone
+// took them up — and emitted what had come due — up to a millisecond late
+// in a quiet worker and on time in a busy one. The halt and MaxPending
+// gates pass nil and keep their fixed poll, which is what paces a spout
+// held at its cap.
+func (le *liveExec) sleep(d time.Duration, wake, die <-chan struct{}) bool {
 	select {
 	case <-le.eng.stopCh:
 		return false
 	case <-die:
 		return false
+	case <-wake:
+		return true
 	case <-time.After(d):
 		return true
 	}

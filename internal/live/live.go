@@ -458,6 +458,7 @@ func (eng *Engine) newExec(app *engine.App, id topology.ExecutorID) *liveExec {
 			le.anchored = true
 			le.pendingRoots = make(map[tuple.ID]*livePendingRoot)
 			le.firstEmit = make(map[any]time.Time)
+			le.ackWake = make(chan struct{}, 1)
 		}
 	case id.Component == topology.AckerComponent:
 		le.kind = ackerExec

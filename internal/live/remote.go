@@ -538,12 +538,7 @@ func (eng *Engine) Ingest(buf []byte) error {
 		if len(f.acks) == 0 {
 			return nil
 		}
-		le.ackMu.Lock()
-		if le.ackEvents == nil {
-			le.ackEvents = eng.ackPool.get()
-		}
-		le.ackEvents = append(le.ackEvents, f.acks...)
-		le.ackMu.Unlock()
+		le.postAcks(f.acks)
 	}
 	return nil
 }
