@@ -58,6 +58,14 @@
 # FuzzSchedule smoke then spends 15 s holding the kernel to the map-based
 # reference Algorithm 1 — same assignment, Stats and decision report, and
 # the three per-node constraints wherever no relaxation is flagged.
+# The DES goldens (TestGoldenDES) pin whole simulated runs — every engine
+# counter, every latency bucket bit for bit, a hash of the load database
+# after each monitor sample — for each workload under stock Storm and
+# T-Storm plus the fault, overload, batching, grouping and two-topology
+# scenarios; the fixtures were captured on the container/heap kernel, so a
+# pass proves the simulator still fires the same events in the same order.
+# They run explicitly (the simulation is one goroutine, so without -race)
+# and a diff names the first counter that moved.
 # The experiment package replays full paper figures, which is slow under
 # the race detector — hence the raised per-package timeout.
 # The shuffled pass reorders test execution within every package, catching
@@ -101,6 +109,7 @@ go test -count=1 -run '^$' -bench 'Benchmark(Algorithm1|RStorm|Hetero)/^Ne=1000$
 	           exit bad }'
 go test -count=1 -fuzz 'FuzzSchedule' -fuzztime 15s -run '^$' ./internal/core
 go test -race -count=1 -run 'TestGoldenAssignments' ./internal/scheduler
+go test -count=1 -run 'TestGoldenDES' ./internal/experiment
 go test -race -count=1 -run 'TestHotSwapMidRunReschedulesCleanly' ./internal/live
 go run ./cmd/tstorm-bench -arena -duration 250ms -json /tmp/tstorm_arena_smoke.json
 go test -shuffle=on -count=1 ./...

@@ -223,8 +223,35 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// session is one assembled experiment: the cluster and runtime built, the
+// workload submitted under its initial assignment and the scheduler stack
+// under test attached — everything Run does before the clock starts.
+type session struct {
+	rt   *engine.Runtime
+	app  *engine.App
+	sink *docstore.Store
+	// db is the load database the monitors feed (nil for schedulers that
+	// never reschedule at runtime).
+	db *loaddb.DB
+	// stop releases the workload's external feeders.
+	stop func()
+}
+
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
+	s, err := start(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer s.stop()
+	if err := s.rt.RunFor(cfg.Duration); err != nil {
+		return nil, err
+	}
+	return s.result(cfg), nil
+}
+
+// start validates cfg (filling its defaults) and assembles the session.
+func start(cfg *Config) (*session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -256,56 +283,53 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	app, sink, cleanup, err := buildWorkload(rt.Sim(), cfg)
+	app, sink, cleanup, err := buildWorkload(rt.Sim(), *cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
+	s := &session{rt: rt, app: app, sink: sink, stop: cleanup}
 
-	initial, err := initialAssignment(cfg, app, cl)
-	if err != nil {
-		return nil, err
+	initial, err := initialAssignment(*cfg, app, cl)
+	if err == nil {
+		err = rt.Submit(app, initial)
 	}
-	if err := rt.Submit(app, initial); err != nil {
+	if err != nil {
+		cleanup()
 		return nil, err
 	}
 
 	// The T-Storm architecture (and the Aniello online baseline, which
 	// also reschedules at runtime) needs monitors and a generator.
+	var algo scheduler.Algorithm
+	gcfg := core.DefaultGeneratorConfig()
 	switch cfg.Scheduler {
 	case SchedTStorm:
-		db := loaddb.New(0.5)
-		monitor.Start(rt, db, monitor.DefaultPeriod)
-		gcfg := core.DefaultGeneratorConfig()
-		if cfg.GenerationPeriod > 0 {
-			gcfg.GenerationPeriod = cfg.GenerationPeriod
-		}
-		if _, err := core.StartGenerator(rt, db, gcfg, core.NewTrafficAware(cfg.Gamma)); err != nil {
-			return nil, err
-		}
-		core.StartCustomScheduler(rt, core.DefaultFetchPeriod)
-	case SchedAnielloOnline, SchedLoadBalanced:
-		var algo scheduler.Algorithm = scheduler.AnielloOnline{}
-		if cfg.Scheduler == SchedLoadBalanced {
-			algo = scheduler.LoadBalanced{}
-		}
-		db := loaddb.New(0.5)
-		monitor.Start(rt, db, monitor.DefaultPeriod)
-		gcfg := core.DefaultGeneratorConfig()
+		algo = core.NewTrafficAware(cfg.Gamma)
+	case SchedAnielloOnline:
+		algo = scheduler.AnielloOnline{}
 		gcfg.OverloadThreshold = 1 // no overload trigger in these baselines
-		if cfg.GenerationPeriod > 0 {
-			gcfg.GenerationPeriod = cfg.GenerationPeriod
-		}
-		if _, err := core.StartGenerator(rt, db, gcfg, algo); err != nil {
-			return nil, err
-		}
-		core.StartCustomScheduler(rt, core.DefaultFetchPeriod)
+	case SchedLoadBalanced:
+		algo = scheduler.LoadBalanced{}
+		gcfg.OverloadThreshold = 1
+	default:
+		return s, nil
 	}
-
-	if err := rt.RunFor(cfg.Duration); err != nil {
+	s.db = loaddb.New(0.5)
+	monitor.Start(rt, s.db, monitor.DefaultPeriod)
+	if cfg.GenerationPeriod > 0 {
+		gcfg.GenerationPeriod = cfg.GenerationPeriod
+	}
+	if _, err := core.StartGenerator(rt, s.db, gcfg, algo); err != nil {
+		cleanup()
 		return nil, err
 	}
+	core.StartCustomScheduler(rt, core.DefaultFetchPeriod)
+	return s, nil
+}
 
+// result collects the finished run's series and counters.
+func (s *session) result(cfg Config) *Result {
+	rt, app := s.rt, s.app
 	tm := rt.Metrics(app.Topology.Name())
 	res := &Result{
 		Name:            cfg.Name,
@@ -350,13 +374,13 @@ func Run(cfg Config) (*Result, error) {
 		sort.Slice(res.Placement, func(i, j int) bool { return res.Placement[i].Node < res.Placement[j].Node })
 	}
 	res.StableMean = settledMean(res, cfg.StabilizeAfter)
-	if sink != nil {
-		res.SinkWrites = sink.TotalWrites()
+	if s.sink != nil {
+		res.SinkWrites = s.sink.TotalWrites()
 	}
 	if math.IsNaN(res.StableMean) {
 		res.StableMean = 0
 	}
-	return res, nil
+	return res
 }
 
 // buildWorkload constructs the app, its external substrates and feeders.
