@@ -45,10 +45,18 @@ type Point struct {
 
 // Series is a fixed-capacity ring of samples. Writes (Append) must come
 // from a single goroutine; reads may come from any number of goroutines
-// concurrently. head counts samples ever written — slot head%cap is the
-// next write target — and is published after the slot contents, so a
+// concurrently. head counts samples ever written — slot head%len(ts) is
+// the next write target — and is published after the slot contents, so a
 // reader that re-checks head after copying knows whether any slot it
 // read could have been overwritten mid-copy.
+//
+// The ring has one physical slot more than its capacity. The writer fills
+// slot head%len(ts) BEFORE it publishes head+1, so while head reads h the
+// slot of sample h may already hold half of the next sample; the spare
+// slot keeps that in-flight write off the capacity samples a reader may be
+// copying, which a ring of exactly capacity slots cannot (the slot in
+// flight would be the oldest retained sample's, and head, still h, could
+// not show it).
 type Series struct {
 	name string
 	kind Kind
@@ -64,8 +72,8 @@ func newSeries(name string, kind Kind, capacity int) *Series {
 	return &Series{
 		name: name,
 		kind: kind,
-		ts:   make([]int64, capacity),
-		vals: make([]uint64, capacity),
+		ts:   make([]int64, capacity+1),
+		vals: make([]uint64, capacity+1),
 	}
 }
 
@@ -76,13 +84,13 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) Kind() Kind { return s.kind }
 
 // Cap returns the ring capacity in samples.
-func (s *Series) Cap() int { return len(s.ts) }
+func (s *Series) Cap() int { return len(s.ts) - 1 }
 
 // Len reports how many samples are currently retained.
 func (s *Series) Len() int {
 	h := s.head.Load()
-	if h > uint64(len(s.ts)) {
-		return len(s.ts)
+	if h > uint64(s.Cap()) {
+		return s.Cap()
 	}
 	return int(h)
 }
@@ -104,7 +112,7 @@ func (s *Series) Last(n int) []Point {
 	if n <= 0 {
 		return nil
 	}
-	capN := uint64(len(s.ts))
+	capN, phys := uint64(s.Cap()), uint64(len(s.ts))
 	for attempt := 0; ; attempt++ {
 		h := s.head.Load()
 		if h == 0 {
@@ -120,20 +128,22 @@ func (s *Series) Last(n int) []Point {
 		start := h - k
 		out := make([]Point, k)
 		for i := uint64(0); i < k; i++ {
-			idx := (start + i) % capN
+			idx := (start + i) % phys
 			t := atomic.LoadInt64(&s.ts[idx])
 			v := atomic.LoadUint64(&s.vals[idx])
 			out[i] = Point{TS: t, V: math.Float64frombits(v)}
 		}
+		// Sample h2 may be in flight: it and everything before it have
+		// rewritten the slots of samples up to h2-phys.
 		h2 := s.head.Load()
-		if h2-start <= capN {
+		if h2+1-start <= phys {
 			return out
 		}
 		if attempt >= 4 {
 			// The writer lapped us repeatedly (it would take a pathological
 			// sampling cadence). Drop the possibly-torn oldest entries and
-			// keep the rest: slots numbered < h2-cap may have been rewritten.
-			torn := h2 - capN - start
+			// keep the rest.
+			torn := h2 + 1 - phys - start
 			if torn >= k {
 				return nil
 			}
@@ -145,7 +155,7 @@ func (s *Series) Last(n int) []Point {
 // Since returns the retained samples with TS >= cutoff (Unix nanos),
 // oldest first.
 func (s *Series) Since(cutoff int64) []Point {
-	pts := s.Last(len(s.ts))
+	pts := s.Last(s.Cap())
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].TS >= cutoff })
 	return pts[i:]
 }
