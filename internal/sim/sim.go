@@ -5,10 +5,13 @@
 // Everything scheduled on one Engine executes on a single goroutine in
 // strict (time, insertion-order) order, so simulation components need no
 // internal locking and every run with the same seed is bit-reproducible.
+//
+// The queue is a 4-ary min-heap of {at, seq, event} values ordered by
+// (at, seq). seq is unique, so the order is total and the pop sequence does
+// not depend on the heap's shape or arity — only on what was scheduled.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -70,53 +73,53 @@ func (tk *Ticker) Stop() {
 	}
 }
 
+// Event is something that happens at an instant of virtual time. The hot
+// paths of a simulation schedule their own types through AtEvent — a
+// pointer in an interface, so scheduling allocates nothing — instead of a
+// closure through At. An event belongs to whoever scheduled it until Fire
+// is called, exactly once; after that the engine holds no reference to it
+// and the callee may reuse it, including rescheduling it from inside Fire.
+type Event interface {
+	Fire()
+}
+
+// event is the Event behind At/After/Every: a callback that its Timer can
+// cancel. Cancellation is lazy — the entry stays queued and is skipped when
+// it reaches the top.
 type event struct {
-	at        Time
-	seq       uint64 // insertion order, breaks ties deterministically
 	fn        func()
 	cancelled bool
 	fired     bool
-	index     int // heap index
 }
 
-type eventQueue []*event
+func (ev *event) Fire() { ev.fn() }
 
-func (q eventQueue) Len() int { return len(q) }
+// entry is one queued event. The heap orders entries by (at, seq); seq is
+// the insertion count, so ties at one instant fire in scheduling order.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  Event
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
+// arity is the heap's branching factor: a 4-ary heap is half as deep as a
+// binary one and a node's children share a cache line or two, which is
+// what pop pays for.
+const arity = 4
 
 // Engine is a discrete-event simulation executor. It is not safe for
 // concurrent use; all interaction must happen from the goroutine that calls
 // Run/RunUntil (typically from within event callbacks).
 type Engine struct {
 	now     Time
-	queue   eventQueue
+	queue   []entry // 4-ary min-heap by (at, seq)
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -148,13 +151,72 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // At schedules fn to run at instant t. Scheduling in the past panics: that
 // is always a logic error in a deterministic simulation.
 func (e *Engine) At(t Time, fn func()) *Timer {
+	ev := &event{fn: fn}
+	e.AtEvent(t, ev)
+	return &Timer{ev: ev}
+}
+
+// AtEvent schedules ev to fire at instant t. It is At without the closure,
+// the Timer and their allocations: the event cannot be cancelled, and the
+// caller must not touch it again until its Fire runs. Scheduling in the
+// past panics.
+func (e *Engine) AtEvent(t Time, ev Event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	e.queue = append(e.queue, entry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return &Timer{ev: ev}
+	e.up(len(e.queue) - 1)
+}
+
+// up restores the heap after an append at index i.
+func (e *Engine) up(i int) {
+	q := e.queue
+	ent := q[i]
+	for i > 0 {
+		parent := (i - 1) / arity
+		if !ent.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ent
+}
+
+// pop removes and returns the earliest entry. The queue must not be empty.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{} // drop the event reference
+	e.queue = q[:n]
+	if n == 0 {
+		return top
+	}
+	// Sift the former last entry down from the root.
+	q = q[:n]
+	i := 0
+	for {
+		first := i*arity + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+arity && c < n; c++ {
+			if q[c].before(&q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(&last) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	q[i] = last
+	return top
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -206,19 +268,17 @@ func (e *Engine) run(deadline Time, advance bool) error {
 	e.stopped = false
 	defer func() { e.running = false }()
 
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.at > deadline {
-			break
-		}
-		heap.Pop(&e.queue)
-		if next.cancelled {
-			continue
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		next := e.pop()
+		if ev, ok := next.ev.(*event); ok {
+			if ev.cancelled {
+				continue
+			}
+			ev.fired = true
 		}
 		e.now = next.at
-		next.fired = true
 		e.fired++
-		next.fn()
+		next.ev.Fire()
 		if e.stopped {
 			return ErrStopped
 		}
