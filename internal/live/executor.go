@@ -96,14 +96,13 @@ type liveExec struct {
 	terminal bool
 	anchored bool // spout of an acker-enabled topology
 
-	// Routing state touched only by the owning goroutine: the precomputed
-	// output-stream edges (with their per-edge round-robin counters) and
-	// the scratch buffers chooseTargets reuses across emissions.
-	outStreams    map[string]*outStream
-	targetScratch []int
-	localScratch  []int
-	keyScratch    []byte
-	scratch       byte
+	// Routing state touched only by the owning goroutine: the pre-resolved
+	// output streams (with their per-edge round-robin counters, shared with
+	// the simulated engine: topology.Router) and the scratch localTasks
+	// reuses across emissions.
+	router       *topology.Router
+	localScratch []int
+	scratch      byte
 
 	// Wire-side scratch, owned by the executor goroutine like the routing
 	// state above and reused because RemoteSink.Send only borrows a frame:

@@ -437,12 +437,12 @@ func (eng *Engine) Submit(app *engine.App, initial *cluster.Assignment) error {
 func (eng *Engine) newExec(app *engine.App, id topology.ExecutorID) *liveExec {
 	comp, _ := app.Topology.Component(id.Component)
 	le := &liveExec{
-		eng:        eng,
-		id:         id,
-		dense:      len(eng.denseRev),
-		comp:       comp,
-		app:        app,
-		outStreams: buildOutStreams(app.Topology, comp),
+		eng:    eng,
+		id:     id,
+		dense:  len(eng.denseRev),
+		comp:   comp,
+		app:    app,
+		router: topology.NewRouter(app.Topology, comp, id.Index),
 		rand: rand.New(rand.NewPCG(eng.cfg.Seed,
 			uint64(len(eng.denseRev))+1)),
 	}

@@ -52,53 +52,6 @@ type outFrame struct {
 // remote reports whether the delivery leaves as a wire frame.
 func (d *delivery) remote() bool { return d.wire != nil }
 
-// outEdge is one cached consumer edge of an output stream with its
-// grouping state: the consumer's parallelism, pre-resolved field indexes
-// for fields grouping, and the round-robin counter shuffle groupings
-// advance. Resolving all of this once at executor construction keeps the
-// per-emission path free of topology map lookups, string-key hashing and
-// the slice allocations the old per-call Consumers() walk paid.
-type outEdge struct {
-	edge     topology.ConsumerEdge
-	par      int   // consumer parallelism
-	fieldIdx []int // FieldsGrouping: schema indexes of the grouping fields
-	ctr      int   // shuffle / local-or-shuffle round-robin position
-}
-
-// outStream caches one output stream's schema and its non-direct consumer
-// edges. Touched only by the owning executor goroutine.
-type outStream struct {
-	schema tuple.Fields
-	edges  []outEdge
-}
-
-// buildOutStreams precomputes every output stream's routing state for one
-// executor. Direct-grouping subscribers are excluded (EmitDirect resolves
-// them explicitly), mirroring route's old skip.
-func buildOutStreams(top *topology.Topology, comp *topology.Component) map[string]*outStream {
-	out := make(map[string]*outStream, len(comp.Outputs))
-	for stream, schema := range comp.Outputs {
-		os := &outStream{schema: schema}
-		for _, edge := range top.Consumers(comp.Name, stream) {
-			if edge.Grouping.Type == topology.DirectGrouping {
-				continue
-			}
-			cons, _ := top.Component(edge.Consumer)
-			oe := outEdge{edge: edge, par: cons.Parallelism}
-			if edge.Grouping.Type == topology.FieldsGrouping {
-				for _, fn := range edge.Grouping.FieldNames {
-					if idx, ok := schema.Index(fn); ok {
-						oe.fieldIdx = append(oe.fieldIdx, idx)
-					}
-				}
-			}
-			os.edges = append(os.edges, oe)
-		}
-		out[stream] = os
-	}
-	return out
-}
-
 // route resolves one logical emission to per-target deliveries, paying the
 // sender-side boundary costs (serialization for remote hops, copy passes
 // for inter-node hops). It returns the number of transfers appended (-1 if
@@ -114,7 +67,7 @@ func (le *liveExec) route(out *[]delivery, stream string, vals tuple.Values, bor
 	if stream == "" {
 		stream = topology.DefaultStream
 	}
-	os := le.outStreams[stream]
+	os := le.router.Stream(stream)
 	if os == nil {
 		return -1, 0
 	}
@@ -124,10 +77,14 @@ func (le *liveExec) route(out *[]delivery, stream string, vals tuple.Values, bor
 	n := 0
 	var xorAcc tuple.ID
 
-	for ei := range os.edges {
-		e := &os.edges[ei]
-		for _, idx := range le.chooseTargets(rt, e, vals, srcSlot) {
-			tgt := rt.executor(le.id.Topology, e.edge.Consumer, idx)
+	for ei := range os.Edges {
+		e := &os.Edges[ei]
+		var local []int
+		if e.Edge.Grouping.Type == topology.LocalOrShuffleGrouping {
+			local = le.localTasks(rt, srcSlot, e.Edge.Consumer)
+		}
+		for _, idx := range le.router.Targets(e, vals, local) {
+			tgt := rt.executor(le.id.Topology, e.Edge.Consumer, idx)
 			if tgt == nil || tgt.in == nil {
 				continue
 			}
@@ -149,7 +106,7 @@ func (le *liveExec) routeDirect(out *[]delivery, consumer string, taskIndex int,
 	if stream == "" {
 		stream = topology.DefaultStream
 	}
-	if le.outStreams[stream] == nil {
+	if le.router.Stream(stream) == nil {
 		return 0, false
 	}
 	top := le.app.Topology
@@ -295,54 +252,18 @@ func (le *liveExec) reclaim(d *delivery) {
 	d.wire = nil
 }
 
-// chooseTargets picks the receiving task indexes for one consumer edge
-// into the executor's scratch slice, resolving LocalOrShuffleGrouping's
-// locality set from the routing snapshot. The logic (and the round-robin
-// and hash sequences) mirrors the simulated engine's chooseTargets so
-// both backends route identically; fields keys are built into a reused
-// buffer and hashed without the intermediate string.
-func (le *liveExec) chooseTargets(rt *routeTable, e *outEdge, vals tuple.Values, srcSlot cluster.SlotID) []int {
-	out := le.targetScratch[:0]
-	switch e.edge.Grouping.Type {
-	case topology.ShuffleGrouping:
-		i := e.ctr
-		e.ctr++
-		out = append(out, (i+le.id.Index)%e.par)
-	case topology.LocalOrShuffleGrouping:
-		local := le.localScratch[:0]
-		for _, peer := range rt.groups[srcSlot] {
-			if peer.id.Component == e.edge.Consumer {
-				local = append(local, peer.id.Index)
-			}
+// localTasks lists the consumer's task indexes resident in the sender's
+// slot — LocalOrShuffleGrouping's locality set, read from the routing
+// snapshot — into the executor's scratch.
+func (le *liveExec) localTasks(rt *routeTable, srcSlot cluster.SlotID, consumer string) []int {
+	local := le.localScratch[:0]
+	for _, peer := range rt.groups[srcSlot] {
+		if peer.id.Component == consumer {
+			local = append(local, peer.id.Index)
 		}
-		le.localScratch = local
-		i := e.ctr
-		e.ctr++
-		if len(local) > 0 {
-			out = append(out, local[(i+le.id.Index)%len(local)])
-		} else {
-			out = append(out, (i+le.id.Index)%e.par)
-		}
-	case topology.FieldsGrouping:
-		key := le.keyScratch[:0]
-		for _, idx := range e.fieldIdx {
-			if idx >= len(vals) {
-				continue
-			}
-			key = tuple.AppendKey(key, vals[idx])
-			key = append(key, '\x1f')
-		}
-		le.keyScratch = key
-		out = append(out, tuple.HashKeyBytes(key, e.par))
-	case topology.AllGrouping:
-		for i := 0; i < e.par; i++ {
-			out = append(out, i)
-		}
-	case topology.GlobalGrouping:
-		out = append(out, 0)
 	}
-	le.targetScratch = out
-	return out
+	le.localScratch = local
+	return local
 }
 
 // recycleBatch returns an un-enqueued delivery batch and its encode
