@@ -18,46 +18,6 @@ const (
 	ackerExec
 )
 
-type jobKind int
-
-const (
-	jobEmit     jobKind = iota + 1 // spout emit cycle
-	jobData                        // data tuple for a bolt
-	jobInit                        // acker: register root
-	jobAck                         // acker: XOR update
-	jobComplete                    // spout: tuple tree fully processed
-	jobFail                        // spout: deliver Fail(msgID) to user code
-)
-
-type job struct {
-	kind      jobKind
-	gen       int64
-	in        tuple.Tuple
-	root      tuple.ID
-	xor       tuple.ID
-	spoutID   int // dense index of originating spout (acker protocol)
-	emitAt    sim.Time
-	deserCost float64
-}
-
-func jobFromMessage(m message) job {
-	j := job{
-		gen: m.gen, in: m.in, root: m.root, xor: m.xor,
-		spoutID: m.spoutDense, emitAt: m.emitAt, deserCost: m.deserCost,
-	}
-	switch m.kind {
-	case msgData:
-		j.kind = jobData
-	case msgInit:
-		j.kind = jobInit
-	case msgAck:
-		j.kind = jobAck
-	case msgComplete:
-		j.kind = jobComplete
-	}
-	return j
-}
-
 // pendingRoot is a spout-side record of an outstanding (un-acked) root.
 type pendingRoot struct {
 	msgID  any
@@ -74,8 +34,55 @@ var spoutLoopCost = Cycles(5*time.Microsecond, 2000)
 // late-completion measurement before being swept.
 const zombieRetention = 5 * time.Minute
 
+// msgRing is an executor's input queue: a power-of-two ring that doubles
+// when full, so however long the queue gets a message is copied once in
+// and once out.
+type msgRing struct {
+	buf  []message
+	head int
+	n    int
+}
+
+func (q *msgRing) push(m *message) {
+	if q.n == len(q.buf) {
+		grown := make([]message, max(2*len(q.buf), 16))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = *m
+	q.n++
+}
+
+// pop moves the oldest message into out.
+func (q *msgRing) pop(out *message) {
+	slot := &q.buf[q.head]
+	*out = *slot
+	slot.in.Values = nil // let go of the payload
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+// rootEmit is one buffered spout emission; its n data messages are the
+// next n of the executor's out buffer.
+type rootEmit struct {
+	root    tuple.ID
+	initXor tuple.ID
+	msgID   any
+	n       int
+}
+
+// executor is one executor thread of one worker incarnation. It is also
+// the event that ends its own service period (busy guarantees there is
+// one outstanding at most), and it owns everything a service period
+// produces until that event releases it to the fabric: cur, the message in
+// service; out, the messages its execution sends; for a spout's emit
+// cycle roots, which cuts out into per-root runs. The emitters handed to
+// user code write into these buffers, which is why an emitter is valid
+// only during the NextTuple or Execute call it was passed to.
 type executor struct {
 	w     *worker
+	ts    *topoState
 	id    topology.ExecutorID
 	dense int
 	comp  *topology.Component
@@ -89,14 +96,26 @@ type executor struct {
 	interval   time.Duration
 	maxPending int
 
-	queue []job
-	head  int
+	queue msgRing
 	busy  bool
 	dead  bool
 
+	cur    message
+	out    []message
+	roots  []rootEmit
+	xorAcc tuple.ID // bolt: XOR of the edge IDs emitted while serving cur
+	sem    spoutEmitter
+	bem    boltEmitter
+	tick   emitTick
+
+	router *topology.Router
+	local  []int // LocalOrShuffleGrouping scratch
+	// cs caches the component's stats entry once the executor has run a
+	// job — TopologyMetrics.Components lists only components that did.
+	cs *ComponentStats
+
 	pending     map[tuple.ID]*pendingRoot
 	outstanding int
-	shuffleCtr  map[string]int
 
 	// Stats (lifetime of this incarnation).
 	processed int64
@@ -105,56 +124,70 @@ type executor struct {
 
 func (ex *executor) rt() *Runtime { return ex.w.rt }
 
-func (ex *executor) enqueue(j job) {
+func (ex *executor) stats() *ComponentStats {
+	if ex.cs == nil {
+		ex.cs = ex.ts.tm.Component(ex.id.Component)
+	}
+	return ex.cs
+}
+
+// enqueue queues a copy of m.
+func (ex *executor) enqueue(m *message) {
 	if ex.dead {
 		return
 	}
-	ex.queue = append(ex.queue, j)
+	ex.queue.push(m)
 	ex.maybeStart()
 }
 
-func (ex *executor) queueLen() int { return len(ex.queue) - ex.head }
+// emitCycle is the message a spout queues for itself to run NextTuple.
+var emitCycle = message{kind: msgEmit}
 
-func (ex *executor) pop() job {
-	j := ex.queue[ex.head]
-	ex.queue[ex.head] = job{}
-	ex.head++
-	if ex.head > 64 && ex.head*2 >= len(ex.queue) {
-		n := copy(ex.queue, ex.queue[ex.head:])
-		ex.queue = ex.queue[:n]
-		ex.head = 0
-	}
-	return j
-}
+// emitTick is a spout's next emit cycle coming due. Each cycle schedules
+// the next one when its service period ends, so one is outstanding at most.
+type emitTick struct{ ex *executor }
+
+func (t *emitTick) Fire() { t.ex.enqueue(&emitCycle) }
 
 // maybeStart begins servicing the queue head if the executor is idle and
 // its worker is processing. User code runs at service start; its
 // emissions are flushed when the service period ends.
 func (ex *executor) maybeStart() {
-	if ex.busy || ex.dead || ex.queueLen() == 0 || !ex.w.processing() {
+	if ex.busy || ex.dead || ex.queue.n == 0 || !ex.w.processing() {
 		return
 	}
 	rt := ex.rt()
-	j := ex.pop()
+	ex.queue.pop(&ex.cur)
 	ex.busy = true
-	ns := rt.nodes[ex.w.slot.Node]
-	speed := ns.effectiveMHz(&rt.cfg)
-	cycles, flush := ex.execute(j)
+	speed := ex.w.ns.effectiveMHz(&rt.cfg)
+	ex.out, ex.roots, ex.xorAcc = ex.out[:0], ex.roots[:0], 0
+	cycles := ex.execute()
 	rt.cpu[ex.dense] += cycles
-	if tm := rt.tmetrics[ex.id.Topology]; tm != nil {
-		tm.Component(ex.id.Component).CPUCycles += cycles
-	}
+	ex.stats().CPUCycles += cycles
 	dur := time.Duration(cycles / (speed * 1e6) * float64(time.Second))
-	rt.sim.After(dur, func() {
-		ex.busy = false
-		if ex.dead {
-			return
+	if dur < 0 {
+		dur = 0
+	}
+	rt.sim.AtEvent(rt.sim.Now().Add(dur), ex)
+}
+
+// Fire ends the service period maybeStart began: what the execution
+// buffered goes out to the fabric, and the next queued message starts.
+func (ex *executor) Fire() {
+	ex.busy = false
+	if ex.dead {
+		return
+	}
+	rt := ex.rt()
+	if ex.cur.kind == msgEmit {
+		ex.flushSpoutEmits(rt.sim.Now())
+		rt.sim.AtEvent(rt.sim.Now().Add(ex.interval), &ex.tick)
+	} else {
+		for i := range ex.out {
+			rt.send(ex, ex.cur.gen, &ex.out[i])
 		}
-		if flush != nil {
-			flush()
-		}
-		ex.maybeStart()
-	})
+	}
+	ex.maybeStart()
 }
 
 // workerSystemThreads is the number of always-spinning system threads
@@ -187,70 +220,66 @@ func (ns *nodeState) effectiveMHz(cfg *Config) float64 {
 	return speed
 }
 
-func (ex *executor) execute(j job) (float64, func()) {
+// execute runs the message in service and returns the CPU cycles it cost.
+func (ex *executor) execute() float64 {
+	j := &ex.cur
 	switch j.kind {
-	case jobEmit:
+	case msgEmit:
 		return ex.executeEmit()
-	case jobData:
+	case msgData:
 		return ex.executeData(j)
-	case jobInit:
+	case msgInit:
 		return ex.executeInit(j)
-	case jobAck:
+	case msgAck:
 		return ex.executeAck(j)
-	case jobComplete:
+	case msgComplete:
 		return ex.executeComplete(j)
-	case jobFail:
+	case msgFail:
 		return ex.executeFail(j)
 	default:
-		panic(fmt.Sprintf("engine: unknown job kind %d", j.kind))
+		panic(fmt.Sprintf("engine: unknown message kind %d", j.kind))
 	}
 }
 
-// executeEmit runs one spout emit cycle and self-schedules the next one.
-func (ex *executor) executeEmit() (float64, func()) {
+// executeEmit runs one spout emit cycle; the cycle's end of service
+// schedules the next one.
+func (ex *executor) executeEmit() float64 {
 	rt := ex.rt()
 	cycles := spoutLoopCost
-	var em *spoutEmitterImpl
 	if ex.w.state == workerRunning && rt.sim.Now() >= ex.w.spoutHaltUntil &&
 		(ex.maxPending == 0 || ex.outstanding < ex.maxPending) {
-		em = &spoutEmitterImpl{ex: ex}
-		ex.spout.NextTuple(em)
-		for range em.roots {
+		ex.spout.NextTuple(&ex.sem)
+		for range ex.roots {
 			cycles += ex.cost(tuple.Tuple{})
 		}
 	}
-	return cycles, func() {
-		now := rt.sim.Now()
-		if em != nil {
-			ex.flushSpoutEmits(em, now)
-		}
-		rt.sim.After(ex.interval, func() {
-			ex.enqueue(job{kind: jobEmit})
-		})
-	}
+	return cycles
 }
 
 // flushSpoutEmits sends the buffered root emissions, registers pending
 // state and arms the per-root timeout timers.
-func (ex *executor) flushSpoutEmits(em *spoutEmitterImpl, now sim.Time) {
+func (ex *executor) flushSpoutEmits(now sim.Time) {
 	rt := ex.rt()
 	gen := ex.w.currentGen
-	tm := rt.tmetrics[ex.id.Topology]
-	for _, re := range em.roots {
+	tm := ex.ts.tm
+	sent := 0
+	for i := range ex.roots {
+		re := &ex.roots[i]
+		msgs := ex.out[sent : sent+re.n]
+		sent += re.n
 		ex.emitted++
-		cs := tm.Component(ex.id.Component)
+		cs := ex.stats()
 		cs.Executed++
-		cs.Emitted += int64(len(re.msgs))
+		cs.Emitted += int64(len(msgs))
 		if re.root == 0 {
 			// Unanchored: just send the data.
-			for _, m := range re.msgs {
-				m.gen = gen
-				rt.send(ex, gen, m)
+			for i := range msgs {
+				rt.send(ex, gen, &msgs[i])
 			}
 			continue
 		}
 		tm.RootsEmitted++
-		if len(re.msgs) == 0 {
+		if len(msgs) == 0 {
 			// No consumers: complete instantly.
 			tm.Completions++
 			tm.Latency.Add(now, 0)
@@ -258,18 +287,18 @@ func (ex *executor) flushSpoutEmits(em *spoutEmitterImpl, now sim.Time) {
 			continue
 		}
 		root := re.root
-		ex.pending[root] = &pendingRoot{msgID: re.msgID, emitAt: now}
+		p := &pendingRoot{msgID: re.msgID, emitAt: now}
+		ex.pending[root] = p
 		ex.outstanding++
-		ex.pending[root].timer = rt.sim.After(rt.cfg.MessageTimeout, func() {
+		p.timer = rt.sim.After(rt.cfg.MessageTimeout, func() {
 			ex.timeoutRoot(root)
 		})
-		for _, m := range re.msgs {
-			m.gen = gen
-			rt.send(ex, gen, m)
+		for i := range msgs {
+			rt.send(ex, gen, &msgs[i])
 		}
-		if ak, ok := ex.ackerTarget(root); ok {
-			rt.send(ex, gen, message{
-				kind: msgInit, gen: gen, target: ak,
+		if ex.ts.ackers > 0 {
+			rt.send(ex, gen, &message{
+				kind: msgInit, to: ex.ackerFor(root),
 				root: root, xor: re.initXor, spoutDense: ex.dense,
 				emitAt: now, size: rt.cfg.ControlMsgSize,
 			})
@@ -286,86 +315,68 @@ func (ex *executor) timeoutRoot(root tuple.ID) {
 	if p == nil || p.failed {
 		return
 	}
-	rt := ex.rt()
 	p.failed = true
 	ex.outstanding--
-	tm := rt.tmetrics[ex.id.Topology]
+	tm := ex.ts.tm
 	tm.Failed++
-	tm.Failures.Add(rt.sim.Now(), 1)
-	ex.enqueue(job{kind: jobFail, root: root})
+	tm.Failures.Add(ex.rt().sim.Now(), 1)
+	ex.enqueue(&message{kind: msgFail, root: root})
 }
 
-// executeData runs a bolt on one input tuple.
-func (ex *executor) executeData(j job) (float64, func()) {
+// executeData runs a bolt on one input tuple and queues the input's ack
+// behind whatever the bolt emitted.
+func (ex *executor) executeData(j *message) float64 {
 	ex.processed++
-	em := &boltEmitterImpl{ex: ex, in: j.in, gen: j.gen}
-	ex.bolt.Execute(j.in, em)
-	cs := ex.rt().tmetrics[ex.id.Topology].Component(ex.id.Component)
+	ex.bolt.Execute(j.in, &ex.bem)
+	cs := ex.stats()
 	cs.Executed++
-	cs.Emitted += int64(len(em.msgs))
-	cycles := j.deserCost + ex.cost(j.in)
-	return cycles, func() {
-		rt := ex.rt()
-		for _, m := range em.msgs {
-			rt.send(ex, j.gen, m)
-		}
-		if j.in.Root != 0 {
-			if ak, ok := ex.ackerTarget(j.in.Root); ok {
-				rt.send(ex, j.gen, message{
-					kind: msgAck, gen: j.gen, target: ak,
-					root: j.in.Root, xor: j.in.Edge ^ em.xorAcc,
-					size: rt.cfg.ControlMsgSize,
-				})
-			}
-		}
+	cs.Emitted += int64(len(ex.out))
+	if j.in.Root != 0 && ex.ts.ackers > 0 {
+		ex.out = append(ex.out, message{
+			kind: msgAck, to: ex.ackerFor(j.in.Root),
+			root: j.in.Root, xor: j.in.Edge ^ ex.xorAcc,
+			size: ex.rt().cfg.ControlMsgSize,
+		})
 	}
+	return j.deserCost + ex.cost(j.in)
 }
 
-func (ex *executor) executeInit(j job) (float64, func()) {
+func (ex *executor) executeInit(j *message) float64 {
 	ex.processed++
+	// If every ack raced ahead of the init, the tree completed the moment
+	// the init merged: the spout is notified as for a regular completion.
+	c, done := ex.tracker.Init(j.root, j.xor, j.spoutDense, j.emitAt)
+	return ex.acked(j, c, done)
+}
+
+func (ex *executor) executeAck(j *message) float64 {
+	ex.processed++
+	c, done := ex.tracker.Ack(j.root, j.xor, ex.rt().sim.Now())
+	return ex.acked(j, c, done)
+}
+
+// acked finishes an acker's init or ack: a completed tree is reported to
+// its spout.
+func (ex *executor) acked(j *message, c acker.Completion, done bool) float64 {
 	rt := ex.rt()
-	c, done := ex.tracker.Init(j.root, j.xor, j.spoutID, j.emitAt)
-	cycles := rt.cfg.AckerCost + j.deserCost
-	if !done {
-		return cycles, nil
-	}
-	// Every ack raced ahead of the init: the tree completed the moment the
-	// init merged. Notify the spout as a regular completion.
-	spout := rt.denseRev[c.SpoutExec]
-	return cycles, func() {
-		rt.send(ex, j.gen, message{
-			kind: msgComplete, gen: j.gen, target: spout,
+	if done {
+		ex.out = append(ex.out, message{
+			kind: msgComplete, to: c.SpoutExec,
 			root: c.Root, size: rt.cfg.ControlMsgSize,
 		})
 	}
+	return rt.cfg.AckerCost + j.deserCost
 }
 
-func (ex *executor) executeAck(j job) (float64, func()) {
-	ex.processed++
-	rt := ex.rt()
-	c, done := ex.tracker.Ack(j.root, j.xor, rt.sim.Now())
-	cycles := rt.cfg.AckerCost + j.deserCost
-	if !done {
-		return cycles, nil
-	}
-	spout := rt.denseRev[c.SpoutExec]
-	return cycles, func() {
-		rt.send(ex, j.gen, message{
-			kind: msgComplete, gen: j.gen, target: spout,
-			root: c.Root, size: rt.cfg.ControlMsgSize,
-		})
-	}
-}
-
-func (ex *executor) executeComplete(j job) (float64, func()) {
+func (ex *executor) executeComplete(j *message) float64 {
 	rt := ex.rt()
 	cycles := rt.cfg.NotifyCost + j.deserCost
 	p := ex.pending[j.root]
 	if p == nil {
-		return cycles, nil
+		return cycles
 	}
 	now := rt.sim.Now()
-	tm := rt.tmetrics[ex.id.Topology]
+	tm := ex.ts.tm
 	latencyMS := now.Sub(p.emitAt).Seconds() * 1e3
 	tm.Latency.Add(now, latencyMS)
 	tm.LatencyHist.Add(latencyMS)
@@ -378,16 +389,15 @@ func (ex *executor) executeComplete(j job) (float64, func()) {
 	p.timer.Cancel()
 	delete(ex.pending, j.root)
 	ex.spout.Ack(p.msgID)
-	return cycles, nil
+	return cycles
 }
 
-func (ex *executor) executeFail(j job) (float64, func()) {
-	rt := ex.rt()
+func (ex *executor) executeFail(j *message) float64 {
 	p := ex.pending[j.root]
 	if p != nil && p.failed {
 		ex.spout.Fail(p.msgID)
 	}
-	return rt.cfg.NotifyCost, nil
+	return ex.rt().cfg.NotifyCost
 }
 
 // sweepZombies drops failed pending entries whose late completion never
@@ -407,52 +417,42 @@ func (ex *executor) sweepZombies() {
 	}
 }
 
-// ackerTarget returns the acker executor responsible for a root, if the
-// topology has ackers.
-func (ex *executor) ackerTarget(root tuple.ID) (topology.ExecutorID, bool) {
-	top := ex.rt().apps[ex.id.Topology].Topology
-	n := top.Ackers()
-	if n == 0 {
-		return topology.ExecutorID{}, false
-	}
-	return topology.ExecutorID{
-		Topology:  ex.id.Topology,
-		Component: topology.AckerComponent,
-		Index:     int(uint64(root) % uint64(n)),
-	}, true
+// ackerFor returns the dense index of the acker executor responsible for a
+// root. The topology must have ackers.
+func (ex *executor) ackerFor(root tuple.ID) int {
+	return ex.ts.ackerBase + int(uint64(root)%uint64(ex.ts.ackers))
 }
 
 // ---- emission ----
 
 // routeEmission resolves one logical emission to per-target data messages
-// and accumulates the XOR of the new edge IDs (for anchoring).
-func (ex *executor) routeEmission(stream string, vals tuple.Values, root tuple.ID) ([]message, tuple.ID, error) {
+// appended to ex.out. It returns how many and the XOR of their new edge
+// IDs (for anchoring); ok is false when the stream is not declared.
+func (ex *executor) routeEmission(stream string, vals tuple.Values, root tuple.ID) (n int, xorAcc tuple.ID, ok bool) {
 	if stream == "" {
 		stream = topology.DefaultStream
 	}
-	rt := ex.rt()
-	top := rt.apps[ex.id.Topology].Topology
-	schema, ok := ex.comp.Outputs[stream]
-	if !ok {
-		return nil, 0, fmt.Errorf("engine: %v emits on undeclared stream %q", ex.id, stream)
+	os := ex.router.Stream(stream)
+	if os == nil {
+		return 0, 0, false
 	}
+	rt := ex.rt()
 	size := tuple.SizeOf(vals)
-	var msgs []message
-	var xorAcc tuple.ID
-	for _, edge := range top.Consumers(ex.comp.Name, stream) {
-		if edge.Grouping.Type == topology.DirectGrouping {
-			continue // only EmitDirect reaches direct subscribers
+	for ei := range os.Edges {
+		e := &os.Edges[ei]
+		var local []int
+		if e.Edge.Grouping.Type == topology.LocalOrShuffleGrouping {
+			local = ex.localTasks(e.Edge.Consumer)
 		}
-		cons, _ := top.Component(edge.Consumer)
-		for _, idx := range ex.chooseTargets(edge, cons.Parallelism, schema, vals) {
+		for _, idx := range ex.router.Targets(e, vals, local) {
 			var eid tuple.ID
 			if root != 0 {
 				eid = rt.newID()
 				xorAcc ^= eid
 			}
-			msgs = append(msgs, message{
-				kind:   msgData,
-				target: topology.ExecutorID{Topology: ex.id.Topology, Component: edge.Consumer, Index: idx},
+			ex.out = append(ex.out, message{
+				kind: msgData,
+				to:   ex.ts.base + e.First + idx,
 				in: tuple.Tuple{
 					Root: root, Edge: eid, Stream: stream,
 					SrcComponent: ex.comp.Name, SrcTask: ex.id.Index,
@@ -460,157 +460,100 @@ func (ex *executor) routeEmission(stream string, vals tuple.Values, root tuple.I
 				},
 				size: size,
 			})
+			n++
 		}
 	}
-	return msgs, xorAcc, nil
+	return n, xorAcc, true
 }
 
-// chooseTargets picks the receiving task indexes for one consumer edge.
-func (ex *executor) chooseTargets(edge topology.ConsumerEdge, parallelism int, schema tuple.Fields, vals tuple.Values) []int {
-	switch edge.Grouping.Type {
-	case topology.ShuffleGrouping:
-		key := edge.Consumer + "\x00" + edge.Grouping.SourceStream
-		i := ex.shuffleCtr[key]
-		ex.shuffleCtr[key] = i + 1
-		return []int{(i + ex.id.Index) % parallelism}
-	case topology.LocalOrShuffleGrouping:
-		// Prefer consumer tasks hosted by this very worker; fall back to
-		// plain shuffle when the worker hosts none.
-		var local []int
-		for _, peer := range ex.w.execList {
-			if peer.id.Component == edge.Consumer && !peer.dead {
-				local = append(local, peer.id.Index)
-			}
+// localTasks lists the consumer's tasks hosted by this very worker —
+// LocalOrShuffleGrouping's locality set — into the executor's scratch.
+func (ex *executor) localTasks(consumer string) []int {
+	local := ex.local[:0]
+	for _, peer := range ex.w.execList {
+		if peer.id.Component == consumer && !peer.dead {
+			local = append(local, peer.id.Index)
 		}
-		key := edge.Consumer + "\x00local\x00" + edge.Grouping.SourceStream
-		i := ex.shuffleCtr[key]
-		ex.shuffleCtr[key] = i + 1
-		if len(local) > 0 {
-			return []int{local[(i+ex.id.Index)%len(local)]}
-		}
-		return []int{(i + ex.id.Index) % parallelism}
-	case topology.FieldsGrouping:
-		key := ""
-		for _, fn := range edge.Grouping.FieldNames {
-			idx, ok := schema.Index(fn)
-			if !ok || idx >= len(vals) {
-				continue
-			}
-			key += tuple.KeyString(vals[idx]) + "\x1f"
-		}
-		return []int{tuple.HashKey(key, parallelism)}
-	case topology.AllGrouping:
-		out := make([]int, parallelism)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	case topology.GlobalGrouping:
-		return []int{0}
-	default:
-		return nil
 	}
+	ex.local = local
+	return local
 }
 
-// routeDirect resolves an EmitDirect call to a single data message.
-func (ex *executor) routeDirect(consumer string, taskIndex int, stream string, vals tuple.Values, root tuple.ID) (message, tuple.ID, bool) {
+// routeDirect resolves an EmitDirect call to a single data message
+// appended to ex.out, and returns its new edge ID.
+func (ex *executor) routeDirect(consumer string, taskIndex int, stream string, vals tuple.Values, root tuple.ID) (tuple.ID, bool) {
 	if stream == "" {
 		stream = topology.DefaultStream
 	}
 	rt := ex.rt()
-	top := rt.apps[ex.id.Topology].Topology
-	cons, ok := top.Component(consumer)
+	cons, ok := ex.ts.app.Topology.Component(consumer)
 	if !ok || taskIndex < 0 || taskIndex >= cons.Parallelism {
-		return message{}, 0, false
+		return 0, false
 	}
-	if _, ok := ex.comp.Outputs[stream]; !ok {
-		return message{}, 0, false
+	if ex.router.Stream(stream) == nil {
+		return 0, false
 	}
 	var eid tuple.ID
 	if root != 0 {
 		eid = rt.newID()
 	}
 	size := tuple.SizeOf(vals)
-	return message{
-		kind:   msgData,
-		target: topology.ExecutorID{Topology: ex.id.Topology, Component: consumer, Index: taskIndex},
+	ex.out = append(ex.out, message{
+		kind: msgData,
+		to:   rt.dense[topology.ExecutorID{Topology: ex.id.Topology, Component: consumer, Index: taskIndex}],
 		in: tuple.Tuple{
 			Root: root, Edge: eid, Stream: stream,
 			SrcComponent: ex.comp.Name, SrcTask: ex.id.Index,
 			Values: vals, Size: size,
 		},
 		size: size,
-	}, eid, true
+	})
+	return eid, true
 }
 
-// rootEmit is one buffered spout emission.
-type rootEmit struct {
-	root    tuple.ID
-	initXor tuple.ID
-	msgID   any
-	msgs    []message
-}
+// spoutEmitter is the SpoutEmitter a spout's NextTuple gets: every
+// emission becomes one entry of its executor's roots.
+type spoutEmitter struct{ ex *executor }
 
-type spoutEmitterImpl struct {
-	ex    *executor
-	roots []rootEmit
-}
+var _ SpoutEmitter = (*spoutEmitter)(nil)
 
-var _ SpoutEmitter = (*spoutEmitterImpl)(nil)
-
-func (e *spoutEmitterImpl) Emit(stream string, vals tuple.Values) {
-	msgs, _, err := e.ex.routeEmission(stream, vals, 0)
-	if err != nil {
-		return
+func (e *spoutEmitter) Emit(stream string, vals tuple.Values) {
+	if n, _, ok := e.ex.routeEmission(stream, vals, 0); ok {
+		e.ex.roots = append(e.ex.roots, rootEmit{n: n})
 	}
-	e.roots = append(e.roots, rootEmit{msgs: msgs})
 }
 
-func (e *spoutEmitterImpl) EmitWithID(stream string, vals tuple.Values, msgID any) {
-	top := e.ex.rt().apps[e.ex.id.Topology].Topology
+func (e *spoutEmitter) EmitWithID(stream string, vals tuple.Values, msgID any) {
+	ex := e.ex
 	root := tuple.ID(0)
-	if top.Ackers() > 0 {
-		root = e.ex.rt().newID()
+	if ex.ts.ackers > 0 {
+		root = ex.rt().newID()
 	}
-	msgs, xorAcc, err := e.ex.routeEmission(stream, vals, root)
-	if err != nil {
-		return
+	if n, xorAcc, ok := ex.routeEmission(stream, vals, root); ok {
+		ex.roots = append(ex.roots, rootEmit{root: root, initXor: xorAcc, msgID: msgID, n: n})
 	}
-	e.roots = append(e.roots, rootEmit{root: root, initXor: xorAcc, msgID: msgID, msgs: msgs})
 }
 
-func (e *spoutEmitterImpl) EmitDirect(consumer string, taskIndex int, stream string, vals tuple.Values) {
-	m, _, ok := e.ex.routeDirect(consumer, taskIndex, stream, vals, 0)
-	if !ok {
-		return
+func (e *spoutEmitter) EmitDirect(consumer string, taskIndex int, stream string, vals tuple.Values) {
+	if _, ok := e.ex.routeDirect(consumer, taskIndex, stream, vals, 0); ok {
+		e.ex.roots = append(e.ex.roots, rootEmit{n: 1})
 	}
-	e.roots = append(e.roots, rootEmit{msgs: []message{m}})
 }
 
-type boltEmitterImpl struct {
-	ex     *executor
-	in     tuple.Tuple
-	gen    int64
-	msgs   []message
-	xorAcc tuple.ID
+// boltEmitter is the Emitter a bolt's Execute gets: emissions are anchored
+// to the tuple in service.
+type boltEmitter struct{ ex *executor }
+
+var _ Emitter = (*boltEmitter)(nil)
+
+func (e *boltEmitter) Emit(stream string, vals tuple.Values) {
+	if _, xorAcc, ok := e.ex.routeEmission(stream, vals, e.ex.cur.in.Root); ok {
+		e.ex.xorAcc ^= xorAcc
+	}
 }
 
-var _ Emitter = (*boltEmitterImpl)(nil)
-
-func (e *boltEmitterImpl) Emit(stream string, vals tuple.Values) {
-	msgs, xorAcc, err := e.ex.routeEmission(stream, vals, e.in.Root)
-	if err != nil {
-		return
+func (e *boltEmitter) EmitDirect(consumer string, taskIndex int, stream string, vals tuple.Values) {
+	if eid, ok := e.ex.routeDirect(consumer, taskIndex, stream, vals, e.ex.cur.in.Root); ok {
+		e.ex.xorAcc ^= eid
 	}
-	e.msgs = append(e.msgs, msgs...)
-	e.xorAcc ^= xorAcc
-}
-
-func (e *boltEmitterImpl) EmitDirect(consumer string, taskIndex int, stream string, vals tuple.Values) {
-	m, eid, ok := e.ex.routeDirect(consumer, taskIndex, stream, vals, e.in.Root)
-	if !ok {
-		return
-	}
-	e.msgs = append(e.msgs, m)
-	e.xorAcc ^= eid
 }

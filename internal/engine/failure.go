@@ -43,9 +43,7 @@ func (r *Runtime) CrashWorker(slot cluster.SlotID) bool {
 	w := ss.current
 	w.kill()
 	ss.current = nil
-	if tm := r.tmetrics[w.topo]; tm != nil {
-		tm.WorkerCrashes++
-	}
+	w.ts.tm.WorkerCrashes++
 	return true
 }
 
@@ -62,9 +60,7 @@ func (r *Runtime) FailNode(id cluster.NodeID) bool {
 	for _, port := range ns.ports {
 		ss := ns.slots[port]
 		if ss.current != nil {
-			if tm := r.tmetrics[ss.current.topo]; tm != nil {
-				tm.WorkerCrashes++
-			}
+			ss.current.ts.tm.WorkerCrashes++
 			ss.current.kill()
 			ss.current = nil
 		}
@@ -137,10 +133,11 @@ func (r *Runtime) nimbusCheckFailures() {
 		return
 	}
 	for _, topo := range r.appOrder {
-		cur := r.current[topo]
-		if cur == nil {
+		ts := r.topos[topo]
+		if ts.current == nil {
 			continue
 		}
+		cur := ts.current.a
 		orphaned := false
 		for _, s := range cur.Executors {
 			if dead[s.Node] {
@@ -154,9 +151,7 @@ func (r *Runtime) nimbusCheckFailures() {
 		if next, err := r.rescueAssignment(topo, cur, dead); err == nil {
 			_ = r.PublishAssignment(topo, next)
 			r.emit(trace.RescuePublished, topo, "", fmt.Sprintf("dead nodes: %d", len(dead)))
-			if tm := r.tmetrics[topo]; tm != nil {
-				tm.RescueReassignments++
-			}
+			ts.tm.RescueReassignments++
 		}
 	}
 }
@@ -177,11 +172,11 @@ func (r *Runtime) rescueAssignment(topo string, cur *cluster.Assignment, dead ma
 	}
 	// Slots occupied by other topologies anywhere.
 	occupied := make(map[cluster.SlotID]bool)
-	for other, a := range r.current {
-		if other == topo {
+	for other, ts := range r.topos {
+		if other == topo || ts.current == nil {
 			continue
 		}
-		for _, s := range a.Executors {
+		for _, s := range ts.current.a.Executors {
 			occupied[s] = true
 		}
 	}

@@ -11,21 +11,22 @@ import (
 // supervisors stop managing it. Its metrics remain readable for
 // post-mortem analysis, as in Storm's UI after `storm kill`.
 func (r *Runtime) KillTopology(topo string) error {
-	if _, ok := r.apps[topo]; !ok {
+	ts := r.running(topo)
+	if ts == nil {
 		return fmt.Errorf("engine: unknown topology %q", topo)
 	}
 	for _, nid := range r.nodeOrder {
 		ns := r.nodes[nid]
 		for _, port := range ns.ports {
 			ss := ns.slots[port]
-			if ss.current != nil && ss.current.topo == topo {
+			if ss.current != nil && ss.current.ts == ts {
 				ss.current.kill()
 				ss.current = nil
 			}
 			// Drop buffered traffic addressed here for the dead topology.
 			kept := ss.pending[:0]
 			for _, m := range ss.pending {
-				if m.target.Topology != topo {
+				if r.topoOf[m.to] != ts {
 					kept = append(kept, m)
 				}
 			}
@@ -34,8 +35,7 @@ func (r *Runtime) KillTopology(topo string) error {
 	}
 	r.emit(trace.TopologyKilled, topo, "", "")
 	_ = r.coord.Delete(AssignmentPath(topo))
-	delete(r.current, topo)
-	delete(r.apps, topo)
+	ts.current, ts.app = nil, nil
 	for i, name := range r.appOrder {
 		if name == topo {
 			r.appOrder = append(r.appOrder[:i], r.appOrder[i+1:]...)

@@ -150,7 +150,7 @@ type nodeState struct {
 	everHeartbeat bool
 	// batches holds the open transfer batch per destination slot when
 	// batching is enabled.
-	batches map[cluster.SlotID]*transferBatch
+	batches map[*slotState]*transferBatch
 	// down marks a failed node: workers dead, messages dropped, no
 	// heartbeats.
 	down bool
@@ -177,6 +177,38 @@ type slotState struct {
 // maxSlotPending bounds the per-slot connect-retry buffer.
 const maxSlotPending = 100000
 
+// topoState is what the runtime keeps per submitted topology. The hot path
+// reaches it by pointer (executors, generations and the per-executor
+// topoOf table hold one); only the cold paths look it up by name.
+type topoState struct {
+	name string
+	// app is nil once the topology was killed; its metrics stay readable.
+	app *App
+	tm  *TopologyMetrics
+	// The topology's executors are the dense indexes base..base+n-1, in
+	// Topology.Executors() order; its acker task i is ackerBase+i.
+	base, n           int
+	ackers, ackerBase int
+	// current is the newest published generation (nil once killed).
+	current *generation
+}
+
+// generation is one published assignment with its placement table: where
+// each of the topology's executors lives under it, resolved to the node and
+// slot state once at publication so that sending a message indexes a slice
+// instead of hashing executor and node names.
+type generation struct {
+	id    int64
+	ts    *topoState
+	a     *cluster.Assignment
+	place []placement // by dense index - ts.base
+}
+
+type placement struct {
+	ns *nodeState
+	ss *slotState
+}
+
 // Runtime is the simulated Storm cluster: nodes, supervisors, workers,
 // executors, and the message fabric between them.
 type Runtime struct {
@@ -185,22 +217,26 @@ type Runtime struct {
 	cl    *cluster.Cluster
 	coord *coord.Store
 
-	apps     map[string]*App
+	// topos holds every topology ever submitted under its name (a killed
+	// one keeps its entry for its metrics); appOrder lists the running
+	// ones, sorted.
+	topos    map[string]*topoState
 	appOrder []string
 
 	dense    map[topology.ExecutorID]int
 	denseRev []topology.ExecutorID
+	topoOf   []*topoState // per dense executor
 
 	traffic *metrics.TrafficMatrix
 	cpu     []float64 // per dense executor, cycles since last drain
 
-	current     map[string]*cluster.Assignment
-	generations map[int64]*cluster.Assignment
+	generations map[int64]*generation
 
 	nodes     map[cluster.NodeID]*nodeState
 	nodeOrder []cluster.NodeID
 
-	tmetrics map[string]*TopologyMetrics
+	// flights is the free list of in-flight message events.
+	flights []*flight
 }
 
 // NewRuntime builds a runtime over the given cluster.
@@ -214,13 +250,11 @@ func NewRuntime(cfg Config, cl *cluster.Cluster) (*Runtime, error) {
 		sim:         eng,
 		cl:          cl,
 		coord:       coord.NewStore(eng, time.Millisecond),
-		apps:        make(map[string]*App),
+		topos:       make(map[string]*topoState),
 		dense:       make(map[topology.ExecutorID]int),
 		traffic:     metrics.NewTrafficMatrix(),
-		current:     make(map[string]*cluster.Assignment),
-		generations: make(map[int64]*cluster.Assignment),
+		generations: make(map[int64]*generation),
 		nodes:       make(map[cluster.NodeID]*nodeState),
-		tmetrics:    make(map[string]*TopologyMetrics),
 	}
 	for _, n := range cl.Nodes() {
 		ns := &nodeState{
@@ -297,28 +331,46 @@ func (r *Runtime) Submit(app *App, initial *cluster.Assignment) error {
 		return err
 	}
 	name := app.Topology.Name()
-	if _, dup := r.apps[name]; dup {
+	if r.running(name) != nil {
 		return fmt.Errorf("engine: topology %q already submitted", name)
 	}
 	if err := r.validateAssignment(name, app, initial); err != nil {
 		return err
 	}
-	r.apps[name] = app
-	r.appOrder = append(r.appOrder, name)
-	sort.Strings(r.appOrder)
-	for _, e := range app.Topology.Executors() {
+	execs := app.Topology.Executors()
+	ts := &topoState{
+		name: name, app: app, tm: newTopologyMetrics(r.cfg.LatencyBucket),
+		base: len(r.denseRev), n: len(execs), ackers: app.Topology.Ackers(),
+	}
+	for _, e := range execs {
+		if e.Component == topology.AckerComponent && e.Index == 0 {
+			ts.ackerBase = len(r.denseRev)
+		}
 		r.dense[e] = len(r.denseRev)
 		r.denseRev = append(r.denseRev, e)
+		r.topoOf = append(r.topoOf, ts)
 		r.cpu = append(r.cpu, 0)
 	}
-	r.tmetrics[name] = newTopologyMetrics(r.cfg.LatencyBucket)
+	r.topos[name] = ts
+	r.appOrder = append(r.appOrder, name)
+	sort.Strings(r.appOrder)
 	return r.PublishAssignment(name, initial)
+}
+
+// running returns the state of a submitted topology that was not killed.
+func (r *Runtime) running(topo string) *topoState {
+	if ts := r.topos[topo]; ts != nil && ts.app != nil {
+		return ts
+	}
+	return nil
 }
 
 // App returns a submitted app.
 func (r *Runtime) App(topo string) (*App, bool) {
-	a, ok := r.apps[topo]
-	return a, ok
+	if ts := r.running(topo); ts != nil {
+		return ts.app, true
+	}
+	return nil, false
 }
 
 // Topologies lists submitted topology names, sorted.
@@ -346,11 +398,11 @@ func (r *Runtime) NumExecutors() int { return len(r.denseRev) }
 // topology: it becomes the current generation, is written to the
 // coordination store, and supervisors apply it at their next sync.
 func (r *Runtime) PublishAssignment(topo string, a *cluster.Assignment) error {
-	app, ok := r.apps[topo]
-	if !ok {
+	ts := r.running(topo)
+	if ts == nil {
 		return fmt.Errorf("engine: unknown topology %q", topo)
 	}
-	if err := r.validateAssignment(topo, app, a); err != nil {
+	if err := r.validateAssignment(topo, ts.app, a); err != nil {
 		return err
 	}
 	pub := a.Clone()
@@ -360,8 +412,15 @@ func (r *Runtime) PublishAssignment(topo string, a *cluster.Assignment) error {
 	for r.generations[pub.ID] != nil {
 		pub.ID++
 	}
-	r.generations[pub.ID] = pub
-	r.current[topo] = pub
+	// validateAssignment found every executor's node and slot.
+	g := &generation{id: pub.ID, ts: ts, a: pub, place: make([]placement, ts.n)}
+	for i := range g.place {
+		s := pub.Executors[r.denseRev[ts.base+i]]
+		ns := r.nodes[s.Node]
+		g.place[i] = placement{ns: ns, ss: ns.slots[s.Port]}
+	}
+	r.generations[pub.ID] = g
+	ts.current = g
 	data, err := json.Marshal(pub)
 	if err != nil {
 		return fmt.Errorf("engine: marshal assignment: %w", err)
@@ -369,7 +428,7 @@ func (r *Runtime) PublishAssignment(topo string, a *cluster.Assignment) error {
 	if _, err := r.coord.SetOrCreate(AssignmentPath(topo), data); err != nil {
 		return fmt.Errorf("engine: publish assignment: %w", err)
 	}
-	tm := r.tmetrics[topo]
+	tm := ts.tm
 	tm.NodesInUse.Set(r.sim.Now(), float64(pub.NumUsedNodes()))
 	tm.Reassignments = append(tm.Reassignments, ReassignEvent{
 		At: r.sim.Now(), AssignID: pub.ID,
@@ -400,12 +459,12 @@ func (r *Runtime) validateAssignment(topo string, app *App, a *cluster.Assignmen
 		}
 	}
 	// A slot hosts workers of exactly one topology.
-	for otherName, other := range r.current {
-		if otherName == topo {
+	for otherName, other := range r.topos {
+		if otherName == topo || other.current == nil {
 			continue
 		}
 		otherSlots := make(map[cluster.SlotID]bool)
-		for _, s := range other.Executors {
+		for _, s := range other.current.a.Executors {
 			otherSlots[s] = true
 		}
 		for _, s := range a.Executors {
@@ -419,15 +478,20 @@ func (r *Runtime) validateAssignment(topo string, app *App, a *cluster.Assignmen
 
 // CurrentAssignment returns the topology's newest published assignment.
 func (r *Runtime) CurrentAssignment(topo string) (*cluster.Assignment, bool) {
-	a, ok := r.current[topo]
-	if !ok {
+	ts := r.topos[topo]
+	if ts == nil || ts.current == nil {
 		return nil, false
 	}
-	return a.Clone(), true
+	return ts.current.a.Clone(), true
 }
 
 // Metrics returns the topology's metric set.
-func (r *Runtime) Metrics(topo string) *TopologyMetrics { return r.tmetrics[topo] }
+func (r *Runtime) Metrics(topo string) *TopologyMetrics {
+	if ts := r.topos[topo]; ts != nil {
+		return ts.tm
+	}
+	return nil
+}
 
 // RunFor advances the simulation by d.
 func (r *Runtime) RunFor(d time.Duration) error {
@@ -441,10 +505,8 @@ func (r *Runtime) DrainLoadSamples() []ExecutorLoadSample {
 	out := make([]ExecutorLoadSample, 0, len(r.denseRev))
 	for i, e := range r.denseRev {
 		var node cluster.NodeID
-		if a, ok := r.current[e.Topology]; ok {
-			if s, ok := a.Slot(e); ok {
-				node = s.Node
-			}
+		if ts := r.topoOf[i]; ts.current != nil {
+			node = ts.current.place[i-ts.base].ns.node.ID
 		}
 		out = append(out, ExecutorLoadSample{Exec: e, Dense: i, Cycles: r.cpu[i], Node: node})
 		r.cpu[i] = 0
@@ -466,19 +528,28 @@ func (r *Runtime) NodeCapacityMHz(id cluster.NodeID) float64 {
 
 // ---- message fabric ----
 
-type msgKind int
+type msgKind uint8
 
 const (
-	msgData msgKind = iota + 1
-	msgInit
-	msgAck
-	msgComplete
+	msgData     msgKind = iota + 1 // data tuple for a bolt
+	msgInit                        // acker: register root
+	msgAck                         // acker: XOR update
+	msgComplete                    // spout: tuple tree fully processed
+	// The last two never cross the fabric: an executor queues them for
+	// itself.
+	msgEmit // spout emit cycle
+	msgFail // spout: deliver Fail(msgID) to user code
 )
 
+// message is one unit of work for an executor, as it travels the fabric
+// and as it waits in the executor's queue.
 type message struct {
-	kind   msgKind
-	gen    int64 // sender's assignment generation
-	target topology.ExecutorID
+	kind msgKind
+	// gen is the sender's assignment generation; it travels with the
+	// message so every downstream hop keeps the sender's routes.
+	gen *generation
+	// to is the target's dense executor index.
+	to int
 	// data
 	in tuple.Tuple
 	// acker protocol
@@ -490,31 +561,55 @@ type message struct {
 	size       int
 }
 
-// send routes a message from a live executor to a logical target,
-// charging serialization, NIC and propagation costs. Traffic between the
-// logical pair is counted for the monitors. The generation stamp travels
-// with the message so every downstream hop keeps the sender's routes.
-func (r *Runtime) send(from *executor, gen int64, m message) {
-	m.gen = gen
-	if di, ok := r.dense[m.target]; ok {
-		r.traffic.Add(from.dense, di, 1)
+// flight is one message on its way to a slot: the event send schedules.
+// Flights are pooled — a delivery returns its flight to the runtime's free
+// list — so a hop allocates nothing once the pool has grown to the number
+// of messages in the air.
+type flight struct {
+	rt *Runtime
+	to placement
+	m  message
+}
+
+func (f *flight) Fire() {
+	rt := f.rt
+	rt.deliver(f.to, &f.m)
+	f.m.in.Values = nil // let go of the payload
+	rt.flights = append(rt.flights, f)
+}
+
+// launch schedules m's arrival at dst.
+func (r *Runtime) launch(arrive sim.Time, dst placement, m *message) {
+	var f *flight
+	if n := len(r.flights); n > 0 {
+		f, r.flights = r.flights[n-1], r.flights[:n-1]
+	} else {
+		f = &flight{rt: r}
 	}
-	a := r.generations[gen]
-	if a == nil {
-		a = r.current[m.target.Topology]
+	f.to, f.m = dst, *m
+	r.sim.AtEvent(arrive, f)
+}
+
+// send routes a message from a live executor to its target, charging
+// serialization, NIC and propagation costs. Traffic between the logical
+// pair is counted for the monitors. The target's slot comes from the
+// placement table of the generation the message is stamped with; a
+// message with no generation uses the topology's newest, and one whose
+// topology has none left (it was killed) is dropped.
+func (r *Runtime) send(from *executor, gen *generation, m *message) {
+	r.traffic.Add(from.dense, m.to, 1)
+	ts := from.ts
+	if gen == nil {
+		gen = ts.current
 	}
-	var dstSlot cluster.SlotID
-	if a != nil {
-		if s, ok := a.Slot(m.target); ok {
-			dstSlot = s
-		}
-	}
-	if dstSlot == (cluster.SlotID{}) {
-		r.tmetrics[m.target.Topology].Dropped++
+	if gen == nil {
+		ts.tm.Dropped++
 		return
 	}
-	srcSlot := from.w.slot
-	hop := transport.Classify(srcSlot, dstSlot)
+	m.gen = gen
+	dst := gen.place[m.to-ts.base]
+	src := from.w
+	hop := transport.Classify(src.slot, dst.ss.id)
 	arrive := r.sim.Now()
 	if hop != transport.HopLocal {
 		ser := r.cfg.Cost.SerializeCycles(m.size)
@@ -528,14 +623,13 @@ func (r *Runtime) send(from *executor, gen int64, m message) {
 		arrive = arrive.Add(r.cfg.Cost.LoopbackDelay)
 	case transport.HopInterNode:
 		if r.cfg.BatchFlush > 0 {
-			r.enqueueBatch(srcSlot.Node, dstSlot, m)
+			r.enqueueBatch(src.ns, dst, m)
 			return
 		}
-		nic := r.nodes[srcSlot.Node].nic
-		done := nic.Send(r.sim.Now(), m.size)
+		done := src.ns.nic.Send(r.sim.Now(), m.size)
 		arrive = done.Add(r.cfg.Cost.NetworkDelay)
 	}
-	r.sim.At(arrive, func() { r.deliver(dstSlot, m) })
+	r.launch(arrive, dst, m)
 }
 
 // transferBatch is an open Storm-style transfer buffer to one slot.
@@ -548,30 +642,28 @@ type transferBatch struct {
 // its destination slot. With an idle NIC and no open batch the message
 // goes straight to the wire; otherwise it waits for the wire to clear
 // (bounded by BatchFlush) and shares the next transmission.
-func (r *Runtime) enqueueBatch(src cluster.NodeID, dst cluster.SlotID, m message) {
-	ns := r.nodes[src]
+func (r *Runtime) enqueueBatch(ns *nodeState, dst placement, m *message) {
 	if ns.batches == nil {
-		ns.batches = make(map[cluster.SlotID]*transferBatch)
+		ns.batches = make(map[*slotState]*transferBatch)
 	}
-	b := ns.batches[dst]
+	b := ns.batches[dst.ss]
 	if b == nil {
 		now := r.sim.Now()
 		if ns.nic.FreeAt() <= now {
 			// Wire idle: no reason to wait.
 			done := ns.nic.Send(now, m.size)
-			arrive := done.Add(r.cfg.Cost.NetworkDelay)
-			r.sim.At(arrive, func() { r.deliver(dst, m) })
+			r.launch(done.Add(r.cfg.Cost.NetworkDelay), dst, m)
 			return
 		}
 		b = &transferBatch{}
-		ns.batches[dst] = b
+		ns.batches[dst.ss] = b
 		wait := ns.nic.FreeAt().Sub(now)
 		if wait > r.cfg.BatchFlush {
 			wait = r.cfg.BatchFlush
 		}
 		r.sim.After(wait, func() { r.flushBatch(ns, dst) })
 	}
-	b.msgs = append(b.msgs, m)
+	b.msgs = append(b.msgs, *m)
 	b.bytes += m.size
 	maxTuples := r.cfg.BatchMaxTuples
 	if maxTuples <= 0 {
@@ -584,38 +676,34 @@ func (r *Runtime) enqueueBatch(src cluster.NodeID, dst cluster.SlotID, m message
 
 // flushBatch transmits an open batch as one wire message: the NIC and the
 // propagation delay are paid once, amortized over every tuple inside.
-func (r *Runtime) flushBatch(ns *nodeState, dst cluster.SlotID) {
-	b := ns.batches[dst]
+func (r *Runtime) flushBatch(ns *nodeState, dst placement) {
+	b := ns.batches[dst.ss]
 	if b == nil || len(b.msgs) == 0 {
 		return
 	}
-	delete(ns.batches, dst)
+	delete(ns.batches, dst.ss)
 	done := ns.nic.Send(r.sim.Now(), b.bytes)
 	arrive := done.Add(r.cfg.Cost.NetworkDelay)
 	msgs := b.msgs
 	r.sim.At(arrive, func() {
-		for _, m := range msgs {
-			r.deliver(dst, m)
+		for i := range msgs {
+			r.deliver(dst, &msgs[i])
 		}
 	})
 }
 
 // deliver hands an arriving message to the right worker generation on the
-// destination slot, or drops it if no suitable worker is accepting.
-func (r *Runtime) deliver(slot cluster.SlotID, m message) {
-	ns := r.nodes[slot.Node]
-	if ns == nil || ns.down {
+// destination slot, or drops it if no suitable worker is accepting. It
+// only reads m: whoever keeps the message copies it.
+func (r *Runtime) deliver(dst placement, m *message) {
+	if dst.ns.down {
 		r.drop(m)
 		return
 	}
-	ss := ns.slots[slot.Port]
-	if ss == nil {
-		r.drop(m)
-		return
-	}
+	ss := dst.ss
 	var w *worker
 	if r.cfg.SmoothReassign {
-		if got, ok := ss.dispatcher.Route(m.gen); ok {
+		if got, ok := ss.dispatcher.Route(m.gen.id); ok {
 			w = got.(*worker)
 		}
 	} else {
@@ -623,31 +711,30 @@ func (r *Runtime) deliver(slot cluster.SlotID, m message) {
 	}
 	if w == nil || !w.accepting() {
 		if len(ss.pending) < maxSlotPending {
-			ss.pending = append(ss.pending, m)
+			ss.pending = append(ss.pending, *m)
 		} else {
 			r.drop(m)
 		}
 		return
 	}
 	if w.state == workerStarting {
-		w.inbound = append(w.inbound, m)
+		w.inbound = append(w.inbound, *m)
 		return
 	}
-	ex := w.execs[m.target]
+	ex := w.executor(m.to)
 	if ex == nil || ex.dead {
 		r.drop(m)
 		return
 	}
-	ex.enqueue(jobFromMessage(m))
+	ex.enqueue(m)
 }
 
-func (r *Runtime) drop(m message) {
-	if tm := r.tmetrics[m.target.Topology]; tm != nil {
-		tm.Dropped++
-		// Drops can be very frequent; trace only the first few per topology.
-		if tm.Dropped <= 10 {
-			r.emit(trace.MessageDropped, m.target.Topology, "", m.target.String())
-		}
+func (r *Runtime) drop(m *message) {
+	ts := r.topoOf[m.to]
+	ts.tm.Dropped++
+	// Drops can be very frequent; trace only the first few per topology.
+	if ts.tm.Dropped <= 10 {
+		r.emit(trace.MessageDropped, ts.name, "", r.denseRev[m.to].String())
 	}
 }
 
@@ -675,6 +762,9 @@ func (r *Runtime) supervise(ns *nodeState) {
 		if err := json.Unmarshal(data, &a); err != nil {
 			continue
 		}
-		r.reconcileNode(ns, topo, &a)
+		// Only PublishAssignment writes that path, so the generation exists.
+		if g := r.generations[a.ID]; g != nil {
+			r.reconcileNode(ns, g)
+		}
 	}
 }

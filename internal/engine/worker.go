@@ -27,13 +27,15 @@ const (
 // of exactly one topology for one assignment generation.
 type worker struct {
 	rt   *Runtime
-	topo string
+	ts   *topoState
 	slot cluster.SlotID
+	ns   *nodeState
+	ss   *slotState
 	// gen is the assignment generation the worker was created for;
 	// currentGen is the newest generation it serves (bumped in place when
 	// its slot's executor set is unchanged across a re-assignment).
 	gen        int64
-	currentGen int64
+	currentGen *generation
 	// lastApplied is the newest assignment ID the supervisor reconciled
 	// on this worker, for idempotency across sync passes.
 	lastApplied int64
@@ -41,7 +43,10 @@ type worker struct {
 	state          workerState
 	spoutHaltUntil sim.Time
 
-	execs    map[topology.ExecutorID]*executor
+	// byDense indexes the worker's executors by dense index - ts.base (nil
+	// for executors of the topology hosted elsewhere): one pointer per
+	// executor of the topology per worker, for a lookup without hashing.
+	byDense  []*executor
 	execList []*executor // sorted by executor ID
 	// inbound buffers messages that arrive while the worker is still
 	// starting — the transport layer keeps retrying connections until the
@@ -54,6 +59,16 @@ func (w *worker) accepting() bool {
 	return w.state == workerStarting || w.state == workerRunning || w.state == workerStopping
 }
 
+// executor returns the worker's executor with the given dense index, nil
+// when it hosts none — which includes every index of another topology (a
+// stale message reaching a slot that changed hands).
+func (w *worker) executor(dense int) *executor {
+	if i := dense - w.ts.base; uint(i) < uint(len(w.byDense)) {
+		return w.byDense[i]
+	}
+	return nil
+}
+
 // processing reports whether executors may service their queues.
 func (w *worker) processing() bool {
 	return w.state == workerRunning || w.state == workerStopping
@@ -62,15 +77,15 @@ func (w *worker) processing() bool {
 // newWorker launches a worker process on a slot for the given executors.
 // It is immediately visible as a process (consuming a context-switch
 // share); its executors come alive after WorkerStartup.
-func (r *Runtime) newWorker(ss *slotState, topo string, gen int64, execIDs []topology.ExecutorID) *worker {
-	app := r.apps[topo]
+func (r *Runtime) newWorker(ns *nodeState, ss *slotState, g *generation, execIDs []topology.ExecutorID) *worker {
+	ts := g.ts
+	app := ts.app
 	w := &worker{
-		rt: r, topo: topo, slot: ss.id,
-		gen: gen, currentGen: gen, lastApplied: gen,
-		state: workerStarting,
-		execs: make(map[topology.ExecutorID]*executor, len(execIDs)),
+		rt: r, ts: ts, slot: ss.id, ns: ns, ss: ss,
+		gen: g.id, currentGen: g, lastApplied: g.id,
+		state:   workerStarting,
+		byDense: make([]*executor, ts.n),
 	}
-	ns := r.nodes[ss.id.Node]
 	ns.activeWorkers++
 	ns.residentExecs += len(execIDs)
 	sorted := append([]topology.ExecutorID(nil), execIDs...)
@@ -78,11 +93,12 @@ func (r *Runtime) newWorker(ss *slotState, topo string, gen int64, execIDs []top
 	for _, eid := range sorted {
 		comp, _ := app.Topology.Component(eid.Component)
 		ex := &executor{
-			w: w, id: eid, dense: r.dense[eid], comp: comp,
-			cost:       app.costFor(eid.Component),
-			pending:    make(map[tuple.ID]*pendingRoot),
-			shuffleCtr: make(map[string]int),
+			w: w, ts: ts, id: eid, dense: r.dense[eid], comp: comp,
+			cost:    app.costFor(eid.Component),
+			pending: make(map[tuple.ID]*pendingRoot),
+			router:  topology.NewRouter(app.Topology, comp, eid.Index),
 		}
+		ex.sem.ex, ex.bem.ex, ex.tick.ex = ex, ex, ex
 		switch {
 		case eid.Component == topology.AckerComponent:
 			ex.kind = ackerExec
@@ -96,7 +112,7 @@ func (r *Runtime) newWorker(ss *slotState, topo string, gen int64, execIDs []top
 			ex.kind = boltExec
 			ex.bolt = app.Bolts[eid.Component]()
 		}
-		w.execs[eid] = ex
+		w.byDense[ex.dense-ts.base] = ex
 		w.execList = append(w.execList, ex)
 	}
 	r.sim.After(r.cfg.WorkerStartup, w.start)
@@ -111,13 +127,12 @@ func (w *worker) start() {
 	}
 	w.state = workerRunning
 	r := w.rt
-	r.emit(trace.WorkerStarted, w.topo, w.slot.String(),
+	r.emit(trace.WorkerStarted, w.ts.name, w.slot.String(),
 		fmt.Sprintf("gen=%d execs=%d", w.gen, len(w.execList)))
 	// Connection-pending messages: the slot's pre-worker buffer first,
 	// then what arrived while this worker was starting.
-	ss := r.nodes[w.slot.Node].slots[w.slot.Port]
-	buffered := append(ss.pending, w.inbound...)
-	ss.pending = nil
+	buffered := append(w.ss.pending, w.inbound...)
+	w.ss.pending = nil
 	w.inbound = nil
 	for _, ex := range w.execList {
 		ctx := &Context{
@@ -130,7 +145,7 @@ func (w *worker) start() {
 		switch ex.kind {
 		case spoutExec:
 			ex.spout.Open(ctx)
-			ex.enqueue(job{kind: jobEmit})
+			ex.enqueue(&emitCycle)
 			startSweep(ex)
 		case boltExec:
 			ex.bolt.Prepare(ctx)
@@ -140,9 +155,10 @@ func (w *worker) start() {
 		}
 	}
 	// Deliver everything that arrived while the connection was pending.
-	for _, m := range buffered {
-		if ex := w.execs[m.target]; ex != nil {
-			ex.enqueue(jobFromMessage(m))
+	for i := range buffered {
+		m := &buffered[i]
+		if ex := w.executor(m.to); ex != nil {
+			ex.enqueue(m)
 		} else {
 			r.drop(m)
 		}
@@ -166,7 +182,7 @@ func startSweep(ex *executor) {
 func (w *worker) stop() {
 	if w.state == workerStarting || w.state == workerRunning {
 		w.state = workerStopping
-		w.rt.emit(trace.WorkerStopping, w.topo, w.slot.String(), "draining")
+		w.rt.emit(trace.WorkerStopping, w.ts.name, w.slot.String(), "draining")
 	}
 }
 
@@ -177,14 +193,12 @@ func (w *worker) kill() {
 		return
 	}
 	w.state = workerDead
-	w.rt.emit(trace.WorkerKilled, w.topo, w.slot.String(), "")
-	ns := w.rt.nodes[w.slot.Node]
-	ns.activeWorkers--
-	ns.residentExecs -= len(w.execList)
+	w.rt.emit(trace.WorkerKilled, w.ts.name, w.slot.String(), "")
+	w.ns.activeWorkers--
+	w.ns.residentExecs -= len(w.execList)
 	for _, ex := range w.execList {
 		ex.dead = true
-		ex.queue = nil
-		ex.head = 0
+		ex.queue = msgRing{}
 	}
 }
 
@@ -193,9 +207,10 @@ func (w *worker) kill() {
 // abruptly; in T-Storm mode old workers drain for ShutdownDelay, new
 // workers register with the slot dispatcher, and spouts halt until bolts
 // are ready (§IV-D).
-func (r *Runtime) reconcileNode(ns *nodeState, topo string, a *cluster.Assignment) {
+func (r *Runtime) reconcileNode(ns *nodeState, g *generation) {
+	a := g.a
 	desired := make(map[int][]topology.ExecutorID)
-	for _, eid := range r.apps[topo].Topology.Executors() {
+	for _, eid := range g.ts.app.Topology.Executors() {
 		s, ok := a.Slot(eid)
 		if !ok || s.Node != ns.node.ID {
 			continue
@@ -213,15 +228,15 @@ func (r *Runtime) reconcileNode(ns *nodeState, topo string, a *cluster.Assignmen
 			cur = nil
 			ss.current = nil
 		}
-		if cur != nil && cur.topo != topo {
+		if cur != nil && cur.ts != g.ts {
 			// Slot owned by another topology; assignments were validated
 			// not to overlap, so nothing to do here.
 			continue
 		}
 		if cur == nil && len(newSet) == 0 {
 			// Nothing runs here and nothing will: connect retries give up.
-			for _, m := range ss.pending {
-				r.drop(m)
+			for i := range ss.pending {
+				r.drop(&ss.pending[i])
 			}
 			ss.pending = nil
 			continue
@@ -233,7 +248,7 @@ func (r *Runtime) reconcileNode(ns *nodeState, topo string, a *cluster.Assignmen
 			// Unchanged slot: the worker survives and serves the new
 			// generation too.
 			cur.lastApplied = a.ID
-			cur.currentGen = a.ID
+			cur.currentGen = g
 			if r.cfg.SmoothReassign {
 				ss.dispatcher.Register(a.ID, cur)
 				cur.spoutHaltUntil = haltUntil
@@ -248,16 +263,16 @@ func (r *Runtime) reconcileNode(ns *nodeState, topo string, a *cluster.Assignmen
 				r.sim.After(r.cfg.ShutdownDelay, func() {
 					old.kill()
 					// Unregister every generation still routing to it.
-					for _, g := range []int64{old.gen, old.currentGen} {
-						if got, ok := ss.dispatcher.Route(g); ok && got == any(old) {
-							ss.dispatcher.Unregister(g)
+					for _, id := range []int64{old.gen, old.currentGen.id} {
+						if got, ok := ss.dispatcher.Route(id); ok && got == any(old) {
+							ss.dispatcher.Unregister(id)
 						}
 					}
 				})
 			}
 			ss.current = nil
 			if len(newSet) > 0 {
-				w := r.newWorker(ss, topo, a.ID, newSet)
+				w := r.newWorker(ns, ss, g, newSet)
 				w.spoutHaltUntil = haltUntil
 				ss.current = w
 				ss.dispatcher.Register(a.ID, w)
@@ -268,7 +283,7 @@ func (r *Runtime) reconcileNode(ns *nodeState, topo string, a *cluster.Assignmen
 			}
 			ss.current = nil
 			if len(newSet) > 0 {
-				ss.current = r.newWorker(ss, topo, a.ID, newSet)
+				ss.current = r.newWorker(ns, ss, g, newSet)
 			}
 		}
 	}

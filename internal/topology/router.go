@@ -35,6 +35,9 @@ type OutStream struct {
 // both.
 type Router struct {
 	streams map[string]*OutStream
+	// def is streams[DefaultStream], the one nearly every emission names:
+	// Stream finds it by comparing the name instead of hashing it.
+	def *OutStream
 	// index is the executor's own task index: the offset that staggers the
 	// round-robin of a component's executors.
 	index   int
@@ -69,12 +72,18 @@ func NewRouter(top *Topology, comp *Component, index int) *Router {
 		}
 		r.streams[stream] = os
 	}
+	r.def = r.streams[DefaultStream]
 	return r
 }
 
 // Stream returns the named output stream, nil when the component does not
 // declare it.
-func (r *Router) Stream(name string) *OutStream { return r.streams[name] }
+func (r *Router) Stream(name string) *OutStream {
+	if name == DefaultStream {
+		return r.def
+	}
+	return r.streams[name]
+}
 
 // Targets picks the receiving task indexes of one emission on one edge.
 // local matters to LocalOrShuffleGrouping only: the consumer's task
