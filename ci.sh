@@ -63,6 +63,17 @@
 # FuzzSchedule smoke then spends 15 s holding the kernel to the map-based
 # reference Algorithm 1 — same assignment, Stats and decision report, and
 # the three per-node constraints wherever no relaxation is flagged.
+# The DES kernel gates are counts too. BenchmarkScheduleFireDepth holds one
+# schedule + fire at queue depths 1 / 4 096 / 65 536: the typed path
+# (AtEvent) at exactly 0 allocs/op, the callback path (At: one event; the
+# Timer stays on the caller's stack when it is not kept) at no more than 2.
+# BenchmarkEngineThroughput runs 200 simulated seconds of Word Count and
+# fails past 1.3 allocs and 60 B per simulated event — twice the 0.64 and
+# 29.6 it measured when the typed-event engine landed (the closure engine
+# read 6.23 and 472); what is left is the bolts' own output values and a
+# few allocations per root. FuzzEventOrder then spends 15 s holding the
+# 4-ary heap to the container/heap queue it replaced on random programs of
+# schedules, cancels, Stops and RunUntil boundaries.
 # The DES goldens (TestGoldenDES) pin whole simulated runs — every engine
 # counter, every latency bucket bit for bit, a hash of the load database
 # after each monitor sample — for each workload under stock Storm and
@@ -114,6 +125,20 @@ go test -count=1 -run '^$' -bench 'Benchmark(Algorithm1|RStorm|Hetero)/^Ne=1000$
 	     END { if (seen != 3) { print "scheduler-round allocation gate: expected 3 benchmarks, saw " seen + 0; exit 1 }
 	           exit bad }'
 go test -count=1 -fuzz 'FuzzSchedule' -fuzztime 15s -run '^$' ./internal/core
+go test -count=1 -run '^$' -bench 'BenchmarkScheduleFireDepth' -benchmem -benchtime 300000x ./internal/sim |
+	awk '/^BenchmarkScheduleFireDepth/ { seen++; allocs = $(NF-1); budget = ($1 ~ /\/typed\//) ? 0 : 2
+	       if (allocs + 0 > budget) { print "DES kernel allocation regression: " $1 " at " allocs " allocs/op (budget " budget ")"; bad = 1 }
+	       else { print "DES kernel allocs/op: " $1 " " allocs " (budget " budget ")" } }
+	     END { if (seen != 6) { print "DES kernel allocation gate: expected 3 depths x 2 paths, saw " seen + 0; exit 1 }
+	           exit bad }'
+go test -count=1 -run '^$' -bench 'BenchmarkEngineThroughput$' -benchtime 1x . |
+	awk 'BEGIN { budget["allocs/event"] = 1.3; budget["B/event"] = 60 }
+	     /^BenchmarkEngineThroughput/ { for (i = 2; i < NF; i++) if ($(i+1) in budget) { seen++; u = $(i+1)
+	         if ($i + 0 > budget[u]) { print "DES allocation regression: " $i " " u " (budget " budget[u] ")"; bad = 1 }
+	         else { print "DES " u ": " $i " (budget " budget[u] ")" } } }
+	     END { if (seen != 2) { print "DES allocation gate: expected allocs/event and B/event, saw " seen + 0; exit 1 }
+	           exit bad }'
+go test -count=1 -fuzz 'FuzzEventOrder' -fuzztime 15s -run '^$' ./internal/sim
 go test -race -count=1 -run 'TestGoldenAssignments' ./internal/scheduler
 go test -count=1 -run 'TestGoldenDES' ./internal/experiment
 go test -race -count=1 -run 'TestHotSwapMidRunReschedulesCleanly' ./internal/live

@@ -135,7 +135,19 @@ func run(fig string, duration time.Duration, seed uint64, csvDir string) error {
 		if err := figure.Chart(os.Stdout, 12, logScale); err != nil {
 			return err
 		}
-		fmt.Printf("(regenerated in %.1fs wall time)\n\n", time.Since(start).Seconds())
+		wall := time.Since(start).Seconds()
+		var events uint64
+		for _, res := range figure.Results {
+			events += res.SimEvents
+		}
+		if events == 0 {
+			fmt.Printf("(regenerated in %.1fs wall time)\n\n", wall)
+		} else {
+			// The simulator's own speed, where people run it: a slow kernel
+			// shows here, not only in bench/.
+			fmt.Printf("(regenerated in %.1fs wall time: %.2f M simulated events, %.2f M events/s)\n\n",
+				wall, float64(events)/1e6, float64(events)/1e6/wall)
+		}
 		if csvDir != "" {
 			if err := os.MkdirAll(csvDir, 0o755); err != nil {
 				return err

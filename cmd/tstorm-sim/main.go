@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"tstorm/internal/experiment"
 	"tstorm/internal/trace"
@@ -67,6 +68,7 @@ func main() {
 		return
 	}
 
+	start := time.Now()
 	res, err := experiment.Run(experiment.Config{
 		Name:      "cli",
 		Workload:  experiment.WorkloadKind(*workload),
@@ -83,6 +85,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tstorm-sim:", err)
 		os.Exit(1)
 	}
+	wall := time.Since(start).Seconds()
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -128,7 +131,8 @@ func main() {
 	if res.SinkWrites > 0 {
 		fmt.Printf("sink writes      %10d\n", res.SinkWrites)
 	}
-	fmt.Printf("sim events       %10d\n", res.SimEvents)
+	fmt.Printf("sim events       %10d (%.2f M events/s over %.1f s wall)\n",
+		res.SimEvents, float64(res.SimEvents)/1e6/wall, wall)
 
 	fmt.Println("\nfinal placement:")
 	for _, row := range res.Placement {

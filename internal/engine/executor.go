@@ -140,7 +140,8 @@ func (ex *executor) enqueue(m *message) {
 	ex.maybeStart()
 }
 
-// emitCycle is the message a spout queues for itself to run NextTuple.
+// emitCycle is the message a spout queues for itself to run NextTuple
+// (enqueue copies it; nothing writes to it).
 var emitCycle = message{kind: msgEmit}
 
 // emitTick is a spout's next emit cycle coming due. Each cycle schedules
@@ -165,7 +166,7 @@ func (ex *executor) maybeStart() {
 	rt.cpu[ex.dense] += cycles
 	ex.stats().CPUCycles += cycles
 	dur := time.Duration(cycles / (speed * 1e6) * float64(time.Second))
-	if dur < 0 {
+	if dur < 0 { // a CostFn may return anything; After clamped too
 		dur = 0
 	}
 	rt.sim.AtEvent(rt.sim.Now().Add(dur), ex)

@@ -302,11 +302,10 @@ func (h *holdEvent) next() Time {
 }
 
 func (h *holdEvent) Fire() {
+	h.e.AtEvent(h.next(), h)
 	if *h.left--; *h.left <= 0 {
 		h.e.Stop()
-		return
 	}
-	h.e.AtEvent(h.next(), h)
 }
 
 // BenchmarkScheduleFireDepth measures one schedule + fire with the queue
@@ -322,11 +321,10 @@ func BenchmarkScheduleFireDepth(b *testing.B) {
 				h := &holdEvent{e: e, x: uint64(i), left: &left}
 				var fn func()
 				fn = func() {
+					e.At(h.next(), fn)
 					if left--; left <= 0 {
 						e.Stop()
-						return
 					}
-					e.At(h.next(), fn)
 				}
 				e.At(h.next(), fn)
 			}
