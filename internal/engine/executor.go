@@ -274,8 +274,8 @@ func (ex *executor) flushSpoutEmits(now sim.Time) {
 		cs.Emitted += int64(len(msgs))
 		if re.root == 0 {
 			// Unanchored: just send the data.
-			for i := range msgs {
-				rt.send(ex, gen, &msgs[i])
+			for k := range msgs {
+				rt.send(ex, gen, &msgs[k])
 			}
 			continue
 		}
@@ -294,8 +294,8 @@ func (ex *executor) flushSpoutEmits(now sim.Time) {
 		p.timer = rt.sim.After(rt.cfg.MessageTimeout, func() {
 			ex.timeoutRoot(root)
 		})
-		for i := range msgs {
-			rt.send(ex, gen, &msgs[i])
+		for k := range msgs {
+			rt.send(ex, gen, &msgs[k])
 		}
 		if ex.ts.ackers > 0 {
 			rt.send(ex, gen, &message{
@@ -451,16 +451,7 @@ func (ex *executor) routeEmission(stream string, vals tuple.Values, root tuple.I
 				eid = rt.newID()
 				xorAcc ^= eid
 			}
-			ex.out = append(ex.out, message{
-				kind: msgData,
-				to:   ex.ts.base + e.First + idx,
-				in: tuple.Tuple{
-					Root: root, Edge: eid, Stream: stream,
-					SrcComponent: ex.comp.Name, SrcTask: ex.id.Index,
-					Values: vals, Size: size,
-				},
-				size: size,
-			})
+			ex.emitData(ex.ts.base+e.First+idx, stream, vals, size, root, eid)
 			n++
 		}
 	}
@@ -498,18 +489,23 @@ func (ex *executor) routeDirect(consumer string, taskIndex int, stream string, v
 	if root != 0 {
 		eid = rt.newID()
 	}
-	size := tuple.SizeOf(vals)
+	to := rt.dense[topology.ExecutorID{Topology: ex.id.Topology, Component: consumer, Index: taskIndex}]
+	ex.emitData(to, stream, vals, tuple.SizeOf(vals), root, eid)
+	return eid, true
+}
+
+// emitData appends one data tuple for the executor with dense index to.
+func (ex *executor) emitData(to int, stream string, vals tuple.Values, size int, root, edge tuple.ID) {
 	ex.out = append(ex.out, message{
 		kind: msgData,
-		to:   rt.dense[topology.ExecutorID{Topology: ex.id.Topology, Component: consumer, Index: taskIndex}],
+		to:   to,
 		in: tuple.Tuple{
-			Root: root, Edge: eid, Stream: stream,
+			Root: root, Edge: edge, Stream: stream,
 			SrcComponent: ex.comp.Name, SrcTask: ex.id.Index,
 			Values: vals, Size: size,
 		},
 		size: size,
 	})
-	return eid, true
 }
 
 // spoutEmitter is the SpoutEmitter a spout's NextTuple gets: every

@@ -35,7 +35,7 @@ func (r *Runtime) KillTopology(topo string) error {
 	}
 	r.emit(trace.TopologyKilled, topo, "", "")
 	_ = r.coord.Delete(AssignmentPath(topo))
-	ts.current, ts.app = nil, nil
+	ts.current, ts.killed = nil, true
 	for i, name := range r.appOrder {
 		if name == topo {
 			r.appOrder = append(r.appOrder[:i], r.appOrder[i+1:]...)

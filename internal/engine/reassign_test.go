@@ -346,3 +346,82 @@ func TestCyclesHelpers(t *testing.T) {
 		t.Fatalf("PerByteCost = %v, want 20", p(tuple.Tuple{Size: 5}))
 	}
 }
+
+// directForwardBolt records its input, forwards it and also sends it
+// straight to sink task 0.
+type directForwardBolt struct{ rec *recorder }
+
+func (b *directForwardBolt) Prepare(*Context) {}
+func (b *directForwardBolt) Execute(in tuple.Tuple, em Emitter) {
+	b.rec.byTask[0] = append(b.rec.byTask[0], in.Values[0].(int))
+	em.Emit("", in.Values)
+	em.EmitDirect("tap", 0, "", in.Values)
+}
+
+// A worker that is draining after a smooth re-assignment is no longer its
+// slot's current worker, so KillTopology leaves it to its shutdown delay:
+// it keeps executing — and emitting, by both routes — for a topology that
+// is already gone.
+func TestKillTopologyWhileOldWorkerDrains(t *testing.T) {
+	cl := testCluster(t, 2)
+	rt := mustRuntime(t, TStormConfig(), cl)
+	b := topology.NewBuilder("test", 4)
+	b.SetAckers(1)
+	b.Spout("spout", 1).Output("default", "v")
+	b.Bolt("mid", 1).Shuffle("spout").Output("default", "v")
+	b.Bolt("sink", 1).Shuffle("mid")
+	b.Bolt("tap", 1).Direct("mid")
+	top, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	midRec := newRecorder()
+	app := &App{
+		Topology: top,
+		Spouts:   map[string]func() Spout{"spout": func() Spout { return &testSpout{} }},
+		Bolts: map[string]func() Bolt{
+			"mid":  func() Bolt { return &directForwardBolt{rec: midRec} },
+			"sink": func() Bolt { return &recordBolt{rec: newRecorder()} },
+			"tap":  func() Bolt { return &recordBolt{rec: newRecorder()} },
+		},
+		SpoutInterval: map[string]time.Duration{"spout": 5 * time.Millisecond},
+		// Slower than the spout, so mid's queue is never empty.
+		Costs: map[string]CostFn{"mid": ConstCost(Cycles(8*time.Millisecond, 2000))},
+	}
+	slotA := cluster.SlotID{Node: "node01", Port: cluster.BasePort}
+	slotB := cluster.SlotID{Node: "node01", Port: cluster.BasePort + 1}
+	slotC := cluster.SlotID{Node: "node02", Port: cluster.BasePort}
+	mid := topology.ExecutorID{Topology: "test", Component: "mid", Index: 0}
+	initial := cluster.NewAssignment(0)
+	for _, e := range top.Executors() {
+		initial.Assign(e, slotA)
+	}
+	initial.Assign(mid, slotB)
+	if err := rt.Submit(app, initial); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RunFor(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	next := initial.Clone()
+	next.ID = 0
+	next.Assign(mid, slotC)
+	if err := rt.PublishAssignment("test", next); err != nil {
+		t.Fatal(err)
+	}
+	// node01's supervisor syncs at 21 s and puts mid's old worker into its
+	// 20-second drain.
+	if err := rt.RunFor(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.KillTopology("test"); err != nil {
+		t.Fatal(err)
+	}
+	before := midRec.total()
+	if err := rt.RunFor(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if midRec.total() == before {
+		t.Fatal("the draining worker executed nothing after the kill: the scenario is not exercised")
+	}
+}

@@ -182,9 +182,12 @@ const maxSlotPending = 100000
 // topoOf table hold one); only the cold paths look it up by name.
 type topoState struct {
 	name string
-	// app is nil once the topology was killed; its metrics stay readable.
-	app *App
-	tm  *TopologyMetrics
+	app  *App
+	tm   *TopologyMetrics
+	// killed is set by KillTopology: the name may be submitted again, the
+	// metrics stay readable, and workers still draining keep running on
+	// app until their shutdown delay ends.
+	killed bool
 	// The topology's executors are the dense indexes base..base+n-1, in
 	// Topology.Executors() order; its acker task i is ackerBase+i.
 	base, n           int
@@ -359,7 +362,7 @@ func (r *Runtime) Submit(app *App, initial *cluster.Assignment) error {
 
 // running returns the state of a submitted topology that was not killed.
 func (r *Runtime) running(topo string) *topoState {
-	if ts := r.topos[topo]; ts != nil && ts.app != nil {
+	if ts := r.topos[topo]; ts != nil && !ts.killed {
 		return ts
 	}
 	return nil
@@ -609,7 +612,7 @@ func (r *Runtime) send(from *executor, gen *generation, m *message) {
 	m.gen = gen
 	dst := gen.place[m.to-ts.base]
 	src := from.w
-	hop := transport.Classify(src.slot, dst.ss.id)
+	hop := transport.Classify(src.ss.id, dst.ss.id)
 	arrive := r.sim.Now()
 	if hop != transport.HopLocal {
 		ser := r.cfg.Cost.SerializeCycles(m.size)

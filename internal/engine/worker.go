@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tstorm/internal/acker"
-	"tstorm/internal/cluster"
 	"tstorm/internal/sim"
 	"tstorm/internal/topology"
 	"tstorm/internal/trace"
@@ -26,11 +25,10 @@ const (
 // worker is one worker process (JVM analog) on a slot, hosting executors
 // of exactly one topology for one assignment generation.
 type worker struct {
-	rt   *Runtime
-	ts   *topoState
-	slot cluster.SlotID
-	ns   *nodeState
-	ss   *slotState
+	rt *Runtime
+	ts *topoState
+	ns *nodeState
+	ss *slotState
 	// gen is the assignment generation the worker was created for;
 	// currentGen is the newest generation it serves (bumped in place when
 	// its slot's executor set is unchanged across a re-assignment).
@@ -81,7 +79,7 @@ func (r *Runtime) newWorker(ns *nodeState, ss *slotState, g *generation, execIDs
 	ts := g.ts
 	app := ts.app
 	w := &worker{
-		rt: r, ts: ts, slot: ss.id, ns: ns, ss: ss,
+		rt: r, ts: ts, ns: ns, ss: ss,
 		gen: g.id, currentGen: g, lastApplied: g.id,
 		state:   workerStarting,
 		byDense: make([]*executor, ts.n),
@@ -127,7 +125,7 @@ func (w *worker) start() {
 	}
 	w.state = workerRunning
 	r := w.rt
-	r.emit(trace.WorkerStarted, w.ts.name, w.slot.String(),
+	r.emit(trace.WorkerStarted, w.ts.name, w.ss.id.String(),
 		fmt.Sprintf("gen=%d execs=%d", w.gen, len(w.execList)))
 	// Connection-pending messages: the slot's pre-worker buffer first,
 	// then what arrived while this worker was starting.
@@ -182,7 +180,7 @@ func startSweep(ex *executor) {
 func (w *worker) stop() {
 	if w.state == workerStarting || w.state == workerRunning {
 		w.state = workerStopping
-		w.rt.emit(trace.WorkerStopping, w.ts.name, w.slot.String(), "draining")
+		w.rt.emit(trace.WorkerStopping, w.ts.name, w.ss.id.String(), "draining")
 	}
 }
 
@@ -193,7 +191,7 @@ func (w *worker) kill() {
 		return
 	}
 	w.state = workerDead
-	w.rt.emit(trace.WorkerKilled, w.ts.name, w.slot.String(), "")
+	w.rt.emit(trace.WorkerKilled, w.ts.name, w.ss.id.String(), "")
 	w.ns.activeWorkers--
 	w.ns.residentExecs -= len(w.execList)
 	for _, ex := range w.execList {

@@ -1,0 +1,34 @@
+package experiment
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// BenchmarkSimulatedEvent runs 200 simulated seconds of Word Count under
+// stock Storm and reports what one simulated event costs: wall time as
+// sim-events/s, and the allocator as allocs/event and B/event from
+// runtime.MemStats. The last two are counts, so they repeat and ci.sh
+// gates them; what the engine itself still allocates is a root's pending
+// record and cancellable timeout, the rest is the bolts building their
+// output values.
+func BenchmarkSimulatedEvent(b *testing.B) {
+	var events uint64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < b.N; i++ {
+		res, err := Run(Config{
+			Name: "speed", Workload: WorkloadWordCount,
+			Scheduler: SchedStormDefault, Duration: 200 * time.Second,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.SimEvents
+	}
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "sim-events/s")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(events), "allocs/event")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(events), "B/event")
+}

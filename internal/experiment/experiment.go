@@ -314,17 +314,27 @@ func start(cfg *Config) (*session, error) {
 	default:
 		return s, nil
 	}
-	s.db = loaddb.New(0.5)
-	monitor.Start(rt, s.db, monitor.DefaultPeriod)
 	if cfg.GenerationPeriod > 0 {
 		gcfg.GenerationPeriod = cfg.GenerationPeriod
 	}
-	if _, err := core.StartGenerator(rt, s.db, gcfg, algo); err != nil {
+	if err := s.reschedule(gcfg, algo); err != nil {
 		cleanup()
 		return nil, err
 	}
-	core.StartCustomScheduler(rt, core.DefaultFetchPeriod)
 	return s, nil
+}
+
+// reschedule attaches the runtime-rescheduling stack of §IV: load monitors
+// feeding a fresh load database, a generator running algo over it, and the
+// custom scheduler that applies what the generator publishes.
+func (s *session) reschedule(gcfg core.GeneratorConfig, algo scheduler.Algorithm) error {
+	s.db = loaddb.New(0.5)
+	monitor.Start(s.rt, s.db, monitor.DefaultPeriod)
+	if _, err := core.StartGenerator(s.rt, s.db, gcfg, algo); err != nil {
+		return err
+	}
+	core.StartCustomScheduler(s.rt, core.DefaultFetchPeriod)
+	return nil
 }
 
 // result collects the finished run's series and counters.

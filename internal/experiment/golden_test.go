@@ -316,18 +316,15 @@ func desCases() []desCase {
 	return cases
 }
 
-// tstormStack attaches monitors, a generator running Algorithm 1 and the
-// custom scheduler to a hand-built runtime, as start does for SchedTStorm.
+// tstormStack attaches the T-Storm stack to a hand-built runtime, as start
+// does for SchedTStorm.
 func tstormStack(t *testing.T, s *session, gamma float64, period time.Duration) {
 	t.Helper()
-	s.db = loaddb.New(0.5)
-	monitor.Start(s.rt, s.db, monitor.DefaultPeriod)
 	gcfg := core.DefaultGeneratorConfig()
 	gcfg.GenerationPeriod = period
-	if _, err := core.StartGenerator(s.rt, s.db, gcfg, core.NewTrafficAware(gamma)); err != nil {
+	if err := s.reschedule(gcfg, core.NewTrafficAware(gamma)); err != nil {
 		t.Fatal(err)
 	}
-	core.StartCustomScheduler(s.rt, core.DefaultFetchPeriod)
 }
 
 func handBuilt(t *testing.T, ecfg engine.Config, nodes int) (*session, *cluster.Cluster) {
