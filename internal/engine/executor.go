@@ -78,8 +78,9 @@ type rootEmit struct {
 // produces until that event releases it to the fabric: cur, the message in
 // service; out, the messages its execution sends; for a spout's emit
 // cycle roots, which cuts out into per-root runs. The emitters handed to
-// user code write into these buffers, which is why an emitter is valid
-// only during the NextTuple or Execute call it was passed to.
+// user code are the executor under another type (spoutEmitter,
+// boltEmitter) and write into these buffers, which is why an emitter is
+// valid only during the NextTuple or Execute call it was passed to.
 type executor struct {
 	w     *worker
 	ts    *topoState
@@ -104,9 +105,6 @@ type executor struct {
 	out    []message
 	roots  []rootEmit
 	xorAcc tuple.ID // bolt: XOR of the edge IDs emitted while serving cur
-	sem    spoutEmitter
-	bem    boltEmitter
-	tick   emitTick
 
 	router *topology.Router
 	local  []int // LocalOrShuffleGrouping scratch
@@ -144,11 +142,12 @@ func (ex *executor) enqueue(m *message) {
 // (enqueue copies it; nothing writes to it).
 var emitCycle = message{kind: msgEmit}
 
-// emitTick is a spout's next emit cycle coming due. Each cycle schedules
-// the next one when its service period ends, so one is outstanding at most.
-type emitTick struct{ ex *executor }
+// emitTick is a spout executor as the event of its next emit cycle coming
+// due. Each cycle schedules the next one when its service period ends, so
+// one is outstanding at most.
+type emitTick executor
 
-func (t *emitTick) Fire() { t.ex.enqueue(&emitCycle) }
+func (t *emitTick) Fire() { (*executor)(t).enqueue(&emitCycle) }
 
 // maybeStart begins servicing the queue head if the executor is idle and
 // its worker is processing. User code runs at service start; its
@@ -182,7 +181,7 @@ func (ex *executor) Fire() {
 	rt := ex.rt()
 	if ex.cur.kind == msgEmit {
 		ex.flushSpoutEmits(rt.sim.Now())
-		rt.sim.AtEvent(rt.sim.Now().Add(ex.interval), &ex.tick)
+		rt.sim.AtEvent(rt.sim.Now().Add(ex.interval), (*emitTick)(ex))
 	} else {
 		for i := range ex.out {
 			rt.send(ex, ex.cur.gen, &ex.out[i])
@@ -249,7 +248,7 @@ func (ex *executor) executeEmit() float64 {
 	cycles := spoutLoopCost
 	if ex.w.state == workerRunning && rt.sim.Now() >= ex.w.spoutHaltUntil &&
 		(ex.maxPending == 0 || ex.outstanding < ex.maxPending) {
-		ex.spout.NextTuple(&ex.sem)
+		ex.spout.NextTuple((*spoutEmitter)(ex))
 		for range ex.roots {
 			cycles += ex.cost(tuple.Tuple{})
 		}
@@ -328,7 +327,7 @@ func (ex *executor) timeoutRoot(root tuple.ID) {
 // behind whatever the bolt emitted.
 func (ex *executor) executeData(j *message) float64 {
 	ex.processed++
-	ex.bolt.Execute(j.in, &ex.bem)
+	ex.bolt.Execute(j.in, (*boltEmitter)(ex))
 	cs := ex.stats()
 	cs.Executed++
 	cs.Emitted += int64(len(ex.out))
@@ -508,20 +507,21 @@ func (ex *executor) emitData(to int, stream string, vals tuple.Values, size int,
 	})
 }
 
-// spoutEmitter is the SpoutEmitter a spout's NextTuple gets: every
-// emission becomes one entry of its executor's roots.
-type spoutEmitter struct{ ex *executor }
+// spoutEmitter is a spout executor as the SpoutEmitter its NextTuple gets:
+// every emission becomes one entry of the executor's roots.
+type spoutEmitter executor
 
 var _ SpoutEmitter = (*spoutEmitter)(nil)
 
 func (e *spoutEmitter) Emit(stream string, vals tuple.Values) {
-	if n, _, ok := e.ex.routeEmission(stream, vals, 0); ok {
-		e.ex.roots = append(e.ex.roots, rootEmit{n: n})
+	ex := (*executor)(e)
+	if n, _, ok := ex.routeEmission(stream, vals, 0); ok {
+		ex.roots = append(ex.roots, rootEmit{n: n})
 	}
 }
 
 func (e *spoutEmitter) EmitWithID(stream string, vals tuple.Values, msgID any) {
-	ex := e.ex
+	ex := (*executor)(e)
 	root := tuple.ID(0)
 	if ex.ts.ackers > 0 {
 		root = ex.rt().newID()
@@ -532,25 +532,28 @@ func (e *spoutEmitter) EmitWithID(stream string, vals tuple.Values, msgID any) {
 }
 
 func (e *spoutEmitter) EmitDirect(consumer string, taskIndex int, stream string, vals tuple.Values) {
-	if _, ok := e.ex.routeDirect(consumer, taskIndex, stream, vals, 0); ok {
-		e.ex.roots = append(e.ex.roots, rootEmit{n: 1})
+	ex := (*executor)(e)
+	if _, ok := ex.routeDirect(consumer, taskIndex, stream, vals, 0); ok {
+		ex.roots = append(ex.roots, rootEmit{n: 1})
 	}
 }
 
-// boltEmitter is the Emitter a bolt's Execute gets: emissions are anchored
-// to the tuple in service.
-type boltEmitter struct{ ex *executor }
+// boltEmitter is a bolt executor as the Emitter its Execute gets:
+// emissions are anchored to the tuple in service.
+type boltEmitter executor
 
 var _ Emitter = (*boltEmitter)(nil)
 
 func (e *boltEmitter) Emit(stream string, vals tuple.Values) {
-	if _, xorAcc, ok := e.ex.routeEmission(stream, vals, e.ex.cur.in.Root); ok {
-		e.ex.xorAcc ^= xorAcc
+	ex := (*executor)(e)
+	if _, xorAcc, ok := ex.routeEmission(stream, vals, ex.cur.in.Root); ok {
+		ex.xorAcc ^= xorAcc
 	}
 }
 
 func (e *boltEmitter) EmitDirect(consumer string, taskIndex int, stream string, vals tuple.Values) {
-	if eid, ok := e.ex.routeDirect(consumer, taskIndex, stream, vals, e.ex.cur.in.Root); ok {
-		e.ex.xorAcc ^= eid
+	ex := (*executor)(e)
+	if eid, ok := ex.routeDirect(consumer, taskIndex, stream, vals, ex.cur.in.Root); ok {
+		ex.xorAcc ^= eid
 	}
 }

@@ -96,7 +96,6 @@ func (r *Runtime) newWorker(ns *nodeState, ss *slotState, g *generation, execIDs
 			pending: make(map[tuple.ID]*pendingRoot),
 			router:  topology.NewRouter(app.Topology, comp, eid.Index),
 		}
-		ex.sem.ex, ex.bem.ex, ex.tick.ex = ex, ex, ex
 		switch {
 		case eid.Component == topology.AckerComponent:
 			ex.kind = ackerExec

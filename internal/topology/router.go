@@ -9,23 +9,21 @@ import "tstorm/internal/tuple"
 // path free of topology walks, string-keyed counters and slice allocations.
 type OutEdge struct {
 	Edge ConsumerEdge
-	// Par is the consumer's parallelism.
-	Par int
 	// First is the position of the consumer's task 0 in
 	// Topology.Executors(), so a task index resolves to an executor by
 	// addition.
 	First int
 
+	par      int   // consumer parallelism
 	fieldIdx []int // FieldsGrouping: schema indexes of the grouping fields
 	ctr      int   // shuffle / local-or-shuffle round-robin position
 }
 
-// OutStream is one declared output stream: its schema and its consumer
-// edges in declaration order. Direct-grouping subscribers are left out —
-// only EmitDirect reaches them.
+// OutStream is one declared output stream: its consumer edges in
+// declaration order. Direct-grouping subscribers are left out — only
+// EmitDirect reaches them.
 type OutStream struct {
-	Schema tuple.Fields
-	Edges  []OutEdge
+	Edges []OutEdge
 }
 
 // Router is one executor's routing state: every output stream of its
@@ -55,12 +53,12 @@ func NewRouter(top *Topology, comp *Component, index int) *Router {
 	}
 	r := &Router{streams: make(map[string]*OutStream, len(comp.Outputs)), index: index}
 	for stream, schema := range comp.Outputs {
-		os := &OutStream{Schema: schema}
+		os := &OutStream{}
 		for _, edge := range top.Consumers(comp.Name, stream) {
 			if edge.Grouping.Type == DirectGrouping {
 				continue
 			}
-			oe := OutEdge{Edge: edge, Par: top.components[edge.Consumer].Parallelism, First: first[edge.Consumer]}
+			oe := OutEdge{Edge: edge, First: first[edge.Consumer], par: top.components[edge.Consumer].Parallelism}
 			if edge.Grouping.Type == FieldsGrouping {
 				for _, fn := range edge.Grouping.FieldNames {
 					if idx, ok := schema.Index(fn); ok {
@@ -96,14 +94,14 @@ func (r *Router) Targets(e *OutEdge, vals tuple.Values, local []int) []int {
 	case ShuffleGrouping:
 		i := e.ctr
 		e.ctr++
-		out = append(out, (i+r.index)%e.Par)
+		out = append(out, (i+r.index)%e.par)
 	case LocalOrShuffleGrouping:
 		i := e.ctr
 		e.ctr++
 		if len(local) > 0 {
 			out = append(out, local[(i+r.index)%len(local)])
 		} else {
-			out = append(out, (i+r.index)%e.Par)
+			out = append(out, (i+r.index)%e.par)
 		}
 	case FieldsGrouping:
 		key := r.key[:0]
@@ -115,9 +113,9 @@ func (r *Router) Targets(e *OutEdge, vals tuple.Values, local []int) []int {
 			key = append(key, '\x1f')
 		}
 		r.key = key
-		out = append(out, tuple.HashKeyBytes(key, e.Par))
+		out = append(out, tuple.HashKeyBytes(key, e.par))
 	case AllGrouping:
-		for i := 0; i < e.Par; i++ {
+		for i := 0; i < e.par; i++ {
 			out = append(out, i)
 		}
 	case GlobalGrouping:
