@@ -425,3 +425,37 @@ func TestKillTopologyWhileOldWorkerDrains(t *testing.T) {
 		t.Fatal("the draining worker executed nothing after the kill: the scenario is not exercised")
 	}
 }
+
+// A killed topology's name can be submitted again: the new incarnation gets
+// fresh dense indexes and fresh metrics, and runs.
+func TestResubmitAfterKill(t *testing.T) {
+	cl := testCluster(t, 1)
+	rt := mustRuntime(t, DefaultConfig(), cl)
+	submit := func() {
+		t.Helper()
+		app := chainApp(t, &testSpout{}, newRecorder(), newRecorder(), 2, 1)
+		if err := rt.Submit(app, packAll(app.Topology, cl)); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.RunFor(20 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit()
+	first := rt.Metrics("test")
+	n := rt.NumExecutors()
+	if first.Completions == 0 {
+		t.Fatal("first incarnation completed nothing")
+	}
+	if err := rt.KillTopology("test"); err != nil {
+		t.Fatal(err)
+	}
+	submit()
+	second := rt.Metrics("test")
+	if second == first || second.Completions == 0 {
+		t.Fatalf("second incarnation: same metrics %v, completions %d", second == first, second.Completions)
+	}
+	if rt.NumExecutors() != 2*n {
+		t.Fatalf("%d executors registered after resubmission, want %d", rt.NumExecutors(), 2*n)
+	}
+}

@@ -7,20 +7,21 @@ import (
 )
 
 // BenchmarkSimulatedEvent runs 200 simulated seconds of Word Count under
-// stock Storm and reports what one simulated event costs: wall time as
-// sim-events/s, and the allocator as allocs/event and B/event from
-// runtime.MemStats. The last two are counts, so they repeat and ci.sh
-// gates them; what the engine itself still allocates is a root's pending
-// record and cancellable timeout, the rest is the bolts building their
-// output values.
+// T-Storm (γ = 1.8, ten nodes, Algorithm 1's re-assignment at 40 s; the run
+// bench/'s plan-sim workload times: 2 779 171 events) and reports what one
+// simulated event costs: wall time as sim-events/s, and the allocator as
+// allocs/event and B/event from runtime.MemStats. The last two are counts,
+// so they repeat and ci.sh gates them; what the engine itself still
+// allocates is a root's pending record and cancellable timeout, the rest is
+// the bolts building their output values.
 func BenchmarkSimulatedEvent(b *testing.B) {
 	var events uint64
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < b.N; i++ {
 		res, err := Run(Config{
-			Name: "speed", Workload: WorkloadWordCount,
-			Scheduler: SchedStormDefault, Duration: 200 * time.Second,
+			Name: "speed", Workload: WorkloadWordCount, Scheduler: SchedTStorm, Gamma: 1.8,
+			Nodes: 10, Duration: 200 * time.Second, Seed: 1, GenerationPeriod: 40 * time.Second,
 		})
 		if err != nil {
 			b.Fatal(err)
