@@ -72,9 +72,9 @@
 # past 1.3 allocs and 40 B per simulated event: twice the 0.625 and 19.2 it
 # measured when the typed-event engine landed (the closure engine read 6.20
 # and 458); what is left is the bolts' own output values and a few
-# allocations per root. FuzzEventOrder then spends
-# 15 s holding the 4-ary heap to the container/heap queue it replaced on
-# random programs of schedules, cancels, Stops and RunUntil boundaries.
+# allocations per root. FuzzEventOrder then spends 15 s holding the 4-ary
+# heap to the container/heap queue it replaced on random programs of
+# schedules, cancels, Stops and RunUntil boundaries.
 # The DES goldens (TestGoldenDES) pin whole simulated runs — every engine
 # counter, every latency bucket bit for bit, a hash of the load database
 # after each monitor sample — for each workload under stock Storm and
