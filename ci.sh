@@ -20,6 +20,13 @@
 # reschedule) runs twice under the race detector: fault injection +
 # supervised restart are timing-sensitive, and each test asserts
 # at-least-once conservation (every spout root acked or replayed).
+# The queue-bound tests run 20 times under the race detector: senders
+# charge a bolt's tuple count before they enqueue and park on a one-slot
+# wake channel at the bound, so a lost wake-up wedges a sender forever and
+# a missed credit leaves the count above 0 after the queue is empty — on
+# every path that moves or drops a batch (crash, node failure, live and
+# cross-process migration, Stop). TestMonitorGaugesAndSampleEvents rides
+# along: Samples() must never run ahead of the monitor-sampled events.
 # The distributed smoke runs explicitly under the race detector: real
 # worker processes are spawned over loopback TCP, one is killed with a
 # real SIGKILL, and the tests assert supervised respawn plus exact
@@ -112,6 +119,7 @@ go test -race -count=1 -run 'TestRoutingSnapshotStress|TestRouteObservesSinglePl
 go test -race -count=1 -run 'TestScrapeUnderChurnStress|TestHealthUnderChurnStress' ./internal/telemetry
 go test -race -count=50 -run 'TestReadersRaceWriter' ./internal/tsdb
 go test -race -count=2 -run 'TestChaos|TestReliabilityParityShape' ./internal/live
+go test -race -count=20 -run 'TestQueueBound|TestQueueCount|TestSaturatedWordCountApplyDrains|TestMonitorGaugesAndSampleEvents' ./internal/live
 go test -race -count=1 -run 'TestDistributed|TestStaleGen' ./internal/dist
 go test -count=1 -run '^$' -bench 'BenchmarkEmit|BenchmarkPoolRoundTrip' -benchmem ./internal/live |
 	awk '/^Benchmark(Emit|PoolRoundTrip)/ { seen++; allocs = $(NF-1); budget = ($1 ~ /^BenchmarkEmit/) ? 1 : 0

@@ -31,7 +31,7 @@ type livePhase struct {
 	P50LatencyMs   float64 `json:"p50_latency_ms"`
 	P95LatencyMs   float64 `json:"p95_latency_ms"`
 	P99LatencyMs   float64 `json:"p99_latency_ms"`
-	PeakQueueDepth int     `json:"peak_queue_depth"` // deepest input queue seen, in delivery batches
+	PeakQueueDepth int     `json:"peak_queue_depth"` // deepest input queue seen, in tuples
 }
 
 // liveRun is one measured configuration of the live benchmark.

@@ -63,7 +63,7 @@ type workerDoc struct {
 	Alive    bool  `json:"alive"`
 	Restarts int   `json:"restarts"`
 	Pending  int64 `json:"pending"`
-	Dropped  int64 `json:"dropped_frames"`
+	Dropped  int64 `json:"dropped_tuples"`
 }
 
 // workersDoc mirrors the /debug/workers response.
@@ -208,7 +208,7 @@ func renderFrame(w io.Writer, f *frame) {
 			{"completion_p99_ms", "completion p99", false, "ms"},
 			{"inter_node_fraction", "inter-node frac", false, ""},
 			{"queue_saturation", "queue saturation", false, ""},
-			{"max_queue_depth", "max queue depth", false, "batches"},
+			{"max_queue_depth", "max queue depth", false, "tuples"},
 			{"pending_roots", "pending roots", false, ""},
 			{"failed_roots_total", "fail rate", true, "roots/s"},
 			{"workers_alive", "workers alive", false, ""},
@@ -264,7 +264,7 @@ func renderFrame(w io.Writer, f *frame) {
 			if !ww.Alive {
 				state = "DOWN"
 			}
-			fmt.Fprintf(w, "  %s:%-5d %-4s pid=%-7d restarts=%-3d pending=%-6d dropped_frames=%d\n",
+			fmt.Fprintf(w, "  %s:%-5d %-4s pid=%-7d restarts=%-3d pending=%-6d dropped_tuples=%d\n",
 				ww.Slot.Node, ww.Slot.Port, state, ww.PID, ww.Restarts, ww.Pending, ww.Dropped)
 		}
 	}

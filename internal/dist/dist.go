@@ -32,10 +32,9 @@ type Config struct {
 	SlotsPerNode int
 
 	// Worker-engine knobs, shipped to every worker verbatim.
-	Seed          uint64
-	QueueCapacity int
-	AckTimeout    time.Duration
-	MaxPending    int
+	Seed       uint64
+	AckTimeout time.Duration
+	MaxPending int
 
 	// MaxHops bounds mid-migration frame forwarding (default 3).
 	MaxHops int
@@ -138,7 +137,7 @@ type workerHandle struct {
 	lastTotals  live.Totals
 	lastAudits  []auditEntry
 	lastPending int64
-	// lastDropped is the current incarnation's dropped-frames count;
+	// lastDropped is the current incarnation's dropped-tuples count;
 	// retiredDropped sums those of the slot's dead incarnations.
 	lastDropped    int64
 	retiredDropped int64
@@ -190,7 +189,7 @@ func (h *workerHandle) storeStatus(m *msg) {
 	}
 	h.lastAudits = m.Audits
 	h.lastPending = m.Pending
-	h.lastDropped = m.DroppedFrames
+	h.lastDropped = m.DroppedTuples
 	h.lastBeat = time.Now()
 	h.mu.Unlock()
 }
@@ -875,11 +874,11 @@ type WorkerStatus struct {
 	Restarts int            `json:"restarts"`
 	DataAddr string         `json:"data_addr"`
 	Pending  int64          `json:"pending"`
-	// DroppedFrames counts data-plane frames this slot's worker (all its
-	// incarnations) could not get to a peer: no route, dial refused, or
-	// shed by a peer writer after a write error or deadline. The tuples in
-	// them are what at-least-once replay re-sends.
-	DroppedFrames int64 `json:"dropped_frames"`
+	// DroppedTuples counts the tuples in data-plane frames this slot's
+	// worker (all its incarnations) could not get to a peer: no route, dial
+	// refused, or shed by a peer writer after a write error or deadline.
+	// They are what at-least-once replay re-sends.
+	DroppedTuples int64 `json:"dropped_tuples"`
 	// LastBeat is when the current incarnation last reported status
 	// (zero before its first heartbeat).
 	LastBeat time.Time `json:"last_beat,omitempty"`
@@ -903,7 +902,7 @@ func (e *Engine) Workers() []WorkerStatus {
 			Pending:  h.lastPending,
 			LastBeat: h.lastBeat,
 			// Retired incarnations included: a kill -9 must not zero it.
-			DroppedFrames: h.retiredDropped + h.lastDropped,
+			DroppedTuples: h.retiredDropped + h.lastDropped,
 		})
 		h.mu.Unlock()
 	}

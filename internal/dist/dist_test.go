@@ -221,9 +221,9 @@ func TestDistributedKillWorkerRecovers(t *testing.T) {
 }
 
 // TestDistributedKillCountsDroppedFrames: frames a worker could not get
-// to a peer are counted, carried up on status messages and survive in
-// Workers() — the counter that explains the replays an audit only shows
-// the result of. The victim stays dead past the ack timeout, so the
+// to a peer are counted in tuples, carried up on status messages and
+// survive in Workers() — the counter that explains the replays an audit
+// only shows the result of. The victim stays dead past the ack timeout, so the
 // reader's replays are certain to be sent at a process that is not there.
 func TestDistributedKillCountsDroppedFrames(t *testing.T) {
 	p := workloads.SelfFedParams{
@@ -252,7 +252,7 @@ func TestDistributedKillCountsDroppedFrames(t *testing.T) {
 	}
 	dropped := func() (sum int64) {
 		for _, w := range e.Workers() {
-			sum += w.DroppedFrames
+			sum += w.DroppedTuples
 		}
 		return sum
 	}

@@ -290,7 +290,6 @@ func (e *Engine) buildConfigMsg() *msg {
 		Nodes: e.cl.Nodes(),
 		Engine: &engineSpec{
 			Seed:          e.cfg.Seed,
-			QueueCapacity: e.cfg.QueueCapacity,
 			AckTimeoutNs:  int64(e.cfg.AckTimeout),
 			MaxPending:    e.cfg.MaxPending,
 			MaxHops:       e.cfg.MaxHops,

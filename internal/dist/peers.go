@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tstorm/internal/cluster"
+	"tstorm/internal/live"
 )
 
 // Data-plane wire format: length-prefixed frames over persistent per-peer
@@ -117,9 +118,9 @@ func (wr *wireReader) next() (gen uint32, hops byte, frame []byte, err error) {
 // under mu and returns, so however many executors flush at once, the
 // writer turns what accumulated while it was in write(2) into ONE Write
 // per swap. A full queue blocks senders (backpressure); a failed or
-// timed-out write closes the connection and sheds — and counts —
-// everything queued, and the next swap redials, so the new stream starts
-// on a frame boundary.
+// timed-out write closes the connection and sheds everything from the
+// first frame the kernel did not take whole onward (peerSet.shed), and
+// the next swap redials, so the new stream starts on a frame boundary.
 type peerConn struct {
 	set  *peerSet
 	addr string
@@ -184,54 +185,76 @@ func (pc *peerConn) run() {
 		pc.mu.Unlock()
 		pc.notFull.Broadcast()
 
-		err := pc.write(buf)
+		written, err := pc.write(buf)
 
 		pc.mu.Lock()
+		if err != nil {
+			// The peer is gone or stalled past the deadline. The frames the
+			// kernel took whole before the failure are sent; the torn one
+			// and everything after it, queued up behind the failed write
+			// included, is not worth keeping — at-least-once replay covers
+			// the loss, the counter explains it. The queue is detached, so
+			// it is shed (onShed runs) with the lock released.
+			lost := pc.queue
+			n += pc.frames
+			pc.queue, pc.frames = nil, 0
+			pc.dropConn()
+			pc.mu.Unlock()
+			pc.notFull.Broadcast()
+			pc.set.shed(buf[wholeFrames(buf, written):])
+			pc.set.shed(lost)
+			pc.mu.Lock()
+		}
 		if cap(buf) <= 2*peerQueueBound {
 			pc.spare = buf
 		}
-		if err != nil {
-			// The peer is gone or stalled past the deadline: nothing that
-			// queued up behind the failed write is worth keeping either —
-			// at-least-once replay covers the loss, the counter explains it.
-			n += pc.frames
-			pc.queue, pc.frames = pc.queue[:0], 0
-			pc.set.dropped.Add(n)
-			pc.dropConn()
-			pc.notFull.Broadcast()
-		}
 		pc.set.inFlight.Add(-n)
 	}
-	pc.set.dropped.Add(pc.frames)
-	pc.set.inFlight.Add(-pc.frames)
+	lost, n := pc.queue, pc.frames
 	pc.queue, pc.frames = nil, 0
 	pc.dropConn()
 	pc.mu.Unlock()
+	pc.set.shed(lost)
+	pc.set.inFlight.Add(-n)
 }
 
 // write sends one swap's worth of frames with a single Write, dialing
-// first when there is no connection.
-func (pc *peerConn) write(buf []byte) error {
+// first when there is no connection, and reports how many bytes the
+// kernel took.
+func (pc *peerConn) write(buf []byte) (int, error) {
 	pc.mu.Lock()
 	c := pc.c
 	pc.mu.Unlock()
 	if c == nil {
 		var err error
 		if c, err = pc.set.dial(pc.ctx, pc.addr); err != nil {
-			return err
+			return 0, err
 		}
 		pc.mu.Lock()
 		if pc.closed {
 			pc.mu.Unlock()
 			c.Close()
-			return net.ErrClosed
+			return 0, net.ErrClosed
 		}
 		pc.c = c
 		pc.mu.Unlock()
 	}
 	c.SetWriteDeadline(time.Now().Add(pc.set.writeTimeout))
-	_, err := c.Write(buf)
-	return err
+	return c.Write(buf)
+}
+
+// wholeFrames returns the length of the longest run of whole wire frames
+// at the start of buf that lies within its first n bytes.
+func wholeFrames(buf []byte, n int) int {
+	at := 0
+	for at+frameHeaderLen <= len(buf) {
+		end := at + 4 + int(binary.BigEndian.Uint32(buf[at:]))
+		if end > n {
+			break
+		}
+		at = end
+	}
+	return at
 }
 
 // dropConn closes the connection, if any. Caller holds pc.mu.
@@ -287,12 +310,17 @@ type peerSet struct {
 	// the kernel. The worker adds it to its pending report, or quiescence
 	// would not see them.
 	inFlight atomic.Int64
-	// dropped counts frames that never reached a peer: no route, dial
-	// refused, write error or deadline (those shed the whole backlog), or
-	// the link closed under them. The engine has counted the tuples of the
-	// ones Send accepted as sent; anchored roots recover by timeout +
-	// replay, and this counter is what explains the replays.
+	// dropped counts the tuples (live.FrameTuples) of data frames that
+	// never reached a peer: no route, dial refused, write error or
+	// deadline (those shed the backlog), or the link closed under them.
+	// Anchored roots recover by timeout + replay, and this counter is what
+	// explains the replays.
 	dropped atomic.Int64
+	// onShed, when set, is handed every data frame that Send accepted and
+	// a writer then shed (the worker sets it to its engine's Shed, which
+	// takes the frame back out of the monitor's traffic window). Set
+	// before the first Send; the writers only read it.
+	onShed func(frame []byte)
 }
 
 func newPeerSet(local cluster.SlotID, maxHops int) *peerSet {
@@ -335,12 +363,11 @@ func (p *peerSet) update(entries []peerEntry) {
 // the worker owning slot `to`. False means undeliverable — the engine
 // counts the drop and at-least-once replay recovers the tuples. True
 // means queued, not delivered: the engine counts the frame's tuples as
-// sent (totals, edge matrix, the monitor's traffic window) and a frame
-// the writer sheds later is not taken back out. Toward a peer that just
-// died that over-counts by what was queued for it — at most
-// peerQueueBound, plus what senders add while they block on the full
-// queue, for at most writeTimeout — and only dropped (in frames, not
-// tuples) explains the difference.
+// sent (totals, edge matrix, the monitor's traffic window). A frame the
+// writer sheds later is counted in dropped, by its tuples, and handed to
+// onShed, which takes it back out of the traffic window Algorithm 1
+// reads; the lifetime totals keep it, and dropped explains the
+// difference.
 func (p *peerSet) Send(to cluster.SlotID, frame []byte) bool {
 	return p.send(to, frame, byte(p.maxHops))
 }
@@ -353,7 +380,7 @@ func (p *peerSet) send(to cluster.SlotID, frame []byte, hops byte) bool {
 	addr, ok := p.addrs[to]
 	if !ok || p.closed || len(frame) > maxWireFrame-5 {
 		p.mu.Unlock()
-		p.dropped.Add(1)
+		p.dropped.Add(int64(live.FrameTuples(frame)))
 		return false
 	}
 	pc := p.conns[to]
@@ -365,10 +392,26 @@ func (p *peerSet) send(to cluster.SlotID, frame []byte, hops byte) bool {
 	}
 	p.mu.Unlock()
 	if !pc.send(p.gen.Load(), hops, frame) {
-		p.dropped.Add(1)
+		p.dropped.Add(int64(live.FrameTuples(frame)))
 		return false
 	}
 	return true
+}
+
+// shed accounts the whole wire frames in buf as never delivered: their
+// tuples count as dropped, and each data frame goes to onShed.
+func (p *peerSet) shed(buf []byte) {
+	for len(buf) >= frameHeaderLen {
+		end := 4 + int(binary.BigEndian.Uint32(buf))
+		frame := buf[frameHeaderLen:end]
+		if n := live.FrameTuples(frame); n > 0 {
+			p.dropped.Add(int64(n))
+			if p.onShed != nil {
+				p.onShed(frame)
+			}
+		}
+		buf = buf[end:]
+	}
 }
 
 // closeAll tears down every peer link (worker shutdown) and returns once

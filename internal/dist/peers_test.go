@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"tstorm/internal/cluster"
+	"tstorm/internal/live"
 	"tstorm/internal/logx"
 	"tstorm/internal/topology"
 )
@@ -125,6 +126,18 @@ func seqFrame(seq uint32, size int) []byte {
 	return f
 }
 
+// tupleFrame is seqFrame behind the header of a live data frame carrying
+// tuples tuples, as far as live.FrameTuples reads one: the kind byte, the
+// target executor (topology "t", component "c", index 0) and the message
+// count. The peer writer accounts what it sheds in these tuples.
+func tupleFrame(seq uint32, tuples, size int) []byte {
+	f := binary.LittleEndian.AppendUint32([]byte{1, 1, 't', 1, 'c', 0}, uint32(tuples))
+	return append(f, seqFrame(seq, size)...)
+}
+
+// tupleFrameHdr is the length of tupleFrame's header.
+const tupleFrameHdr = 10
+
 func checkSeqFrame(t *testing.T, f []byte) uint32 {
 	t.Helper()
 	if len(f) < 4 {
@@ -150,7 +163,7 @@ func startFlood(p *peerSet, slot cluster.SlotID, stop <-chan struct{}) *flood {
 	f := &flood{done: make(chan struct{}), last: time.Now()}
 	go func() {
 		defer close(f.done)
-		frame := make([]byte, 32<<10)
+		frame := tupleFrame(0, 64, 32<<10)
 		for {
 			select {
 			case <-stop:
@@ -224,7 +237,7 @@ func TestStalledPeerKeepsPendingNonZero(t *testing.T) {
 		<-fl.done
 		waitUntil(t, 10*time.Second, "pending to reach 0", func() bool { return w.pending() == 0 })
 		if d := w.peers.dropped.Load() - before; shed != (d > 0) {
-			t.Fatalf("shed = %v but %d frames were counted dropped", shed, d)
+			t.Fatalf("shed = %v but %d tuples were counted dropped", shed, d)
 		}
 	}
 }
@@ -280,11 +293,16 @@ func (fc *faultConn) Write(b []byte) (int, error) {
 // TestWriterSurvivesFaultyConnections: whatever the connection does to a
 // write, the receiver only ever sees whole frames, in send order; after
 // a shed the next Send redials and the new stream starts on a frame
-// boundary; nothing is lost without being counted. Faults are drawn per
-// Write, and a writer that coalesces more under load makes fewer writes,
-// so one seed may draw none: that the run exercised faults, sheds and
-// redials is asserted over the four seeds together.
+// boundary; and, counted in tuples, sent − shed = received exactly: the
+// frames a failed write got through whole are not counted shed, and every
+// shed frame is handed to onShed. Faults are drawn per Write, and a writer
+// that coalesces more under load makes fewer writes, so one seed may draw
+// none: that the run exercised faults, sheds and redials is asserted over
+// the four seeds together.
 func TestWriterSurvivesFaultyConnections(t *testing.T) {
+	if got := live.FrameTuples(tupleFrame(0, 7, 10)); got != 7 {
+		t.Fatalf("live.FrameTuples reads %d tuples in a 7-tuple test frame: the header layout moved", got)
+	}
 	var faultsAll, redials int
 	var droppedAll int64
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -301,16 +319,21 @@ func TestWriterSurvivesFaultyConnections(t *testing.T) {
 			}
 			return &faultConn{Conn: c, rng: rng, faults: &faults}, nil
 		}
+		var shedTuples int64 // written by the writer goroutine, read after closeAll
+		p.onShed = func(frame []byte) { shedTuples += int64(live.FrameTuples(frame)) }
 		p.update([]peerEntry{{Slot: slot, Addr: peer.addr()}})
 
 		const sent = 3000
+		var sentTuples int64
 		sizes := rand.New(rand.NewPCG(seed, 16))
 		for seq := uint32(0); seq < sent; seq++ {
 			size := sizes.IntN(1500)
 			if seq%500 == 499 {
 				size = wireReadBuf + sizes.IntN(1<<16) // larger than the reader's buffer
 			}
-			if !p.Send(slot, seqFrame(seq, size)) {
+			tuples := 1 + sizes.IntN(64)
+			sentTuples += int64(tuples)
+			if !p.Send(slot, tupleFrame(seq, tuples, size)) {
 				t.Fatalf("seed %d: Send %d refused", seed, seq)
 			}
 			if seq%64 == 0 {
@@ -324,16 +347,21 @@ func TestWriterSurvivesFaultyConnections(t *testing.T) {
 
 		got := peer.received()
 		next := uint32(0)
+		var gotTuples int64
 		for _, f := range got {
-			seq := checkSeqFrame(t, f)
+			seq := checkSeqFrame(t, f[tupleFrameHdr:])
 			if seq < next {
 				t.Fatalf("seed %d: frame %d arrived after frame %d", seed, seq, next-1)
 			}
 			next = seq + 1
+			gotTuples += int64(live.FrameTuples(f))
 		}
 		dropped := p.dropped.Load()
-		if int64(len(got))+dropped < sent || len(got) > sent {
-			t.Fatalf("seed %d: sent %d, received %d, counted %d dropped", seed, sent, len(got), dropped)
+		if sentTuples-dropped != gotTuples {
+			t.Fatalf("seed %d: sent %d tuples, counted %d shed, received %d", seed, sentTuples, dropped, gotTuples)
+		}
+		if shedTuples != dropped {
+			t.Fatalf("seed %d: %d tuples counted shed, %d handed to onShed", seed, dropped, shedTuples)
 		}
 		peer.mu.Lock()
 		conns := len(peer.conns)
@@ -341,10 +369,11 @@ func TestWriterSurvivesFaultyConnections(t *testing.T) {
 		faultsAll += faults
 		droppedAll += dropped
 		redials += conns - 1
-		t.Logf("seed %d: %d faults, %d connections, %d/%d frames received, %d counted dropped", seed, faults, conns, len(got), sent, dropped)
+		t.Logf("seed %d: %d faults, %d connections, %d/%d frames and %d/%d tuples received, %d tuples counted dropped",
+			seed, faults, conns, len(got), sent, gotTuples, sentTuples, dropped)
 	}
 	if faultsAll == 0 || droppedAll == 0 || redials == 0 {
-		t.Fatalf("%d faults injected, %d frames dropped, %d redials over all seeds: the run exercised nothing", faultsAll, droppedAll, redials)
+		t.Fatalf("%d faults injected, %d tuples dropped, %d redials over all seeds: the run exercised nothing", faultsAll, droppedAll, redials)
 	}
 }
 

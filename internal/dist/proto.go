@@ -108,9 +108,9 @@ type msg struct {
 	Err     string `json:"err,omitempty"`
 	Moved   int    `json:"moved,omitempty"`
 	Pending int64  `json:"pending,omitempty"`
-	// DroppedFrames is the worker's lifetime count of data-plane frames
-	// that never reached a peer (peerSet.dropped).
-	DroppedFrames int64        `json:"dropped_frames,omitempty"`
+	// DroppedTuples is the worker's lifetime count of tuples in data-plane
+	// frames that never reached a peer (peerSet.dropped).
+	DroppedTuples int64        `json:"dropped_tuples,omitempty"`
 	Totals        *live.Totals `json:"totals,omitempty"`
 	Audits        []auditEntry `json:"audits,omitempty"`
 	Loads         []loadEntry  `json:"loads,omitempty"`
@@ -126,7 +126,6 @@ type msg struct {
 // config message.
 type engineSpec struct {
 	Seed          uint64 `json:"seed"`
-	QueueCapacity int    `json:"queue_capacity"`
 	AckTimeoutNs  int64  `json:"ack_timeout_ns"`
 	MaxPending    int    `json:"max_pending"`
 	MaxHops       int    `json:"max_hops"`

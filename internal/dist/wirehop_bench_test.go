@@ -117,10 +117,7 @@ func benchWireHop(b *testing.B, k int, decodeAllocs float64) {
 		peers[i] = newPeerSet(slots[i], 0)
 		engs[i], err = live.NewEngine(live.Config{
 			Seed: 1, InterNodeCopies: 0, WireCost: -1,
-			// A short queue, so that the warm-up below reaches the largest
-			// set of batches that is ever in flight at once.
-			QueueCapacity: 64,
-			LocalSlots:    []cluster.SlotID{slots[i]}, Remote: peers[i],
+			LocalSlots: []cluster.SlotID{slots[i]}, Remote: peers[i],
 		}, cl)
 		if err != nil {
 			b.Fatal(err)

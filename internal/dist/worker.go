@@ -219,10 +219,9 @@ func (w *worker) configure(m *msg) error {
 	w.peersUpdate(m)
 
 	eng, err := live.NewEngine(live.Config{
-		Seed:          w.spec.Seed,
-		QueueCapacity: w.spec.QueueCapacity,
-		AckTimeout:    time.Duration(w.spec.AckTimeoutNs),
-		MaxPending:    w.spec.MaxPending,
+		Seed:       w.spec.Seed,
+		AckTimeout: time.Duration(w.spec.AckTimeoutNs),
+		MaxPending: w.spec.MaxPending,
 		// Emulation off: a process hop costs real codec + TCP work, and
 		// a same-process hop costs a channel send — measured, not modeled.
 		InterNodeCopies: 0,
@@ -236,6 +235,7 @@ func (w *worker) configure(m *msg) error {
 	if err != nil {
 		return err
 	}
+	w.peers.onShed = eng.Shed
 	for _, sub := range m.Subs {
 		built, err := buildWorkload(sub.Workload, sub.Params)
 		if err != nil {
@@ -292,7 +292,7 @@ func (w *worker) statusMsg(typ string, id int64) *msg {
 	t := w.eng.Totals()
 	out.Totals = &t
 	out.Pending = w.pending()
-	out.DroppedFrames = w.peers.dropped.Load()
+	out.DroppedTuples = w.peers.dropped.Load()
 	names := make([]string, 0, len(w.audits))
 	for name, fn := range w.audits {
 		if fn != nil {

@@ -70,8 +70,8 @@ type inBatch struct {
 	slab []byte
 }
 
-// liveExec is one executor: a goroutine with (for bolts) a bounded input
-// queue of delivery batches. The queue is part of the executor and
+// liveExec is one executor: a goroutine with (for bolts) an input queue of
+// delivery batches, bounded in tuples. The queue is part of the executor and
 // travels with it across re-assignments — the per-executor queue handoff
 // of smooth migration. The goroutine is an *incarnation*: CrashWorker
 // kills it and the supervisor starts a fresh one with fresh user-code
@@ -90,7 +90,12 @@ type liveExec struct {
 	ctx   *engine.Context
 	rand  *rand.Rand
 
+	// in is a bolt's input queue, bounded in tuples by queued (queue.go);
+	// room is the one-slot wake channel a sender held at the bound waits
+	// on. All three are nil or zero for spouts and ackers.
 	in       chan inBatch
+	queued   atomic.Int64
+	room     chan struct{}
 	ctl      chan []ctlMsg // acker input (nil otherwise)
 	interval time.Duration
 	terminal bool
@@ -393,6 +398,7 @@ func (le *liveExec) runBolt(die <-chan struct{}) {
 		case <-die:
 			return
 		case batch := <-le.in:
+			le.credit(len(batch.msgs))
 			pooledEnc := batch.slab == nil
 			for i := range batch.msgs {
 				select {

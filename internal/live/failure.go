@@ -171,6 +171,7 @@ func (le *liveExec) drainWhileDead(stop <-chan struct{}, done chan<- struct{}) {
 		case <-eng.stopCh:
 			return
 		case batch := <-le.in:
+			le.credit(len(batch.msgs))
 			eng.pending.Add(-int64(len(batch.msgs)))
 			eng.dropped.Add(int64(len(batch.msgs)))
 			eng.releaseInput(batch, 0)

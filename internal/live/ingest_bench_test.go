@@ -40,6 +40,7 @@ func BenchmarkIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				batch := <-le.in
+				le.credit(len(batch.msgs))
 				eng.pending.Add(-int64(len(batch.msgs)))
 				eng.releaseInput(batch, 0)
 			}

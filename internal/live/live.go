@@ -1,6 +1,6 @@
 // Package live is the wall-clock execution backend: it runs a
-// topology.Topology on real goroutines — one goroutine per executor with a
-// bounded-channel input queue — grouped into worker processes that map to
+// topology.Topology on real goroutines — one goroutine per executor with an
+// input queue bounded in tuples — grouped into worker processes that map to
 // cluster.SlotIDs on emulated nodes, all inside one OS process.
 //
 // The point of the package is that the *unchanged* scheduling brain
@@ -63,11 +63,6 @@ import (
 type Config struct {
 	// Seed drives the per-executor random sources.
 	Seed uint64
-	// QueueCapacity bounds each executor's input queue (default 1024).
-	// The queue holds per-cycle delivery batches (all tuples one emit
-	// cycle routed to that executor), so capacity is in batches, not
-	// tuples. Senders block when a queue is full — the backpressure path.
-	QueueCapacity int
 	// SpoutHaltDelay is how long spouts stay halted after a re-assignment
 	// is applied, so queues settle before new roots flow (paper: 10 s;
 	// default here 250 ms — live migration needs no worker restarts).
@@ -131,7 +126,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Seed:            1,
-		QueueCapacity:   1024,
 		SpoutHaltDelay:  250 * time.Millisecond,
 		DrainTimeout:    5 * time.Second,
 		InterNodeCopies: 4,
@@ -143,9 +137,6 @@ func DefaultConfig() Config {
 
 func (c *Config) fillDefaults() {
 	d := DefaultConfig()
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = d.QueueCapacity
-	}
 	if c.SpoutHaltDelay <= 0 {
 		c.SpoutHaltDelay = d.SpoutHaltDelay
 	}
@@ -462,11 +453,14 @@ func (eng *Engine) newExec(app *engine.App, id topology.ExecutorID) *liveExec {
 		}
 	case id.Component == topology.AckerComponent:
 		le.kind = ackerExec
-		le.ctl = make(chan []ctlMsg, eng.cfg.QueueCapacity)
+		le.ctl = make(chan []ctlMsg, ctlQueueCap)
 	default:
 		le.kind = boltExec
 		le.bolt = app.Bolts[id.Component]()
-		le.in = make(chan inBatch, eng.cfg.QueueCapacity)
+		// Every batch holds at least one tuple and is admitted only while
+		// fewer than queueBound are charged, so the channel never fills.
+		le.in = make(chan inBatch, queueBound)
+		le.room = make(chan struct{}, 1)
 		le.terminal = isTerminal(app.Topology, comp)
 		le.procLat = metrics.NewProcLatencyHistogram()
 	}
@@ -594,14 +588,18 @@ func (eng *Engine) emit(kind trace.Kind, topo, where, detail string) {
 	eng.cfg.Trace.Emit(trace.WallEvent(kind, topo, where, detail))
 }
 
-// Stop halts all executor goroutines and waits for them to exit. It is
-// idempotent.
+// Stop halts all executor goroutines, waits for them to exit and empties
+// their input queues. It is idempotent.
 func (eng *Engine) Stop() {
 	if !eng.stopped.CompareAndSwap(false, true) {
 		return
 	}
 	close(eng.stopCh)
 	eng.wg.Wait()
+	// No consumer is left: what is still queued is never processed.
+	for _, le := range eng.routes.Load().byDense {
+		le.emptyQueue()
+	}
 	// Cancel any pending spout-resume timer so short-lived engines do not
 	// leak its goroutine past Stop.
 	eng.timerMu.Lock()

@@ -27,7 +27,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func testConfig() Config {
 	return Config{
 		Seed:            1,
-		QueueCapacity:   256,
 		SpoutHaltDelay:  5 * time.Millisecond,
 		DrainTimeout:    2 * time.Second,
 		InterNodeCopies: 2,

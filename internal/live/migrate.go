@@ -138,7 +138,7 @@ func (eng *Engine) applyMoves(app *engine.App, name string, next *cluster.Assign
 		case !wasLocal && isLocal:
 			arrived = append(arrived, le)
 		}
-		moves = append(moves, move{exec: e.String(), from: old, to: s, queued: queueLen(le)})
+		moves = append(moves, move{exec: e.String(), from: old, to: s, queued: int(le.queued.Load())})
 	}
 	eng.assign[name] = next.Clone()
 	eng.rebuildRoutesLocked()
@@ -157,7 +157,7 @@ func (eng *Engine) applyMoves(app *engine.App, name string, next *cluster.Assign
 
 	for _, mv := range moves {
 		eng.emit(trace.ExecutorMigrated, name, mv.to.String(),
-			fmt.Sprintf("%s moved from %s (queue handed off, %d batches)",
+			fmt.Sprintf("%s moved from %s (queue handed off, %d tuples)",
 				mv.exec, mv.from, mv.queued))
 	}
 	eng.migrations.Add(int64(len(moves)))
@@ -292,14 +292,6 @@ func (eng *Engine) promoteToLocal(le *liveExec) {
 	eng.mu.Unlock()
 	eng.emit(trace.ExecutorMigrated, le.id.Topology, "",
 		fmt.Sprintf("%s promoted to local incarnation", le.id))
-}
-
-// queueLen reports an executor's current input-queue depth (0 for spouts).
-func queueLen(le *liveExec) int {
-	if le.in == nil {
-		return 0
-	}
-	return len(le.in)
 }
 
 func removeFromGroup(g []*liveExec, le *liveExec) []*liveExec {

@@ -47,8 +47,8 @@ var _ MemorySink = (*loaddb.DB)(nil)
 
 // Per-executor memory model of the live monitor: a fixed baseline (the
 // executor's channels, routing scratch, and component state) plus a
-// backlog share — input batches waiting in the bounded queue pin tuples
-// in memory until drained, so a congested executor reports a larger
+// backlog share — tuples waiting in the bounded queue stay in memory
+// until drained, so a congested executor reports a larger
 // footprint and memory-aware schedulers (rstorm) spread it away from
 // already-full nodes.
 const (
@@ -175,7 +175,6 @@ func (m *Monitor) Sample() {
 		secs = m.period.Seconds()
 	}
 	m.lastSample = now
-	m.samples.Add(1)
 
 	eng := m.eng
 	rt := eng.routes.Load()
@@ -204,10 +203,7 @@ func (m *Monitor) Sample() {
 		mhz := float64(nanos) / 1e9 / secs * eng.cfg.RefMHz
 		loads[le.id] = mhz
 		nodeLoad[rt.slotOf[le.dense].Node] += mhz
-		backlog := 0.0
-		if c := cap(le.in); c > 0 {
-			backlog = float64(len(le.in)) / float64(c)
-		}
+		backlog := min(float64(le.queued.Load())/queueBound, 1)
 		mems[le.id] = execBaseMemMB + execQueueShareMemMB*backlog
 	}
 
@@ -218,7 +214,9 @@ func (m *Monitor) Sample() {
 			continue
 		}
 		k := loaddb.FlowKey{From: from, To: to}
-		flows[k] = count / secs
+		// A frame shed after the window it was sent in closed leaves a
+		// negative count (Shed): what that window reported stays reported.
+		flows[k] = max(count, 0) / secs
 		m.knownFlows[k] = true
 	}
 	for k := range m.knownFlows {
@@ -243,6 +241,9 @@ func (m *Monitor) Sample() {
 	m.lastSampleNanos.Store(time.Now().UnixNano())
 	eng.emit(trace.MonitorSampled, "", "",
 		fmt.Sprintf("%d executors, %d flows over %.3fs window", len(loads), len(flows), secs))
+	// Counted only once its event is out: a caller that sees Samples()
+	// reach n finds n monitor-sampled events on the trace.
+	m.samples.Add(1)
 	for node, mhz := range nodeLoad {
 		n, ok := eng.cl.Node(node)
 		if !ok {

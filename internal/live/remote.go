@@ -35,7 +35,9 @@ import (
 // RemoteSink carries frames to the worker process owning a slot. Send
 // borrows frame until it returns and reports false when the frame could
 // not be handed to the peer (unknown address); the caller counts the
-// batch as dropped and anchored roots recover via timeout + replay.
+// batch as dropped and anchored roots recover via timeout + replay. A sink
+// that accepts a data frame and only later fails to deliver it hands the
+// frame to Engine.Shed.
 type RemoteSink interface {
 	Send(to cluster.SlotID, frame []byte) bool
 }
@@ -509,12 +511,12 @@ func (eng *Engine) Ingest(buf []byte) error {
 			return nil
 		}
 		eng.pending.Add(n)
-		select {
-		case le.in <- inBatch{msgs: f.data, slab: f.slab}:
-			f.data, f.slab = nil, nil
-		case <-eng.stopCh:
+		if !le.admit(n, nil) {
 			eng.pending.Add(-n)
+			return nil
 		}
+		le.in <- inBatch{msgs: f.data, slab: f.slab}
+		f.data, f.slab = nil, nil
 	case frameCtl:
 		if le.ctl == nil {
 			return fmt.Errorf("live: ctl frame for non-acker executor %v", f.to)
@@ -541,6 +543,47 @@ func (eng *Engine) Ingest(buf []byte) error {
 		le.postAcks(f.acks)
 	}
 	return nil
+}
+
+// FrameTuples reports how many tuples a frame carries: the message count
+// of a data frame, 0 for a control or completion frame and for bytes that
+// do not parse. It reads the header and the count alone, so a transport
+// can account a frame in tuples without decoding it.
+func FrameTuples(frame []byte) int {
+	var f wireFrame
+	r := &frameReader{buf: frame}
+	if f.decodeHeader(r, nil) != nil || (f.kind != frameData && f.kind != frameDataT) {
+		return 0
+	}
+	if f.kind == frameDataT {
+		r.byte() // flags
+	}
+	if r.err != nil || len(r.buf)-r.pos < 4 {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(r.buf[r.pos:]))
+}
+
+// Shed takes a data frame that Config.Remote accepted, but then could not
+// deliver after all (its writer shed it), back out of the traffic window
+// the monitor drains, so Algorithm 1 is not shown traffic that never
+// arrived. Only traffic this process counted is taken back: the frame's
+// producer — every message of a frame has the same one — must execute
+// here. The lifetime totals and edge counters keep counting what the sink
+// accepted; the transport's own drop counter explains the difference.
+func (eng *Engine) Shed(frame []byte) {
+	rt := eng.routes.Load()
+	var f wireFrame
+	r := &frameReader{buf: frame}
+	defer f.release(eng)
+	if f.decodeHeader(r, rt.names) != nil || eng.decodeBody(&f, r, rt.names) != nil || len(f.data) == 0 {
+		return
+	}
+	to, from := rt.executor(f.to.Topology, f.to.Component, f.to.Index), f.data[0].from
+	if to == nil || from < 0 || from >= len(rt.local) || !rt.local[from] {
+		return
+	}
+	eng.traffic.Add(from, to.dense, -float64(len(f.data)))
 }
 
 // remoteSend pushes an encoded frame toward the owner of a slot; a false
@@ -621,6 +664,7 @@ func (le *liveExec) pumpRemote(stop <-chan struct{}, done chan<- struct{}) {
 		case <-eng.stopCh:
 			return
 		case batch := <-le.in:
+			le.credit(len(batch.msgs))
 			eng.pending.Add(-int64(len(batch.msgs)))
 			eng.forwardStranded(le, batch)
 		case batch := <-le.ctl:

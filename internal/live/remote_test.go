@@ -276,3 +276,48 @@ func TestIngestRoutesOnHeaderAlone(t *testing.T) {
 		t.Fatalf("Ingest of a frame cut inside its header = %v, want a decode error", err)
 	}
 }
+
+// TestShedTakesFrameOutOfTrafficWindow: a data frame the transport
+// accepted and then shed leaves the monitor's traffic window it was
+// counted into, so Algorithm 1 does not see traffic that never arrived;
+// a frame some other process produced is not this one's to take back.
+func TestShedTakesFrameOutOfTrafficWindow(t *testing.T) {
+	cl, err := cluster.Uniform(2, 2, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := cl.Slots()
+	cfg := testConfig()
+	cfg.LocalSlots = []cluster.SlotID{slots[0]}
+	cfg.Remote = &wireSink{}
+	eng, err := NewEngine(cfg, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := queueApp(t, "shed", 1, 1)
+	if err := eng.Submit(app, place(app.Topology, map[string]cluster.SlotID{"s": slots[0], "b": slots[1]})); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Stop)
+	s := eng.execs[topology.ExecutorID{Topology: "shed", Component: "s", Index: 0}]
+	b := eng.execs[topology.ExecutorID{Topology: "shed", Component: "b", Index: 0}]
+	frame := func(from, n int) []byte {
+		msgs := make([]liveMsg, n)
+		for i := range msgs {
+			msgs[i] = liveMsg{tup: tuple.Tuple{Values: tuple.Values{int64(i)}}, from: from}
+		}
+		f, _ := encodeDataFrame(b.id, msgs)
+		return f
+	}
+
+	eng.traffic.Add(s.dense, b.dense, 5)
+	eng.Shed(frame(s.dense, 3))
+	if got := eng.traffic.Get(s.dense, b.dense); got != 2 {
+		t.Fatalf("window holds %v tuples s→b after 5 sent and 3 shed, want 2", got)
+	}
+	eng.traffic.Add(b.dense, b.dense, 4)
+	eng.Shed(frame(b.dense, 4)) // produced by the remote executor
+	if got := eng.traffic.Get(b.dense, b.dense); got != 4 {
+		t.Fatalf("window holds %v tuples b→b after shedding another process's frame, want 4", got)
+	}
+}

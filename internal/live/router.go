@@ -302,16 +302,16 @@ func (le *liveExec) discard(d *delivery) {
 	d.msgs = nil
 }
 
-// deliver enqueues one routed batch, blocking while the target queue is
-// full (backpressure), or hands a wire-bound one to the remote sink. It
-// reports false when the engine is stopping or the sending incarnation
-// was killed (die). Batches for a dead executor are dropped on the floor
-// — anchored roots recover via timeout + replay — so senders never wedge
-// on a crashed worker's full queue. The transfers are counted only once
-// enqueued, so the statistics match what receivers will actually observe.
-// deliver owns d.msgs on every outcome: a successful channel send hands
-// it to the receiver, every other path recycles it. Runs on le's
-// goroutine (the frame buffers are the executor's own).
+// deliver enqueues one routed batch, blocking while the target queue is at
+// its tuple bound (backpressure, queue.go), or hands a wire-bound one to
+// the remote sink. It reports false when the engine is stopping or the
+// sending incarnation was killed (die). Batches for a dead executor are
+// dropped on the floor — anchored roots recover via timeout + replay — so
+// senders never wedge on a crashed worker's full queue. The transfers are
+// counted only once enqueued, so the statistics match what receivers will
+// actually observe. deliver owns d.msgs on every outcome: a successful
+// channel send hands it to the receiver, every other path recycles it.
+// Runs on le's goroutine (the frame buffers are the executor's own).
 func (le *liveExec) deliver(d *delivery, die <-chan struct{}) bool {
 	eng := le.eng
 	if d.remote() {
@@ -338,17 +338,12 @@ func (le *liveExec) deliver(d *delivery, die <-chan struct{}) bool {
 		return true
 	}
 	eng.pending.Add(n)
-	select {
-	case d.to.in <- inBatch{msgs: d.msgs}:
-	case <-eng.stopCh:
-		eng.pending.Add(-n)
-		eng.recycleBatch(d.msgs)
-		return false
-	case <-die:
+	if !d.to.admit(n, die) {
 		eng.pending.Add(-n)
 		eng.recycleBatch(d.msgs)
 		return false
 	}
+	d.to.in <- inBatch{msgs: d.msgs}
 	eng.countSent(le.dense, d, n)
 	return true
 }

@@ -175,8 +175,9 @@ type ExecutorStat struct {
 	Slot cluster.SlotID
 	// Kind is "spout", "bolt", or "acker".
 	Kind string
-	// QueueLen and QueueCap describe the input queue in delivery batches
-	// (both 0 for spouts and ackers, which have no queue).
+	// QueueLen and QueueCap describe the input queue in tuples: the count
+	// charged to it and its bound, which QueueLen may overshoot by less
+	// than one batch (both 0 for spouts and ackers, which have no queue).
 	QueueLen int
 	QueueCap int
 	// Processed and Emitted are lifetime tuple counts.
@@ -209,8 +210,8 @@ func (eng *Engine) ExecutorStats() []ExecutorStat {
 			st.Kind = "acker"
 		}
 		if le.in != nil {
-			st.QueueLen = len(le.in)
-			st.QueueCap = cap(le.in)
+			st.QueueLen = int(le.queued.Load())
+			st.QueueCap = queueBound
 		}
 		if le.procLat != nil {
 			st.ProcLatency = le.procLat.Snapshot()
@@ -222,24 +223,18 @@ func (eng *Engine) ExecutorStats() []ExecutorStat {
 }
 
 // MaxQueueDepth reports the deepest input queue across all executors right
-// now (in delivery batches) — the backpressure gauge benchmarks poll for
-// per-phase peaks.
+// now (in tuples) — the backpressure gauge benchmarks poll for per-phase
+// peaks.
 func (eng *Engine) MaxQueueDepth() int {
-	rt := eng.routes.Load()
-	maxDepth := 0
-	for _, le := range rt.byDense {
-		if le.in != nil && len(le.in) > maxDepth {
-			maxDepth = len(le.in)
-		}
-	}
+	_, maxDepth := eng.QueueSaturation(1)
 	return maxDepth
 }
 
-// QueueSaturation reports the fraction of bounded input queues whose
-// depth is at or above frac of capacity, plus the deepest queue depth —
-// the backpressure signal health rules sample. Like MaxQueueDepth it
-// reads the routing snapshot only, so it is cheap enough for a 1 s
-// sampler and never contends with Submit/Apply.
+// QueueSaturation reports the fraction of input queues whose depth is at
+// or above frac of their tuple bound, plus the deepest queue depth in
+// tuples — the backpressure signal health rules sample. Like
+// MaxQueueDepth it reads the routing snapshot only, so it is cheap enough
+// for a 1 s sampler and never contends with Submit/Apply.
 func (eng *Engine) QueueSaturation(frac float64) (saturated float64, maxDepth int) {
 	rt := eng.routes.Load()
 	queues, hot := 0, 0
@@ -248,11 +243,11 @@ func (eng *Engine) QueueSaturation(frac float64) (saturated float64, maxDepth in
 			continue
 		}
 		queues++
-		depth := len(le.in)
+		depth := int(le.queued.Load())
 		if depth > maxDepth {
 			maxDepth = depth
 		}
-		if c := cap(le.in); c > 0 && float64(depth) >= frac*float64(c) {
+		if float64(depth) >= frac*queueBound {
 			hot++
 		}
 	}

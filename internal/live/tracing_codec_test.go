@@ -47,6 +47,9 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 	if frame[0] != frameDataT {
 		t.Fatalf("traced batch encoded as kind %d, want frameDataT", frame[0])
 	}
+	if n := FrameTuples(frame); n != len(msgs) {
+		t.Fatalf("FrameTuples = %d, want %d", n, len(msgs))
+	}
 	f, err := decodeFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -84,6 +87,9 @@ func TestPlainFrameFormatUnchanged(t *testing.T) {
 	frame, _ := encodeDataFrame(to, msgs)
 	if frame[0] != frameData {
 		t.Fatalf("plain batch encoded as kind %d, want frameData", frame[0])
+	}
+	if n := FrameTuples(frame); n != len(msgs) {
+		t.Fatalf("FrameTuples = %d, want %d", n, len(msgs))
 	}
 	f, err := decodeFrame(frame)
 	if err != nil {

@@ -363,7 +363,7 @@ func TestPredictedVsObservedRatioLive(t *testing.T) {
 	for _, e := range app.Topology.Executors() {
 		initial.Assign(e, cluster.SlotID{Node: "node01", Port: cluster.BasePort})
 	}
-	eng, err := live.NewEngine(live.Config{QueueCapacity: 256,
+	eng, err := live.NewEngine(live.Config{
 		SpoutHaltDelay: 5 * time.Millisecond, DrainTimeout: 2 * time.Second}, cl)
 	if err != nil {
 		t.Fatal(err)

@@ -52,9 +52,9 @@ type WorkerStatus struct {
 	Restarts int            `json:"restarts"`
 	DataAddr string         `json:"data_addr,omitempty"`
 	Pending  int64          `json:"pending"`
-	// DroppedFrames counts data-plane frames the slot's worker could not
-	// get to a peer (see dist.WorkerStatus).
-	DroppedFrames int64 `json:"dropped_frames"`
+	// DroppedTuples counts the tuples in data-plane frames the slot's
+	// worker could not get to a peer (see dist.WorkerStatus).
+	DroppedTuples int64 `json:"dropped_tuples"`
 }
 
 // Config selects what a Server exposes. An engine-backed server sets
@@ -73,7 +73,7 @@ type Config struct {
 	Placement func() []live.PlacementEntry
 	// Workers, when non-nil, adds /debug/workers and the tstorm_worker_up /
 	// tstorm_worker_process_restarts_total /
-	// tstorm_worker_dropped_frames_total per-process families — the
+	// tstorm_worker_dropped_tuples_total per-process families — the
 	// distributed backend's worker fleet.
 	Workers func() []WorkerStatus
 	// Monitor, when non-nil, contributes the sampling gauges
@@ -288,13 +288,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				{"index", strconv.Itoa(st.ID.Index)},
 			}
 		}
-		e.family("tstorm_executor_queue_depth", "Input-queue depth in delivery batches.", "gauge")
+		e.family("tstorm_executor_queue_depth", "Input-queue depth in tuples.", "gauge")
 		for i := range stats {
 			if stats[i].Kind == "bolt" {
 				e.sample("tstorm_executor_queue_depth", execLabels(&stats[i]), float64(stats[i].QueueLen))
 			}
 		}
-		e.family("tstorm_executor_queue_capacity", "Input-queue capacity in delivery batches.", "gauge")
+		e.family("tstorm_executor_queue_capacity", "Input-queue bound in tuples.", "gauge")
 		for i := range stats {
 			if stats[i].Kind == "bolt" {
 				e.sample("tstorm_executor_queue_capacity", execLabels(&stats[i]), float64(stats[i].QueueCap))
@@ -347,9 +347,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i := range workers {
 			e.sample("tstorm_worker_process_restarts_total", slotLabels(&workers[i]), float64(workers[i].Restarts))
 		}
-		e.family("tstorm_worker_dropped_frames_total", "Data-plane frames the worker could not get to a peer (no route, dial refused, shed after a write error or deadline).", "counter")
+		e.family("tstorm_worker_dropped_tuples_total", "Tuples in data-plane frames the worker could not get to a peer (no route, dial refused, shed after a write error or deadline).", "counter")
 		for i := range workers {
-			e.sample("tstorm_worker_dropped_frames_total", slotLabels(&workers[i]), float64(workers[i].DroppedFrames))
+			e.sample("tstorm_worker_dropped_tuples_total", slotLabels(&workers[i]), float64(workers[i].DroppedTuples))
 		}
 		e.family("tstorm_workers_alive", "Live worker processes in the fleet.", "gauge")
 		e.sample("tstorm_workers_alive", nil, float64(alive))

@@ -64,7 +64,7 @@ func buildEngine(t *testing.T, rec *trace.Recorder) (*live.Engine, *cluster.Assi
 	for _, e := range top.Executors() {
 		initial.Assign(e, cluster.SlotID{Node: "node01", Port: cluster.BasePort})
 	}
-	lcfg := live.Config{QueueCapacity: 64, SpoutHaltDelay: 5 * time.Millisecond,
+	lcfg := live.Config{SpoutHaltDelay: 5 * time.Millisecond,
 		DrainTimeout: 2 * time.Second, Trace: rec}
 	eng, err := live.NewEngine(lcfg, cl)
 	if err != nil {
@@ -147,8 +147,8 @@ func TestMetricsDeterministicAndComplete(t *testing.T) {
 		`tstorm_latency_ms_bucket{le="+Inf"} 0`,
 		"tstorm_latency_ms_sum 0",
 		"tstorm_latency_ms_count 0",
-		`tstorm_executor_queue_capacity{topology="expo",component="work",index="0"} 64`,
-		`tstorm_executor_queue_capacity{topology="expo",component="work",index="1"} 64`,
+		`tstorm_executor_queue_capacity{topology="expo",component="work",index="0"} 512`,
+		`tstorm_executor_queue_capacity{topology="expo",component="work",index="1"} 512`,
 		`tstorm_executor_processed_total{topology="expo",component="s",index="0"} 0`,
 		`tstorm_executor_process_latency_ms_count{topology="expo",component="work",index="0"} 0`,
 		"tstorm_engine_tuples_sent_total 0",

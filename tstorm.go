@@ -792,7 +792,7 @@ func (s *Stack) StartTelemetry(addr string) (*TelemetryServer, error) {
 					out[i] = telemetry.WorkerStatus{
 						Slot: w.Slot, PID: w.PID, Alive: w.Alive,
 						Restarts: w.Restarts, DataAddr: w.DataAddr, Pending: w.Pending,
-						DroppedFrames: w.DroppedFrames,
+						DroppedTuples: w.DroppedTuples,
 					}
 				}
 				return out
