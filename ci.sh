@@ -65,8 +65,11 @@
 # generator it replaced, and on a wall clock its ticks run on their own
 # goroutine while callers reschedule and swap algorithms. The arena smoke
 # then runs every registered algorithm over the live workload — a
-# contender that panics, drops an executor, or shares a slot across
-# topologies exits non-zero here.
+# contender that errors or drops an executor from the live placement exits
+# non-zero here. The live run has one topology, so the cross-topology
+# check (every executor placed, no slot shared across topologies, no
+# panic) is TestContendersOnTwoTopologies, run by name beside
+# TestGoldenAssignments over the arena's contender set.
 # The scheduler-round gate reruns one Algorithm 1, rstorm and hetero round
 # at Ne = 1000 (50 nodes) and fails when allocs/op passes a budget of twice
 # what the placement kernel measured when it landed (80 / 70 / 56; the
@@ -171,9 +174,10 @@ go test -count=1 -run '^$' -bench 'BenchmarkTrafficMatrixAdd$' -benchmem ./inter
 	           exit bad }'
 go test -count=1 -fuzz 'FuzzEventOrder' -fuzztime 15s -run '^$' ./internal/sim
 go test -race -count=1 -run 'TestGoldenAssignments' ./internal/scheduler
+go test -race -count=1 -run 'TestContendersOnTwoTopologies' ./internal/core
 go test -count=1 -run 'TestGoldenDES' ./internal/experiment
 go test -race -count=1 -run 'TestHotSwapMidRunReschedulesCleanly|TestGeneratorMatchesReference|TestWallClockGeneratorUnderConcurrentCalls' ./internal/live
 go test -race -count=1 -run 'TestRunFiguresInParallel' ./cmd/tstorm-bench
-go run ./cmd/tstorm-bench -arena -duration 250ms -json /tmp/tstorm_arena_smoke.json
+go run ./cmd/tstorm-bench -arena -duration 250ms
 go test -shuffle=on -count=1 ./...
 go test -race -timeout 30m ./...

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -23,38 +21,25 @@ import (
 // reschedule once the monitor has load data, so the measured window
 // reflects the schedule each algorithm actually produces.
 type arenaRun struct {
-	Rank              int     `json:"rank"`
-	Scheduler         string  `json:"scheduler"`
-	TuplesPerSec      float64 `json:"tuples_per_sec"`
-	SinkTuplesPerSec  float64 `json:"sink_tuples_per_sec"`
-	P99LatencyMs      float64 `json:"p99_latency_ms"`
-	InterNodeFraction float64 `json:"inter_node_fraction"`
+	Scheduler         string
+	TuplesPerSec      float64
+	P99LatencyMs      float64
+	InterNodeFraction float64
 	// DecisionLatencyMs is the median wall time of the contender's
 	// Schedule passes over the live snapshot (probe wired, so the cost
 	// includes decision recording — the production configuration).
-	DecisionLatencyMs float64 `json:"decision_latency_ms"`
-	NodesUsed         int     `json:"nodes_used"`
-	Relaxations       int     `json:"relaxations"`
-	Migrations        int64   `json:"migrations"`
-}
-
-// arenaReport is the "arena" section of the live benchmark document:
-// every registered algorithm run over the same self-fed workload on the
-// live backend, ranked by throughput.
-type arenaReport struct {
-	Workload    string     `json:"workload"`
-	DurationSec float64    `json:"duration_sec"`
-	Seed        uint64     `json:"seed"`
-	Runs        []arenaRun `json:"runs"`
+	DecisionLatencyMs float64
+	NodesUsed         int
+	Relaxations       int
 }
 
 // runArena benchmarks every registered scheduling algorithm — the
 // builtins plus Algorithm 1 — over the self-fed Word Count on the live
-// backend and prints a ranking. Each contender is first vetted on a
-// two-topology synthetic input (complete placement, no slot shared
-// across topologies, no panic); a violation fails the whole run, which
-// is what gives the ci smoke its teeth.
-func runArena(duration time.Duration, seed uint64, jsonPath string) error {
+// backend and prints a ranking. A contender that errors or drops an
+// executor from the live placement fails the whole run; the cross-topology
+// check (complete placement, no slot shared between topologies) is
+// TestContendersOnTwoTopologies in internal/core.
+func runArena(duration time.Duration, seed uint64) error {
 	if duration <= 0 {
 		duration = 2 * time.Second
 	}
@@ -68,9 +53,6 @@ func runArena(duration time.Duration, seed uint64, jsonPath string) error {
 	var runs []arenaRun
 	for _, name := range names {
 		algo, _ := reg.Get(name)
-		if err := vetContender(algo); err != nil {
-			return fmt.Errorf("arena: contender %q failed validation: %w", name, err)
-		}
 		run, err := arenaOnce(algo, duration, seed)
 		if err != nil {
 			return fmt.Errorf("arena %s run: %w", name, err)
@@ -82,95 +64,18 @@ func runArena(duration time.Duration, seed uint64, jsonPath string) error {
 	}
 
 	sort.SliceStable(runs, func(i, j int) bool { return runs[i].TuplesPerSec > runs[j].TuplesPerSec })
-	for i := range runs {
-		runs[i].Rank = i + 1
-	}
 	fmt.Printf("\nRanking by throughput:\n")
-	for _, r := range runs {
+	for i, r := range runs {
 		fmt.Printf("  %2d. %-16s %10.0f tuples/s  p99 %7.2f ms  inter-node %5.1f%%  decision %7.3f ms\n",
-			r.Rank, r.Scheduler, r.TuplesPerSec, r.P99LatencyMs, 100*r.InterNodeFraction, r.DecisionLatencyMs)
+			i+1, r.Scheduler, r.TuplesPerSec, r.P99LatencyMs, 100*r.InterNodeFraction, r.DecisionLatencyMs)
 	}
 
-	rep := arenaReport{
-		Workload:    "live-wordcount",
-		DurationSec: duration.Seconds(),
-		Seed:        seed,
-		Runs:        runs,
-	}
-	if jsonPath != "" {
-		return mergeArenaReport(jsonPath, &rep)
-	}
 	return nil
 }
 
-// arenaChain builds the linear vetting topology (spout → mid → sink plus
-// ackers) used by vetContender's two-topology input.
-func arenaChain(name string, workers, spoutPar, boltPar int) (*topology.Topology, error) {
-	b := topology.NewBuilder(name, workers)
-	b.SetAckers(2)
-	b.Spout("spout", spoutPar).Output("default", "v")
-	b.Bolt("mid", boltPar).Shuffle("spout").Output("default", "k", "v")
-	b.Bolt("sink", boltPar).Fields("mid", "k")
-	return b.Build()
-}
-
-// vetContender runs the algorithm over a deterministic two-topology
-// input and enforces the engine's hard requirements on the result:
-// every executor placed, no slot shared between topologies, and no
-// panic. The live single-topology runs cannot catch cross-topology
-// violations, so this gate is what the -arena ci smoke actually tests.
-func vetContender(algo scheduler.Algorithm) (err error) {
-	t1, err := arenaChain("arena-a", 8, 2, 4)
-	if err != nil {
-		return err
-	}
-	t2, err := arenaChain("arena-b", 4, 1, 2)
-	if err != nil {
-		return err
-	}
-	cl, err := cluster.Uniform(6, 4, 2000, 4)
-	if err != nil {
-		return err
-	}
-	db := loaddb.New(1)
-	for ti, top := range []*topology.Topology{t1, t2} {
-		execs := top.Executors()
-		for i, e := range execs {
-			db.UpdateExecutorLoad(e, float64(200+150*((i+ti)%5)))
-			db.UpdateExecutorMemory(e, float64(64+32*(i%3)))
-		}
-		for i := 1; i < len(execs); i++ {
-			db.UpdateTraffic(execs[i-1], execs[i], float64(1000*(i+ti)))
-		}
-	}
-	in := scheduler.NewInput([]*topology.Topology{t1, t2}, cl, db.Snapshot(), 0.9)
-
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panicked: %v", r)
-		}
-	}()
-	a, err := algo.Schedule(in)
-	if err != nil {
-		return err
-	}
-	want := t1.NumExecutors() + t2.NumExecutors()
-	if len(a.Executors) != want {
-		return fmt.Errorf("placed %d of %d executors", len(a.Executors), want)
-	}
-	slotOwner := make(map[cluster.SlotID]string)
-	for e, s := range a.Executors {
-		if owner, ok := slotOwner[s]; ok && owner != e.Topology {
-			return fmt.Errorf("slot %v shared between topologies %q and %q", s, owner, e.Topology)
-		}
-		slotOwner[s] = e.Topology
-	}
-	return nil
-}
-
-// arenaOnce measures one contender on the live backend: the liveOnce
-// pipeline (identical initial schedule, monitor warm-up, one forced
-// reschedule by the contender, measured steady-state window) plus extra
+// arenaOnce measures one contender on the live backend — identical
+// initial schedule, monitor warm-up, one forced reschedule by the
+// contender, measured steady-state window — plus extra
 // probe-wired Generate rounds after the window so the decision-latency
 // median has samples beyond the single reschedule.
 func arenaOnce(algo scheduler.Algorithm, measure time.Duration, seed uint64) (arenaRun, error) {
@@ -262,39 +167,25 @@ func arenaOnce(algo scheduler.Algorithm, measure time.Duration, seed uint64) (ar
 	for _, rep := range hist.Reports() {
 		durations = append(durations, float64(rep.Duration)/float64(time.Millisecond))
 	}
-	migrations := eng.Totals().Migrations
-	eng.Stop()
 
 	return arenaRun{
 		Scheduler:         algo.Name(),
 		TuplesPerSec:      float64(w.Processed) / elapsed,
-		SinkTuplesPerSec:  float64(w.SinkProcessed) / elapsed,
 		P99LatencyMs:      p99,
 		InterNodeFraction: w.InterNodeFraction(),
 		DecisionLatencyMs: median(durations),
 		NodesUsed:         resched.NodesUsed,
 		Relaxations:       resched.Relaxations,
-		Migrations:        migrations,
 	}, nil
 }
 
-// mergeArenaReport folds the arena section into an existing live
-// benchmark document (or starts a fresh one).
-func mergeArenaReport(jsonPath string, rep *arenaReport) error {
-	var doc liveReport
-	if data, err := os.ReadFile(jsonPath); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a live report: %w", jsonPath, err)
-		}
+// median returns the middle value of xs (mean of the middle two when
+// even); xs must be non-empty and is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
 	}
-	doc.Arena = rep
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("merged arena section into %s\n", jsonPath)
-	return nil
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -1,34 +1,18 @@
 // Command tstorm-bench regenerates the paper's tables and figures, and
-// benchmarks the live (wall-clock) runtime.
+// ranks the registered scheduling algorithms on the live runtime.
 //
 // Usage:
 //
 //	tstorm-bench [-fig 5[,6...]] [-duration 1000s] [-seed 1] [-csv dir]
-//	tstorm-bench -live [-duration 3s] [-json BENCH_live.json] [-telemetry addr] [-health]
-//	tstorm-bench -backend dist [-duration 3s] [-json BENCH_live.json]
-//	tstorm-bench -arena [-duration 2s] [-json BENCH_live.json]
+//	tstorm-bench -arena [-duration 2s] [-seed 1]
 //
 // Without -fig it regenerates every figure; the figures run on GOMAXPROCS
-// workers and print in presentation order. With -csv the series
-// are also written as CSV files into the given directory. With -live it
-// instead runs the self-fed Word Count on the goroutine execution engine
-// under the default scheduler versus T-Storm, measuring real throughput,
-// end-to-end latency (p50/p95/p99 per phase), peak queue depth, and
-// inter-node traffic; -json writes the results as a JSON report including
-// a telemetry-on vs telemetry-off throughput comparison. With -telemetry
-// the observability endpoints are additionally served on the given
-// address for the duration of each run. With -health a further off/on
-// pair measures what the health sampler (tsdb collector + SLO engine on
-// a 100 ms cadence, 10× production) costs the pipeline, against a 3%
-// budget; -json records it as a "health_overhead" section. With -backend dist the benchmark
-// instead runs on the multi-process backend: real worker processes
-// (this binary re-executed) exchanging tuples over loopback TCP, with a
-// kill -9 recovery phase; -json merges a "distributed" section into the
-// live report. With -arena every registered scheduling algorithm — the
-// builtins plus Algorithm 1 — is vetted on a two-topology input and then
-// run over the same live workload, ranked by throughput with p99 latency,
-// inter-node traffic, and decision-latency columns; -json merges an
-// "arena" section into the live report.
+// workers and print in presentation order. With -csv the series are also
+// written as CSV files into the given directory. With -arena every
+// registered scheduling algorithm — the builtins plus Algorithm 1 — is run
+// over the same live workload and ranked by throughput with p99 latency,
+// inter-node traffic, and decision-latency columns. The wall-clock
+// backends' benchmark is bench/ (bash bench/run.sh).
 package main
 
 import (
@@ -45,28 +29,21 @@ import (
 	"sync"
 	"time"
 
-	"tstorm/internal/dist"
 	"tstorm/internal/experiment"
 )
 
-func main() {
-	// MUST run before anything else (flag parsing included): when the
-	// -backend dist benchmark re-executes this binary as a worker
-	// process, this call takes over and never returns.
-	dist.RunWorkerIfChild()
+// The flags live at package level so that tests can look them up.
+var (
+	fig        = flag.String("fig", "", "comma-separated figure IDs to regenerate (table2,2,3,5,6,8,9,10,headline,baselines,gamma); empty = all")
+	duration   = flag.Duration("duration", 0, "override run duration (0 = paper durations)")
+	seed       = flag.Uint64("seed", 1, "simulation seed")
+	csvDir     = flag.String("csv", "", "directory to write per-figure CSV series into")
+	arenaMode  = flag.Bool("arena", false, "rank every registered scheduling algorithm over the live workload")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile = flag.String("memprofile", "", "write an allocation profile (all allocs since start) to this file at exit")
+)
 
-	fig := flag.String("fig", "", "comma-separated figure IDs to regenerate (table2,2,3,5,6,8,9,10,headline,baselines,gamma); empty = all")
-	duration := flag.Duration("duration", 0, "override run duration (0 = paper durations)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	csvDir := flag.String("csv", "", "directory to write per-figure CSV series into")
-	liveMode := flag.Bool("live", false, "benchmark the live (wall-clock) runtime instead of regenerating figures")
-	arenaMode := flag.Bool("arena", false, "rank every registered scheduling algorithm over the live workload")
-	backend := flag.String("backend", "live", "execution backend for the live benchmark: live (in-process goroutines) or dist (real worker processes on loopback TCP)")
-	jsonPath := flag.String("json", "", "path to write the live benchmark report as JSON (with -live or -arena)")
-	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /debug/placement, /debug/trace on this address during -live runs (e.g. 127.0.0.1:9090)")
-	healthMode := flag.Bool("health", false, "with -live: additionally measure the health-sampler overhead (observability layer on vs off, 3% budget)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile (all allocs since start) to this file at exit")
+func main() {
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -100,16 +77,9 @@ func main() {
 	}
 
 	var err error
-	switch {
-	case *backend == "dist":
-		err = runDist(*duration, *seed, *jsonPath)
-	case *backend != "live":
-		err = fmt.Errorf("unknown backend %q (have live, dist)", *backend)
-	case *arenaMode:
-		err = runArena(*duration, *seed, *jsonPath)
-	case *liveMode:
-		err = runLive(*duration, *seed, *jsonPath, *telemetryAddr, *healthMode)
-	default:
+	if *arenaMode {
+		err = runArena(*duration, *seed)
+	} else {
 		err = run(os.Stdout, *fig, *duration, *seed, *csvDir)
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -80,4 +81,71 @@ func TestRunFiguresInParallel(t *testing.T) {
 			t.Errorf("fig%s.csv differs between the parallel and the lone run", id)
 		}
 	}
+}
+
+// TestRecipesUseExistingFlags reads every tstorm-bench command line the
+// docs give to run — fenced code blocks and inline code spans containing
+// "go run ./cmd/tstorm-bench" — and fails on a flag the command does not
+// define. Prose may still name removed flags; a recipe may not.
+func TestRecipesUseExistingFlags(t *testing.T) {
+	const cmd = "go run ./cmd/tstorm-bench"
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+	recipes := 0
+	for _, doc := range docs {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range codeLines(string(data)) {
+			for i := strings.Index(line, cmd); i >= 0; i = strings.Index(line, cmd) {
+				line = line[i+len(cmd):]
+				recipes++
+				for _, arg := range strings.Fields(line) {
+					if strings.ContainsRune("#|>;&", rune(arg[0])) {
+						break // a comment, a pipe or redirect, the next command
+					}
+					if !strings.HasPrefix(arg, "-") {
+						continue
+					}
+					name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+					if flag.Lookup(name) == nil {
+						t.Errorf("%s: %q uses -%s, which tstorm-bench does not define", doc, strings.TrimSpace(cmd+line), name)
+					}
+				}
+			}
+		}
+	}
+	if recipes == 0 {
+		t.Fatal("no tstorm-bench recipe found in the docs")
+	}
+}
+
+// codeLines returns the code in a markdown document a reader might paste
+// into a shell: each line of a fenced block, with backslash-continued lines
+// joined, and each inline code span, with its line breaks made spaces.
+func codeLines(doc string) []string {
+	var out []string
+	var prose strings.Builder
+	fenced, cont := false, ""
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			prose.WriteString(line + " ")
+			continue
+		}
+		if s, ok := strings.CutSuffix(line, "\\"); ok {
+			cont += s + " "
+			continue
+		}
+		out = append(out, cont+line)
+		cont = ""
+	}
+	spans := strings.Split(prose.String(), "`")
+	for i := 1; i < len(spans); i += 2 {
+		out = append(out, spans[i])
+	}
+	return out
 }

@@ -24,14 +24,11 @@ type SchedulerTarget interface {
 var _ SchedulerTarget = (*Engine)(nil)
 
 // The wall-clock backends run internal/core's schedule generator.
-type (
-	Generator       = core.Generator
-	GeneratorConfig = core.GeneratorConfig
-)
+type GeneratorConfig = core.GeneratorConfig
 
 // StartGenerator starts the schedule generator on a wall clock over t: a
 // generation every cfg.Period until Stop, or until t stops.
-func StartGenerator(t SchedulerTarget, db *loaddb.DB, cfg GeneratorConfig, algo scheduler.Algorithm) (*Generator, error) {
+func StartGenerator(t SchedulerTarget, db *loaddb.DB, cfg GeneratorConfig, algo scheduler.Algorithm) (*core.Generator, error) {
 	return core.StartGeneratorOn(t, WallClock(t), db, cfg, algo)
 }
 

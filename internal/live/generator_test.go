@@ -267,7 +267,7 @@ func TestGeneratorMatchesReference(t *testing.T) {
 	}
 }
 
-func sameGenerators(t *testing.T, seed uint64, step int, op string, ref *referenceGenerator, gen *Generator,
+func sameGenerators(t *testing.T, seed uint64, step int, op string, ref *referenceGenerator, gen *core.Generator,
 	refT, genT *scriptTarget, refH, genH *decision.History) {
 	t.Helper()
 	at := func(format string, args ...any) {

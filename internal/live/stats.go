@@ -222,19 +222,11 @@ func (eng *Engine) ExecutorStats() []ExecutorStat {
 	return out
 }
 
-// MaxQueueDepth reports the deepest input queue across all executors right
-// now (in tuples) — the backpressure gauge benchmarks poll for per-phase
-// peaks.
-func (eng *Engine) MaxQueueDepth() int {
-	_, maxDepth := eng.QueueSaturation(1)
-	return maxDepth
-}
-
 // QueueSaturation reports the fraction of input queues whose depth is at
 // or above frac of their tuple bound, plus the deepest queue depth in
-// tuples — the backpressure signal health rules sample. Like
-// MaxQueueDepth it reads the routing snapshot only, so it is cheap enough
-// for a 1 s sampler and never contends with Submit/Apply.
+// tuples — the backpressure signal health rules sample. It reads the
+// routing snapshot only, so it is cheap enough for a 1 s sampler and never
+// contends with Submit/Apply.
 func (eng *Engine) QueueSaturation(frac float64) (saturated float64, maxDepth int) {
 	rt := eng.routes.Load()
 	queues, hot := 0, 0

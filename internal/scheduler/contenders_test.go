@@ -1,4 +1,4 @@
-package scheduler
+package scheduler_test
 
 import (
 	"testing"
@@ -6,60 +6,34 @@ import (
 	"tstorm/internal/cluster"
 	"tstorm/internal/decision"
 	"tstorm/internal/loaddb"
+	"tstorm/internal/scheduler"
+	"tstorm/internal/scheduler/schedtest"
 	"tstorm/internal/topology"
 )
 
-// contenderInput builds a two-topology input with deterministic demands
-// so both contenders exercise multi-topology slot exclusivity.
-func contenderInput(t *testing.T, cl *cluster.Cluster) *Input {
-	t.Helper()
-	t1 := buildChain(t, "a", 8, 2, 4)
-	t2 := buildChain(t, "b", 4, 1, 2)
-	db := loaddb.New(1)
-	for ti, top := range []*topology.Topology{t1, t2} {
-		for i, e := range top.Executors() {
-			db.UpdateExecutorLoad(e, float64(200+150*((i+ti)%5)))
-			db.UpdateExecutorMemory(e, float64(64+32*(i%3)))
-		}
-		execs := top.Executors()
-		for i := 1; i < len(execs); i++ {
-			db.UpdateTraffic(execs[i-1], execs[i], float64(1000*(i+ti)))
-		}
-	}
-	return NewInput([]*topology.Topology{t1, t2}, cl, db.Snapshot(), 0.9)
-}
-
-// checkComplete asserts every executor placed and no slot shared between
-// topologies — the engine's hard requirements on any assignment.
-func checkComplete(t *testing.T, in *Input, a *cluster.Assignment) {
-	t.Helper()
-	want := 0
-	for _, top := range in.Topologies {
-		want += top.NumExecutors()
-	}
-	if len(a.Executors) != want {
-		t.Fatalf("placed %d executors, want %d", len(a.Executors), want)
-	}
-	slotOwner := make(map[cluster.SlotID]string)
-	for e, s := range a.Executors {
-		if owner, ok := slotOwner[s]; ok && owner != e.Topology {
-			t.Fatalf("slot %v shared between topologies %q and %q", s, owner, e.Topology)
-		}
-		slotOwner[s] = e.Topology
-	}
-}
-
 func TestContendersCompleteAndDeterministic(t *testing.T) {
-	cl := tenNodes(t)
-	for _, algo := range []Algorithm{RStorm{}, Hetero{}} {
+	cl, err := cluster.Uniform(10, 4, 2000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []scheduler.Algorithm{scheduler.RStorm{}, scheduler.Hetero{}} {
 		t.Run(algo.Name(), func(t *testing.T) {
-			in := contenderInput(t, cl)
+			in, err := schedtest.TwoTopologies(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
 			a, err := algo.Schedule(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkComplete(t, in, a)
-			b, err := algo.Schedule(contenderInput(t, cl))
+			if err := schedtest.Complete(in, a); err != nil {
+				t.Fatal(err)
+			}
+			again, err := schedtest.TwoTopologies(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := algo.Schedule(again)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +47,10 @@ func TestContendersCompleteAndDeterministic(t *testing.T) {
 // TestRStormRespectsAllDimensions overloads one dimension at a time and
 // checks that packing spreads instead of overcommitting it.
 func TestRStormRespectsAllDimensions(t *testing.T) {
-	top := buildChain(t, "m", 20, 2, 5) // 14 executors
+	top, err := schedtest.Chain("m", 20, 2, 5) // 14 executors
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Small-memory nodes: 2 executors of 512 MB fill a 1200 MB node.
 	nodes := make([]cluster.Node, 8)
 	for i := range nodes {
@@ -89,12 +66,14 @@ func TestRStormRespectsAllDimensions(t *testing.T) {
 		db.UpdateExecutorLoad(e, 100)
 		db.UpdateExecutorMemory(e, 512)
 	}
-	in := NewInput([]*topology.Topology{top}, cl, db.Snapshot(), 0)
-	a, err := RStorm{}.Schedule(in)
+	in := scheduler.NewInput([]*topology.Topology{top}, cl, db.Snapshot(), 0)
+	a, err := scheduler.RStorm{}.Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkComplete(t, in, a)
+	if err := schedtest.Complete(in, a); err != nil {
+		t.Fatal(err)
+	}
 	perNode := make(map[cluster.NodeID]float64)
 	for e := range a.Executors {
 		perNode[a.Executors[e].Node] += in.DemandFor(e).MemMB
@@ -121,17 +100,22 @@ func TestHeteroPrefersFastNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := buildChain(t, "h", 8, 1, 2) // 1+2+2+2 = 7 executors
+	top, err := schedtest.Chain("h", 8, 1, 2) // 1+2+2+2 = 7 executors
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := loaddb.New(1)
 	for i, e := range top.Executors() {
 		db.UpdateExecutorLoad(e, float64(3000-200*i))
 	}
-	in := NewInput([]*topology.Topology{top}, cl, db.Snapshot(), 0)
-	a, err := Hetero{}.Schedule(in)
+	in := scheduler.NewInput([]*topology.Topology{top}, cl, db.Snapshot(), 0)
+	a, err := scheduler.Hetero{}.Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkComplete(t, in, a)
+	if err := schedtest.Complete(in, a); err != nil {
+		t.Fatal(err)
+	}
 	// The fast node has 64 GHz usable; all 7 executors (≤ 21 GHz) fit, and
 	// every placement scores higher there — nothing should touch "slow".
 	for e, s := range a.Executors {
@@ -145,7 +129,10 @@ func TestHeteroPrefersFastNodes(t *testing.T) {
 // on a memory-constrained cluster and checks losing slots carry resource-
 // dimension rejection labels.
 func TestContenderProbesNamePerDimensionConstraints(t *testing.T) {
-	top := buildChain(t, "p", 20, 2, 5)
+	top, err := schedtest.Chain("p", 20, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nodes := make([]cluster.Node, 8)
 	for i := range nodes {
 		nodes[i] = cluster.Node{ID: cluster.NodeID(rune('a' + i)), Cores: 8,
@@ -160,10 +147,10 @@ func TestContenderProbesNamePerDimensionConstraints(t *testing.T) {
 		db.UpdateExecutorLoad(e, 100)
 		db.UpdateExecutorMemory(e, 512)
 	}
-	in := NewInput([]*topology.Topology{top}, cl, db.Snapshot(), 0)
+	in := scheduler.NewInput([]*topology.Topology{top}, cl, db.Snapshot(), 0)
 	probe := decision.NewBuilder()
 	in.Probe = probe
-	if _, err := (RStorm{}).Schedule(in); err != nil {
+	if _, err := (scheduler.RStorm{}).Schedule(in); err != nil {
 		t.Fatal(err)
 	}
 	rep := probe.Report()
@@ -197,8 +184,8 @@ func TestContenderProbesNamePerDimensionConstraints(t *testing.T) {
 }
 
 func TestRegisterBuiltins(t *testing.T) {
-	r := NewRegistry()
-	RegisterBuiltins(r)
+	r := scheduler.NewRegistry()
+	scheduler.RegisterBuiltins(r)
 	for _, name := range []string{"default", "tstorm-initial", "aniello-offline",
 		"aniello-online", "load-balanced", "rstorm", "hetero"} {
 		if _, ok := r.Get(name); !ok {
@@ -207,9 +194,9 @@ func TestRegisterBuiltins(t *testing.T) {
 	}
 	// An already-registered name survives: callers register their running
 	// algorithm after the builtins, so the instance in use wins clashes.
-	r2 := NewRegistry()
-	RegisterBuiltins(r2)
-	r2.Register(Pinned{Assignment: cluster.NewAssignment(7)})
+	r2 := scheduler.NewRegistry()
+	scheduler.RegisterBuiltins(r2)
+	r2.Register(scheduler.Pinned{Assignment: cluster.NewAssignment(7)})
 	if len(r2.Names()) != 8 {
 		t.Fatalf("names = %v, want 8 entries", r2.Names())
 	}

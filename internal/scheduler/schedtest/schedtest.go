@@ -1,7 +1,8 @@
 // Package schedtest generates random scheduling inputs for the
 // differential and fuzz tests that hold the placement kernel to the
-// map-based reference implementations. It is test support: nothing outside
-// _test files imports it.
+// map-based reference implementations, and holds the two-topology input
+// and completeness check every registered algorithm must pass. It is test
+// support: nothing outside _test files imports it.
 package schedtest
 
 import (
@@ -150,4 +151,61 @@ func UsableNodes(in *scheduler.Input) int {
 		seen[s.Node] = true
 	}
 	return len(seen)
+}
+
+// Chain builds a linear topology — spout → mid → sink, shuffle-grouped,
+// plus two ackers.
+func Chain(name string, workers, spoutPar, boltPar int) (*topology.Topology, error) {
+	b := topology.NewBuilder(name, workers)
+	b.SetAckers(2)
+	b.Spout("spout", spoutPar).Output("default", "v")
+	b.Bolt("mid", boltPar).Shuffle("spout").Output("default", "v")
+	b.Bolt("sink", boltPar).Shuffle("mid")
+	return b.Build()
+}
+
+// TwoTopologies builds the input every contender must handle: two chains
+// on cl with deterministic CPU loads, memory and traffic, so an algorithm
+// has to keep the topologies' slots apart.
+func TwoTopologies(cl *cluster.Cluster) (*scheduler.Input, error) {
+	t1, err := Chain("a", 8, 2, 4)
+	if err != nil {
+		return nil, err
+	}
+	t2, err := Chain("b", 4, 1, 2)
+	if err != nil {
+		return nil, err
+	}
+	db := loaddb.New(1)
+	for ti, top := range []*topology.Topology{t1, t2} {
+		execs := top.Executors()
+		for i, e := range execs {
+			db.UpdateExecutorLoad(e, float64(200+150*((i+ti)%5)))
+			db.UpdateExecutorMemory(e, float64(64+32*(i%3)))
+		}
+		for i := 1; i < len(execs); i++ {
+			db.UpdateTraffic(execs[i-1], execs[i], float64(1000*(i+ti)))
+		}
+	}
+	return scheduler.NewInput([]*topology.Topology{t1, t2}, cl, db.Snapshot(), 0.9), nil
+}
+
+// Complete checks the engine's hard requirements on any assignment: every
+// executor of in placed, and no slot shared between topologies.
+func Complete(in *scheduler.Input, a *cluster.Assignment) error {
+	want := 0
+	for _, top := range in.Topologies {
+		want += top.NumExecutors()
+	}
+	if len(a.Executors) != want {
+		return fmt.Errorf("placed %d executors, want %d", len(a.Executors), want)
+	}
+	slotOwner := make(map[cluster.SlotID]string)
+	for e, s := range a.Executors {
+		if owner, ok := slotOwner[s]; ok && owner != e.Topology {
+			return fmt.Errorf("slot %v shared between topologies %q and %q", s, owner, e.Topology)
+		}
+		slotOwner[s] = e.Topology
+	}
+	return nil
 }
