@@ -74,10 +74,16 @@
 # at Ne = 1000 (50 nodes) and fails when allocs/op passes a budget of twice
 # what the placement kernel measured when it landed (80 / 70 / 56; the
 # map-based Algorithm 1 took 7109): allocation counts repeat exactly, wall
-# time on a shared box does not, so there is no wall-clock gate. The
-# FuzzSchedule smoke then spends 15 s holding the kernel to the map-based
-# reference Algorithm 1 — same assignment, Stats and decision report, and
-# the three per-node constraints wherever no relaxation is flagged.
+# time on a shared box does not, so there is no wall-clock gate. A second
+# gate holds the Algorithm 1 round at Ne = 10000 (500 nodes) to 328
+# allocs/op, twice the 164 it measured once the strict pass visited only
+# candidate nodes and the flows were interned in one pass (the full node
+# scan took 193). The FuzzSchedule smoke then spends 15 s holding the
+# kernel to the map-based reference Algorithm 1 — same assignment, Stats
+# and decision report, and the three per-node constraints wherever no
+# relaxation is flagged — and TestScheduleMatchesReferenceAtScale holds it
+# to the reference on two Ne = 2000 consolidating rounds, where the
+# candidate pass's cursor walks the whole cluster.
 # The DES kernel gates are counts too. BenchmarkScheduleFireDepth holds one
 # schedule + fire at queue depths 1 / 4 096 / 65 536: the typed path
 # (AtEvent) at exactly 0 allocs/op, the callback path (At: one event; the
@@ -152,7 +158,14 @@ go test -count=1 -run '^$' -bench 'Benchmark(Algorithm1|RStorm|Hetero)/^Ne=1000$
 	       else { print "scheduler-round allocs/op: " $1 " " allocs " (budget " b ")" } }
 	     END { if (seen != 3) { print "scheduler-round allocation gate: expected 3 benchmarks, saw " seen + 0; exit 1 }
 	           exit bad }'
+go test -count=1 -run '^$' -bench 'BenchmarkAlgorithm1/^Ne=10000$' -benchmem -benchtime 3x . |
+	awk '/^BenchmarkAlgorithm1/ { seen++; allocs = $(NF-1)
+	       if (allocs + 0 > 328) { print "scheduler-round allocation regression: " $1 " at " allocs " allocs/op (budget 328)"; bad = 1 }
+	       else { print "scheduler-round allocs/op: " $1 " " allocs " (budget 328)" } }
+	     END { if (seen != 1) { print "scheduler-round allocation gate: expected BenchmarkAlgorithm1 at Ne=10000, saw " seen + 0; exit 1 }
+	           exit bad }'
 go test -count=1 -fuzz 'FuzzSchedule' -fuzztime 15s -run '^$' ./internal/core
+go test -count=1 -run 'TestScheduleMatchesReferenceAtScale' ./internal/core
 go test -count=1 -run '^$' -bench 'BenchmarkScheduleFireDepth' -benchmem -benchtime 300000x ./internal/sim |
 	awk '/^BenchmarkScheduleFireDepth/ { seen++; allocs = $(NF-1); budget = ($1 ~ /\/typed\//) ? 0 : 2
 	       if (allocs + 0 > budget) { print "DES kernel allocation regression: " $1 " at " allocs " allocs/op (budget " budget ")"; bad = 1 }

@@ -88,7 +88,6 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		Algorithm: t.Name(),
 		Executors: make([]topology.ExecutorID, 0, ne),
 		Demands:   make([]scheduler.Demand, 0, ne),
-		Traffic:   make([]float64, 0, ne),
 		// Only the CPU dimension matters here — Algorithm 1 is deliberately
 		// blind to memory and bandwidth, which is exactly what the
 		// rstorm/hetero contenders exist to contrast. The usable-capacity
@@ -99,34 +98,38 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		OneSlotPerNode: true,
 	}
 	// Collect executors of all topologies (the paper's E over M
-	// topologies) with loads l_i and total traffic.
-	totalTraffic := load.TotalTraffic()
+	// topologies) with loads l_i and total traffic. Each executor's total
+	// is summed in flow order, as loaddb.Snapshot.TotalTraffic sums it.
 	for _, top := range in.Topologies {
 		for _, e := range top.Executors() {
 			p.Executors = append(p.Executors, e)
 			p.Demands = append(p.Demands, scheduler.Demand{CPUMHz: load.ExecLoad[e]})
-			p.Traffic = append(p.Traffic, totalTraffic[e])
+		}
+	}
+	p.InternFlows(load.Flows)
+	p.Traffic = make([]float64, len(p.Executors))
+	for _, f := range p.Flows {
+		if f.From >= 0 {
+			p.Traffic[f.From] += f.Rate
+		}
+		if f.To >= 0 {
+			p.Traffic[f.To] += f.Rate
 		}
 	}
 	// Line 2: sort executors by descending total traffic; ties broken by
 	// executor identity for determinism.
 	if !t.DisableTrafficOrder {
-		p.SortStable(func(i, j int) bool {
-			if p.Traffic[i] != p.Traffic[j] {
-				return p.Traffic[i] > p.Traffic[j]
-			}
-			return p.Executors[i].Less(p.Executors[j])
-		})
+		p.SortDescending(p.Traffic)
 	}
 
-	a, relaxations, err := scheduler.Place(in, p)
-	t.LastStats = Stats{Relaxations: relaxations}
+	res, err := scheduler.Place(in, p)
+	t.LastStats = Stats{Relaxations: res.Relaxations}
 	if err != nil {
 		return nil, err
 	}
-	t.LastStats.NodesUsed = a.NumUsedNodes()
-	t.LastStats.InterNodeTraffic = InterNodeTraffic(a, load)
-	return a, nil
+	t.LastStats.NodesUsed = res.Assignment.NumUsedNodes()
+	t.LastStats.InterNodeTraffic = res.InterNodeRate
+	return res.Assignment, nil
 }
 
 // InterNodeTraffic computes the objective of the paper's scheduling

@@ -197,6 +197,7 @@ func TestChartRendering(t *testing.T) {
 }
 
 func TestGammaSweepShort(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs ten simulations")
 	}

@@ -47,6 +47,7 @@ func gammaTrend(t *testing.T, wl WorkloadKind, gammas []float64, wantNodes []int
 }
 
 func TestWordCountGammaTrend(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long shape test")
 	}
@@ -54,6 +55,7 @@ func TestWordCountGammaTrend(t *testing.T) {
 }
 
 func TestLogStreamGammaTrend(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long shape test")
 	}

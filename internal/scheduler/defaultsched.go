@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tstorm/internal/cluster"
-	"tstorm/internal/topology"
 )
 
 // RoundRobin is Storm's default (even) scheduler: each topology's
@@ -115,18 +114,4 @@ func (p Pinned) Schedule(in *Input) (*cluster.Assignment, error) {
 		recordDecisions(in, "pinned", a)
 	}
 	return a, nil
-}
-
-// PlaceExecutors is a helper for hand-built placements: it assigns the
-// executors of the named components round-robin over the given slots.
-func PlaceExecutors(a *cluster.Assignment, top *topology.Topology, slots []cluster.SlotID, components ...string) {
-	var execs []topology.ExecutorID
-	for _, e := range top.Executors() {
-		for _, c := range components {
-			if e.Component == c {
-				execs = append(execs, e)
-			}
-		}
-	}
-	assignRoundRobin(a, execs, slots)
 }

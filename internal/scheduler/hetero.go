@@ -45,12 +45,11 @@ func (Hetero) Schedule(in *Input) (*cluster.Assignment, error) {
 		execs = append(execs, top.Executors()...)
 	}
 	p := resourcePolicy(in, "hetero", execs, heteroScore)
-	p.SortStable(func(i, j int) bool {
-		if p.Demands[i].CPUMHz != p.Demands[j].CPUMHz {
-			return p.Demands[i].CPUMHz > p.Demands[j].CPUMHz
-		}
-		return p.Executors[i].Less(p.Executors[j])
-	})
-	a, _, err := Place(in, p)
-	return a, err
+	cpu := make([]float64, len(p.Demands))
+	for i, d := range p.Demands {
+		cpu[i] = d.CPUMHz
+	}
+	p.SortDescending(cpu)
+	res, err := Place(in, p)
+	return res.Assignment, err
 }

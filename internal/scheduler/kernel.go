@@ -5,15 +5,16 @@ package scheduler
 // and give each to the best-scoring node whose limits it fits, dropping
 // limits one by one when no node fits. A Policy says what differs — the
 // order, the score, the limits and the order they are dropped in — and
-// Place runs the one loop over state interned to integer indices, so a
-// round costs O(F + Ne·K) after the caller's sort instead of a hashed
-// lookup per (executor, slot) pair. DESIGN.md §10 ("Placement kernel")
-// gives the index layout and the rules that keep the output identical to
-// the map-based implementations this replaced.
+// Place runs the one loop over state interned to integer indices. A scored
+// policy visits every node per executor, O(F + Ne·K); Algorithm 1 visits
+// only the nodes of the executor's placed neighbours and the first node
+// that fits, O(F + Σ degree) plus a cursor walk. DESIGN.md §10
+// ("Placement kernel") gives the index layout and the rules that keep the
+// output identical to the map-based implementations this replaced.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tstorm/internal/cluster"
 	"tstorm/internal/decision"
@@ -78,30 +79,90 @@ type Policy struct {
 	OneSlotPerNode bool
 	// Score ranks the nodes an executor fits: the highest wins, and of
 	// equals the first in FreeSlots() order. Nil selects Algorithm 1's
-	// score, the traffic between the executor and those already placed on
-	// the node.
+	// score, the traffic in Flows between the executor and those already
+	// placed on the node.
 	Score func(n *NodeState, d Demand) float64
+	// Flows is the load snapshot's traffic over indices of Executors, in
+	// the snapshot's order (InternFlows fills it). Only a nil Score reads
+	// it.
+	Flows []Flow
 }
 
-// SortStable reorders the placement order — the executors, with their
-// demands and traffic — by less, keeping equals in their current order.
-func (p *Policy) SortStable(less func(i, j int) bool) {
-	sort.Stable(policyOrder{p, less})
+// Flow is one flow of the load snapshot with its endpoints interned to
+// indices of Policy.Executors; -1 marks an executor outside the round.
+type Flow struct {
+	From, To int32
+	Rate     float64
 }
 
-type policyOrder struct {
-	*Policy
-	less func(i, j int) bool
-}
-
-func (o policyOrder) Len() int           { return len(o.Executors) }
-func (o policyOrder) Less(i, j int) bool { return o.less(i, j) }
-func (o policyOrder) Swap(i, j int) {
-	o.Executors[i], o.Executors[j] = o.Executors[j], o.Executors[i]
-	o.Demands[i], o.Demands[j] = o.Demands[j], o.Demands[i]
-	if o.Traffic != nil {
-		o.Traffic[i], o.Traffic[j] = o.Traffic[j], o.Traffic[i]
+// InternFlows sets p.Flows from the snapshot's flows, hashing each
+// endpoint once.
+func (p *Policy) InternFlows(flows []loaddb.Flow) {
+	index := make(map[topology.ExecutorID]int32, len(p.Executors))
+	for i, e := range p.Executors {
+		index[e] = int32(i)
 	}
+	lookup := func(e topology.ExecutorID) int32 {
+		if i, ok := index[e]; ok {
+			return i
+		}
+		return -1
+	}
+	p.Flows = make([]Flow, len(flows))
+	for i, f := range flows {
+		p.Flows[i] = Flow{From: lookup(f.From), To: lookup(f.To), Rate: f.Rate}
+	}
+}
+
+// SortDescending reorders the placement order — the executors, with their
+// demands and traffic — by descending key (one entry per executor), then
+// by executor ID, keeping equals in their current order, and renumbers
+// Flows to match. It sorts a permutation and applies it once. The key
+// comparison is `key[i] != key[j] && key[i] > key[j]`, so a NaN key orders
+// as the map-based implementations' sort.SliceStable ordered it.
+func (p *Policy) SortDescending(key []float64) {
+	order := make([]int, len(p.Executors))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int {
+		switch {
+		case key[i] > key[j]:
+			return -1
+		case key[i] != key[j]:
+			return 1
+		}
+		return p.Executors[i].Compare(p.Executors[j])
+	})
+	p.Executors = permute(p.Executors, order)
+	p.Demands = permute(p.Demands, order)
+	if p.Traffic != nil {
+		p.Traffic = permute(p.Traffic, order)
+	}
+	if len(p.Flows) == 0 {
+		return
+	}
+	rank := make([]int32, len(order))
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	for i, f := range p.Flows {
+		if f.From >= 0 {
+			p.Flows[i].From = rank[f.From]
+		}
+		if f.To >= 0 {
+			p.Flows[i].To = rank[f.To]
+		}
+	}
+}
+
+// permute returns s reordered so that element r is s[order[r]].
+func permute[T any](s []T, order []int) []T {
+	out := make([]T, len(s))
+	for r, i := range order {
+		out[r] = s[i]
+	}
+	return out
 }
 
 // kernel is the interned state of one Place call.
@@ -119,8 +180,16 @@ type kernel struct {
 	adjStart []int32
 	adjTo    []int32
 	adjRate  []float64
+	// negative is set when some weight is negative or NaN. The first node
+	// that fits may then score below zero, or compare false with zero, and
+	// lose to a later node holding no neighbour, which pick never visits:
+	// every strict pass of the round scans all nodes instead.
+	negative bool
 	nodeOf   []int32   // rank → node, for ranks already placed
 	gain     []float64 // node → Algorithm 1's score for the current executor
+	// cursor is the first node that is not count-full. Counts only grow
+	// within a round, so the strict pass never fits a node before it.
+	cursor int
 }
 
 func newKernel(in *Input, execs []topology.ExecutorID) *kernel {
@@ -163,28 +232,21 @@ func newKernel(in *Input, execs []topology.ExecutorID) *kernel {
 	return k
 }
 
-// loadFlows builds the CSR adjacency. Flows naming an executor outside
-// execs can never be co-located and are skipped. Repeats and reverses of a
-// pair are summed in flow order, which is the order the pairwise map of
-// the reference implementation summed them in.
-func (k *kernel) loadFlows(execs []topology.ExecutorID, flows []loaddb.Flow) {
-	ne := len(execs)
-	rank := make(map[topology.ExecutorID]int32, ne)
-	for r, e := range execs {
-		rank[e] = int32(r)
-	}
+// loadFlows builds the CSR adjacency from flows over placement ranks.
+// Flows naming an executor outside the round can never be co-located and
+// are skipped. Repeats and reverses of a pair are summed in flow order,
+// which is the order the pairwise map of the reference implementation
+// summed them in.
+func (k *kernel) loadFlows(flows []Flow) {
+	ne := len(k.nodeOf)
 	type edge struct {
 		hi, lo int32
 		rate   float64
 	}
 	edges := make([]edge, 0, len(flows))
 	for _, f := range flows {
-		u, ok := rank[f.From]
-		if !ok {
-			continue
-		}
-		v, ok := rank[f.To]
-		if !ok || u == v {
+		u, v := f.From, f.To
+		if u < 0 || v < 0 || u == v {
 			continue
 		}
 		if u < v {
@@ -227,6 +289,12 @@ func (k *kernel) loadFlows(execs []topology.ExecutorID, flows []loaddb.Flow) {
 	for i := 1; i <= ne; i++ {
 		k.adjStart[i] += k.adjStart[i-1]
 	}
+	for _, r := range k.adjRate {
+		if !(r >= 0) {
+			k.negative = true
+			break
+		}
+	}
 }
 
 // violated names the first of the enforced limits the demand would break
@@ -246,6 +314,19 @@ func (n *NodeState) violated(d Demand, enforce Limit, countCap float64) decision
 	return ""
 }
 
+// slotFor returns the slot the topology holds on node n (-1 if none) and
+// the one it would take there: the held one or, failing that, the node's
+// first free one; -1 when it has neither.
+func (k *kernel) slotFor(n int, topo int32) (held, slot int32) {
+	ns := &k.nodes[n]
+	held = k.topoSlot[n*k.numTopo+int(topo)]
+	slot = held
+	if slot < 0 && ns.firstSlot+ns.owned < ns.endSlot {
+		slot = ns.firstSlot + ns.owned
+	}
+	return held, slot
+}
+
 // scan picks the node for one executor under the enforced limits. It looks
 // at nodes, not slots: the score and the limits are per node, and on each
 // node the only slot the executor's topology can take is the one it
@@ -256,11 +337,7 @@ func (k *kernel) scan(p *Policy, topo int32, d Demand, enforce Limit, countCap f
 	node = -1
 	for n := range k.nodes {
 		ns := &k.nodes[n]
-		held := k.topoSlot[n*k.numTopo+int(topo)]
-		s := held
-		if s < 0 && ns.firstSlot+ns.owned < ns.endSlot {
-			s = ns.firstSlot + ns.owned
-		}
+		held, s := k.slotFor(n, topo)
 		if s < 0 && opts == nil {
 			continue
 		}
@@ -288,14 +365,65 @@ func (k *kernel) scan(p *Policy, topo int32, d Demand, enforce Limit, countCap f
 	return node, slot, score
 }
 
-// Place runs one scheduling round under the policy and returns the
-// assignment and how many executors needed a limit relaxed. With in.Probe
-// set it also records the decision report: every slot's score and verdict
-// from each executor's strict pass, and which limits were dropped for it.
-func Place(in *Input, p Policy) (*cluster.Assignment, int, error) {
+// pick is scan for Algorithm 1's strict pass when no weight is negative
+// and no probe wants every slot's verdict. Every node without a placed
+// neighbour scores zero, so only two kinds of node can win: the first node
+// that fits, which no other zero-score node beats, and the nodes of the
+// neighbours. Of these the highest score wins, and of equals the lowest
+// index, as in scan.
+func (k *kernel) pick(topo int32, d Demand, enforce Limit, countCap float64, neighbours []int32) (node int, slot int32, score float64) {
+	for enforce&LimitCount != 0 && k.cursor < len(k.nodes) && float64(k.nodes[k.cursor].Count+1) > countCap {
+		k.cursor++
+	}
+	node = -1
+	for n := k.cursor; n < len(k.nodes); n++ {
+		if s := k.fit(n, topo, d, enforce, countCap); s >= 0 {
+			node, slot, score = n, s, k.gain[n]
+			break
+		}
+	}
+	if node < 0 {
+		return node, 0, 0 // no neighbour's node fits either
+	}
+	for _, other := range neighbours {
+		n := int(k.nodeOf[other])
+		if g := k.gain[n]; g > score || (g == score && n < node) {
+			if s := k.fit(n, topo, d, enforce, countCap); s >= 0 {
+				node, slot, score = n, s, g
+			}
+		}
+	}
+	return node, slot, score
+}
+
+// fit returns the slot the executor would take on node n under the
+// enforced limits, -1 when the node has none for its topology or the
+// demand breaks a limit there.
+func (k *kernel) fit(n int, topo int32, d Demand, enforce Limit, countCap float64) int32 {
+	if _, s := k.slotFor(n, topo); s >= 0 && k.nodes[n].violated(d, enforce, countCap) == "" {
+		return s
+	}
+	return -1
+}
+
+// Result is what one Place round produced.
+type Result struct {
+	Assignment *cluster.Assignment
+	// Relaxations counts the executors that needed a limit dropped.
+	Relaxations int
+	// InterNodeRate is the rate of the policy's Flows whose endpoints
+	// landed on different nodes, summed in flow order — the same float as
+	// decision.InterNodeRate over the snapshot the flows came from.
+	InterNodeRate float64
+}
+
+// Place runs one scheduling round under the policy. With in.Probe set it
+// also records the decision report: every slot's score and verdict from
+// each executor's strict pass, and which limits were dropped for it.
+func Place(in *Input, p Policy) (Result, error) {
 	k := newKernel(in, p.Executors)
-	if p.Score == nil && in.Load != nil {
-		k.loadFlows(p.Executors, in.Load.Flows)
+	if p.Score == nil {
+		k.loadFlows(p.Flows)
 	}
 	// The paper's N_e and K. K counts the nodes an executor can go to: one
 	// the generator fenced off with OccupyNode is not in k.nodes, and
@@ -312,6 +440,8 @@ func Place(in *Input, p Policy) (*cluster.Assignment, int, error) {
 			probe.Policy(p.Gamma, fraction(in.Constraints.CPUFraction), countCap)
 		}
 	}
+	// A score, a probe or a negative weight needs every node's verdict.
+	candidatesOnly := p.Score == nil && probe == nil && !k.negative
 
 	a := &cluster.Assignment{Executors: make(map[topology.ExecutorID]cluster.SlotID, ne)}
 	relaxations := 0
@@ -327,7 +457,14 @@ func Place(in *Input, p Policy) (*cluster.Assignment, int, error) {
 		if probe != nil {
 			opts = make([]decision.SlotOption, len(k.slots))
 		}
-		node, slot, score := k.scan(&p, topo, d, p.Enforce, countCap, opts)
+		var node int
+		var slot int32
+		var score float64
+		if candidatesOnly {
+			node, slot, score = k.pick(topo, d, p.Enforce, countCap, neighbours)
+		} else {
+			node, slot, score = k.scan(&p, topo, d, p.Enforce, countCap, opts)
+		}
 		if node < 0 {
 			relaxations++
 		}
@@ -337,7 +474,7 @@ func Place(in *Input, p Policy) (*cluster.Assignment, int, error) {
 			node, slot, score = k.scan(&p, topo, d, p.Enforce&^dropped, countCap, nil)
 		}
 		if node < 0 {
-			return nil, relaxations, fmt.Errorf("scheduler: %s found no slot for executor %v", p.Algorithm, e)
+			return Result{Relaxations: relaxations}, fmt.Errorf("scheduler: %s found no slot for executor %v", p.Algorithm, e)
 		}
 		if probe != nil {
 			opts[slot].Chosen = true
@@ -376,5 +513,11 @@ func Place(in *Input, p Policy) (*cluster.Assignment, int, error) {
 	if probe != nil {
 		probe.Finish(a, in.Load)
 	}
-	return a, relaxations, nil
+	res := Result{Assignment: a, Relaxations: relaxations}
+	for _, f := range p.Flows {
+		if f.From >= 0 && f.To >= 0 && k.nodeOf[f.From] != k.nodeOf[f.To] {
+			res.InterNodeRate += f.Rate
+		}
+	}
+	return res, nil
 }

@@ -77,6 +77,6 @@ func (RStorm) Schedule(in *Input) (*cluster.Assignment, error) {
 	for _, top := range in.Topologies {
 		execs = append(execs, bfsOrderedExecutors(top)...)
 	}
-	a, _, err := Place(in, resourcePolicy(in, "rstorm", execs, rstormScore))
-	return a, err
+	res, err := Place(in, resourcePolicy(in, "rstorm", execs, rstormScore))
+	return res.Assignment, err
 }

@@ -7,6 +7,7 @@ package schedtest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tstorm/internal/cluster"
@@ -47,9 +48,10 @@ type Case struct {
 
 // Generate builds a valid input: 1–3 topologies, 2–40 unequal nodes, some
 // slots (now and then a whole node) occupied, CPU loads from idle to tight
-// enough to force relaxations, and a hand-built snapshot whose flows carry
-// non-integer rates, repeat and reverse one another, and sometimes name an
-// executor that is not part of the input.
+// enough to force relaxations, and a hand-built snapshot whose flows
+// repeat and reverse one another, sometimes name an executor that is not
+// part of the input, and carry non-integer rates or, now and then, small
+// integers that make nodes tie on Algorithm 1's score.
 func Generate(next Source) (Case, error) {
 	nodes := make([]cluster.Node, 2+next(39))
 	for i := range nodes {
@@ -118,6 +120,11 @@ func Generate(next Source) (Case, error) {
 			snap.Flows = append(snap.Flows, loaddb.Flow{From: f.From, To: f.To, Rate: float64(next(1000)) / 7.1})
 		case 1: // and its reverse
 			snap.Flows = append(snap.Flows, loaddb.Flow{From: f.To, To: f.From, Rate: float64(next(1000)) / 3.3})
+		}
+	}
+	if next(3) == 0 { // coarse rates: zeros, and equal scores on many nodes
+		for i := range snap.Flows {
+			snap.Flows[i].Rate = math.Floor(snap.Flows[i].Rate / 700)
 		}
 	}
 

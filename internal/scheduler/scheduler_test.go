@@ -269,22 +269,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestPlaceExecutors(t *testing.T) {
-	top := buildChain(t, "t", 1, 2, 3)
-	cl := tenNodes(t)
-	a := cluster.NewAssignment(0)
-	slots := cl.Slots()[:2]
-	PlaceExecutors(a, top, slots, "spout")
-	if len(a.Executors) != 2 {
-		t.Fatalf("placed %d, want 2 spouts", len(a.Executors))
-	}
-	s0, _ := a.Slot(topology.ExecutorID{Topology: "t", Component: "spout", Index: 0})
-	s1, _ := a.Slot(topology.ExecutorID{Topology: "t", Component: "spout", Index: 1})
-	if s0 == s1 {
-		t.Fatal("round-robin did not alternate slots")
-	}
-}
-
 func TestInterleavedFreeSlotsOrder(t *testing.T) {
 	cl := tenNodes(t)
 	in := &Input{Topologies: []*topology.Topology{buildChain(t, "t", 1, 1, 1)}, Cluster: cl}

@@ -8,8 +8,10 @@
 package topology
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"strings"
 
 	"tstorm/internal/tuple"
 )
@@ -118,14 +120,18 @@ func (e ExecutorID) String() string {
 }
 
 // Less orders executor IDs lexicographically (topology, component, index).
-func (e ExecutorID) Less(o ExecutorID) bool {
-	if e.Topology != o.Topology {
-		return e.Topology < o.Topology
+func (e ExecutorID) Less(o ExecutorID) bool { return e.Compare(o) < 0 }
+
+// Compare is Less as a three-way comparison: negative when e sorts
+// before o, zero when they are equal, positive otherwise.
+func (e ExecutorID) Compare(o ExecutorID) int {
+	if c := strings.Compare(e.Topology, o.Topology); c != 0 {
+		return c
 	}
-	if e.Component != o.Component {
-		return e.Component < o.Component
+	if c := strings.Compare(e.Component, o.Component); c != 0 {
+		return c
 	}
-	return e.Index < o.Index
+	return cmp.Compare(e.Index, o.Index)
 }
 
 // Topology is a validated Storm application graph.
