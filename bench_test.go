@@ -361,6 +361,27 @@ type benchSink struct{}
 func (benchSink) Prepare(*engine.Context)             {}
 func (benchSink) Execute(tuple.Tuple, engine.Emitter) {}
 
+// pinFirstSlot places every executor on the cluster's first slot: Fig. 2's
+// n1w1 placement.
+func pinFirstSlot(top *topology.Topology, cl *cluster.Cluster) *cluster.Assignment {
+	a := cluster.NewAssignment(0)
+	for _, e := range top.Executors() {
+		a.Assign(e, cl.Slots()[0])
+	}
+	return a
+}
+
+// pinOnePerNode deals executors round-robin over one slot on each node:
+// Fig. 2's n5w5 placement on five nodes.
+func pinOnePerNode(top *topology.Topology, cl *cluster.Cluster) *cluster.Assignment {
+	a := cluster.NewAssignment(0)
+	nodes := cl.Nodes()
+	for i, e := range top.Executors() {
+		a.Assign(e, cluster.SlotID{Node: nodes[i%len(nodes)].ID, Port: cluster.BasePort})
+	}
+	return a
+}
+
 // BenchmarkAblationBatching probes whether transfer batching explains the
 // Fig. 2 deviation: it does not — at Fig. 2's light load the NIC is idle
 // and batching (correctly) never engages, so the spread penalty is
@@ -381,8 +402,8 @@ func BenchmarkAblationBatching(b *testing.B) {
 	var penaltyPlain, penaltyBatched float64
 	for i := 0; i < b.N; i++ {
 		for _, batching := range []bool{false, true} {
-			base := run("n1w1", batching, 1, experiment.PinAllOnFirstSlot)
-			spread := run("n5w5", batching, 5, experiment.PinSpread(5, 5))
+			base := run("n1w1", batching, 1, pinFirstSlot)
+			spread := run("n5w5", batching, 5, pinOnePerNode)
 			penalty := 100 * (spread/base - 1)
 			if batching {
 				penaltyBatched = penalty

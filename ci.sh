@@ -113,6 +113,10 @@
 # bytes each figure writes alone.
 # The experiment package replays full paper figures, which is slow under
 # the race detector — hence the raised per-package timeout.
+# The eight examples are what a reader runs first, so each is built once
+# and run to completion, faulttolerance also in its -live mode; a non-zero
+# exit fails the loop. None writes a file, and together they take about
+# 40 s on a 2-core box.
 # The shuffled pass reorders test execution within every package, catching
 # tests that only pass because an earlier test left state behind.
 # The bench module (bench/, its own go.mod) compiles against this tree's
@@ -192,5 +196,10 @@ go test -count=1 -run 'TestGoldenDES' ./internal/experiment
 go test -race -count=1 -run 'TestHotSwapMidRunReschedulesCleanly|TestGeneratorMatchesReference|TestWallClockGeneratorUnderConcurrentCalls' ./internal/live
 go test -race -count=1 -run 'TestRunFiguresInParallel' ./cmd/tstorm-bench
 go run ./cmd/tstorm-bench -arena -duration 250ms
+examples=$(mktemp -d)
+trap 'rm -rf "$examples"' EXIT
+go build -o "$examples" ./examples/...
+for ex in "$examples"/*; do "$ex"; done
+"$examples/faulttolerance" -live
 go test -shuffle=on -count=1 ./...
 go test -race -timeout 30m ./...

@@ -103,11 +103,13 @@ func TestHealthDetectsCrashAndRecovery(t *testing.T) {
 	}
 
 	ruleLevel := func() string {
-		lvl, ok := stack.Health.RuleLevel("throughput-floor")
-		if !ok {
-			t.Fatal("throughput-floor rule missing")
+		for _, r := range stack.Health.Status(sim).Rules {
+			if r.Name == "throughput-floor" {
+				return r.Level
+			}
 		}
-		return lvl.String()
+		t.Fatal("throughput-floor rule missing")
+		return ""
 	}
 
 	// Healthy phase: seed the EWMA baseline and fill the rate window.

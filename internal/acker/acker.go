@@ -48,20 +48,10 @@ type rootState struct {
 	failed    bool
 }
 
-// Stats summarizes a tracker's lifetime activity.
-type Stats struct {
-	Inits           int64
-	Acks            int64
-	Completions     int64
-	LateCompletions int64
-	Failures        int64
-}
-
 // Tracker tracks pending tuple trees for one acker executor. It is not
 // safe for concurrent use (the simulation is single-threaded).
 type Tracker struct {
 	pending map[tuple.ID]*rootState
-	stats   Stats
 }
 
 // NewTracker returns an empty tracker.
@@ -86,7 +76,6 @@ func (t *Tracker) Init(root tuple.ID, initXor tuple.ID, spoutExec int, emitAt si
 	s.emitAt = emitAt
 	s.lastTouch = emitAt
 	s.inited = true
-	t.stats.Inits++
 	if s.xor != 0 {
 		return Completion{}, false
 	}
@@ -96,10 +85,6 @@ func (t *Tracker) Init(root tuple.ID, initXor tuple.ID, spoutExec int, emitAt si
 // complete removes a finished root and builds its Completion record.
 func (t *Tracker) complete(root tuple.ID, s *rootState, now sim.Time) Completion {
 	delete(t.pending, root)
-	t.stats.Completions++
-	if s.failed {
-		t.stats.LateCompletions++
-	}
 	return Completion{
 		Root:      root,
 		SpoutExec: s.spoutExec,
@@ -113,7 +98,6 @@ func (t *Tracker) complete(root tuple.ID, s *rootState, now sim.Time) Completion
 // checksum reaches zero (and Init has been seen) the tree is complete and
 // the entry is removed.
 func (t *Tracker) Ack(root tuple.ID, xorVal tuple.ID, now sim.Time) (Completion, bool) {
-	t.stats.Acks++
 	s := t.pending[root]
 	if s == nil {
 		// Either the init message has not arrived yet (it can race behind
@@ -130,25 +114,9 @@ func (t *Tracker) Ack(root tuple.ID, xorVal tuple.ID, now sim.Time) (Completion,
 	return t.complete(root, s, now), true
 }
 
-// Timeout marks the root failed if it is still pending and not yet failed.
-// The entry is retained so a late completion can still be observed; call
-// Evict to drop it permanently. It returns the expiry to deliver to the
-// spout, and false if the root already completed, already failed, or is
-// unknown.
-func (t *Tracker) Timeout(root tuple.ID) (Expiry, bool) {
-	s := t.pending[root]
-	if s == nil || s.failed || !s.inited {
-		return Expiry{}, false
-	}
-	s.failed = true
-	t.stats.Failures++
-	return Expiry{Root: root, SpoutExec: s.spoutExec}, true
-}
-
 // ExpireBefore marks failed every inited, not-yet-failed root that was
-// emitted before cutoff, returning their expiries. It is the bulk form of
-// Timeout for callers that track time coarsely instead of arming one timer
-// per root — the live runtime's acker executors run it on a slow tick so
+// emitted before cutoff, returning their expiries. It serves callers that
+// track time coarsely instead of arming one timer per root — the live runtime's acker executors run it on a slow tick so
 // roots whose acks stopped arriving (dropped on a crashed worker) become
 // sweepable zombies instead of leaking.
 func (t *Tracker) ExpireBefore(cutoff sim.Time) []Expiry {
@@ -158,20 +126,9 @@ func (t *Tracker) ExpireBefore(cutoff sim.Time) []Expiry {
 			continue
 		}
 		s.failed = true
-		t.stats.Failures++
 		out = append(out, Expiry{Root: root, SpoutExec: s.spoutExec})
 	}
 	return out
-}
-
-// Evict removes a root unconditionally (used to bound zombie retention).
-// It reports whether an entry was removed.
-func (t *Tracker) Evict(root tuple.ID) bool {
-	if _, ok := t.pending[root]; !ok {
-		return false
-	}
-	delete(t.pending, root)
-	return true
 }
 
 // Sweep evicts entries not touched for at least maxAge: failed zombies
@@ -187,9 +144,3 @@ func (t *Tracker) Sweep(now sim.Time, maxAge time.Duration) int {
 	}
 	return n
 }
-
-// Pending reports the number of tracked roots (including failed zombies).
-func (t *Tracker) Pending() int { return len(t.pending) }
-
-// Stats returns lifetime counters.
-func (t *Tracker) Stats() Stats { return t.stats }

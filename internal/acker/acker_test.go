@@ -44,12 +44,8 @@ func TestLinearTreeCompletes(t *testing.T) {
 	if c.Latency != 4*time.Second {
 		t.Fatalf("latency = %v, want 4s", c.Latency)
 	}
-	if tr.Pending() != 0 {
-		t.Fatalf("pending = %d after completion", tr.Pending())
-	}
-	st := tr.Stats()
-	if st.Inits != 1 || st.Completions != 1 || st.Failures != 0 {
-		t.Fatalf("stats = %+v", st)
+	if len(tr.pending) != 0 {
+		t.Fatalf("pending = %d after completion", len(tr.pending))
 	}
 }
 
@@ -85,8 +81,8 @@ func TestAckBeforeInitMerges(t *testing.T) {
 	if !done || c.SpoutExec != 3 || c.Root != root {
 		t.Fatalf("completion on init-merge = %+v done=%v", c, done)
 	}
-	if tr.Pending() != 0 {
-		t.Fatalf("pending = %d after init-completes", tr.Pending())
+	if len(tr.pending) != 0 {
+		t.Fatalf("pending = %d after init-completes", len(tr.pending))
 	}
 }
 
@@ -96,9 +92,7 @@ func TestExpireBefore(t *testing.T) {
 	tr.Init(0x2, 0x2, 5, at(10)) // fresh, should survive
 	tr.Ack(0x3, 0x3, at(0))      // orphan (no init), never expires
 	tr.Init(0x4, 0x4, 6, at(1))
-	if _, ok := tr.Timeout(0x4); !ok { // already failed, not expired twice
-		t.Fatal("timeout of 0x4 did not fire")
-	}
+	tr.pending[0x4].failed = true // already failed, not expired twice
 	exp := tr.ExpireBefore(at(5))
 	if len(exp) != 1 || exp[0].Root != 0x1 || exp[0].SpoutExec != 4 {
 		t.Fatalf("ExpireBefore = %+v", exp)
@@ -121,22 +115,18 @@ func TestTimeoutThenLateCompletion(t *testing.T) {
 	tr := NewTracker()
 	root := tuple.ID(0x77)
 	tr.Init(root, root, 2, at(0))
-	exp, ok := tr.Timeout(root)
-	if !ok || exp.Root != root || exp.SpoutExec != 2 {
-		t.Fatalf("Timeout = %+v ok=%v", exp, ok)
+	exp := tr.ExpireBefore(at(30))
+	if len(exp) != 1 || exp[0].Root != root || exp[0].SpoutExec != 2 {
+		t.Fatalf("ExpireBefore = %+v", exp)
 	}
-	// Second timeout of the same root is a no-op.
-	if _, ok := tr.Timeout(root); ok {
-		t.Fatal("double timeout fired twice")
+	// Second expiry of the same root is a no-op.
+	if exp := tr.ExpireBefore(at(30)); len(exp) != 0 {
+		t.Fatalf("root expired twice: %+v", exp)
 	}
 	// Late completion still observed, flagged Late.
 	c, done := tr.Ack(root, root, at(45))
 	if !done || !c.Late || c.Latency != 45*time.Second {
 		t.Fatalf("late completion = %+v done=%v", c, done)
-	}
-	st := tr.Stats()
-	if st.Failures != 1 || st.LateCompletions != 1 || st.Completions != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -147,15 +137,18 @@ func TestTimeoutAfterCompletionIsNoop(t *testing.T) {
 	if _, done := tr.Ack(root, root, at(1)); !done {
 		t.Fatal("no completion")
 	}
-	if _, ok := tr.Timeout(root); ok {
-		t.Fatal("timeout fired for completed root")
+	if exp := tr.ExpireBefore(at(30)); len(exp) != 0 {
+		t.Fatalf("completed root expired: %+v", exp)
 	}
 }
 
 func TestTimeoutUnknownRoot(t *testing.T) {
 	tr := NewTracker()
-	if _, ok := tr.Timeout(0xdead); ok {
-		t.Fatal("timeout fired for unknown root")
+	// A root the tracker never saw Init for cannot time out, even when an
+	// ack created an orphan entry for it.
+	tr.Ack(0xdead, 0xdead, at(0))
+	if exp := tr.ExpireBefore(at(100)); len(exp) != 0 {
+		t.Fatalf("unknown root expired: %+v", exp)
 	}
 }
 
@@ -164,14 +157,14 @@ func TestAckUnknownRootCreatesOrphan(t *testing.T) {
 	if _, done := tr.Ack(0xdead, 0xdead, at(0)); done {
 		t.Fatal("orphan ack completed without init")
 	}
-	if tr.Pending() != 1 {
+	if len(tr.pending) != 1 {
 		t.Fatal("orphan entry not created")
 	}
 	// Orphans are reclaimed by Sweep once stale.
 	if n := tr.Sweep(at(10), 5*time.Second); n != 1 {
 		t.Fatalf("Sweep = %d, want 1", n)
 	}
-	if tr.Pending() != 0 {
+	if len(tr.pending) != 0 {
 		t.Fatal("orphan survived sweep")
 	}
 }
@@ -180,30 +173,13 @@ func TestSweepKeepsLiveAndFreshEntries(t *testing.T) {
 	tr := NewTracker()
 	tr.Init(0x1, 0x1, 0, at(0)) // live, inited: never swept
 	tr.Init(0x2, 0x2, 0, at(0))
-	if _, ok := tr.Timeout(0x2); !ok { // failed zombie
-		t.Fatal("timeout failed")
-	}
-	tr.Ack(0x3, 0x3, at(9)) // fresh orphan
+	tr.pending[0x2].failed = true // failed zombie
+	tr.Ack(0x3, 0x3, at(9))       // fresh orphan
 	if n := tr.Sweep(at(10), 5*time.Second); n != 1 {
 		t.Fatalf("Sweep = %d, want 1 (only the stale zombie)", n)
 	}
-	if tr.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", tr.Pending())
-	}
-}
-
-func TestEvict(t *testing.T) {
-	tr := NewTracker()
-	tr.Init(0x1, 0x1, 0, at(0))
-	if !tr.Evict(0x1) {
-		t.Fatal("Evict of pending root returned false")
-	}
-	if tr.Evict(0x1) {
-		t.Fatal("double Evict returned true")
-	}
-	// After eviction, acks are ignored.
-	if _, done := tr.Ack(0x1, 0x1, at(1)); done {
-		t.Fatal("evicted root completed")
+	if len(tr.pending) != 2 {
+		t.Fatalf("pending = %d, want 2", len(tr.pending))
 	}
 }
 
@@ -264,7 +240,7 @@ func TestPropertyTreeAlwaysCompletes(t *testing.T) {
 		// XOR of all acks is root (tree invariant), so it must complete
 		// exactly at the last ack... unless an intermediate prefix XORed
 		// to zero (possible but astronomically unlikely with random IDs).
-		return completed && tr.Pending() == 0
+		return completed && len(tr.pending) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

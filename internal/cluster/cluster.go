@@ -249,52 +249,6 @@ func (a *Assignment) Equal(b *Assignment) bool {
 	return true
 }
 
-// SlotDiff describes how one slot's executor set changes between two
-// assignments.
-type SlotDiff struct {
-	Slot SlotID
-	// Old and New are the sorted executor sets before and after.
-	Old, New []topology.ExecutorID
-}
-
-// Changed reports whether the slot's executor set differs.
-func (d SlotDiff) Changed() bool {
-	if len(d.Old) != len(d.New) {
-		return true
-	}
-	for i := range d.Old {
-		if d.Old[i] != d.New[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// Diff computes per-slot changes from old to new. Slots present in either
-// assignment appear in the result, sorted by slot. Supervisors restart
-// exactly the slots for which Changed() is true — Storm's behaviour.
-func Diff(oldA, newA *Assignment) []SlotDiff {
-	oldSlots := oldA.SlotExecutors()
-	newSlots := newA.SlotExecutors()
-	seen := make(map[SlotID]bool)
-	var out []SlotDiff
-	add := func(s SlotID) {
-		if seen[s] {
-			return
-		}
-		seen[s] = true
-		out = append(out, SlotDiff{Slot: s, Old: oldSlots[s], New: newSlots[s]})
-	}
-	for s := range oldSlots {
-		add(s)
-	}
-	for s := range newSlots {
-		add(s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slot.Less(out[j].Slot) })
-	return out
-}
-
 // assignmentJSON is the wire form used for coordination-store publication.
 type assignmentJSON struct {
 	ID      int64       `json:"id"`

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"testing"
-	"testing/quick"
 
 	"tstorm/internal/topology"
 )
@@ -126,38 +125,6 @@ func TestAssignmentCloneAndEqual(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	oldA := NewAssignment(1)
-	oldA.Assign(exec("s", 0), SlotID{"n1", 6700})
-	oldA.Assign(exec("b", 0), SlotID{"n1", 6700})
-	oldA.Assign(exec("b", 1), SlotID{"n2", 6700})
-
-	newA := NewAssignment(2)
-	newA.Assign(exec("s", 0), SlotID{"n1", 6700})
-	newA.Assign(exec("b", 0), SlotID{"n1", 6700})
-	newA.Assign(exec("b", 1), SlotID{"n3", 6700}) // moved n2 → n3
-
-	diffs := Diff(oldA, newA)
-	if len(diffs) != 3 {
-		t.Fatalf("got %d slot diffs, want 3: %+v", len(diffs), diffs)
-	}
-	bys := make(map[SlotID]SlotDiff)
-	for _, d := range diffs {
-		bys[d.Slot] = d
-	}
-	if bys[SlotID{"n1", 6700}].Changed() {
-		t.Fatal("unchanged slot reported changed")
-	}
-	d2 := bys[SlotID{"n2", 6700}]
-	if !d2.Changed() || len(d2.Old) != 1 || len(d2.New) != 0 {
-		t.Fatalf("n2 diff = %+v", d2)
-	}
-	d3 := bys[SlotID{"n3", 6700}]
-	if !d3.Changed() || len(d3.Old) != 0 || len(d3.New) != 1 {
-		t.Fatalf("n3 diff = %+v", d3)
-	}
-}
-
 func TestAssignmentJSONRoundTrip(t *testing.T) {
 	a := NewAssignment(42)
 	a.Assign(exec("s", 0), SlotID{"n1", 6700})
@@ -180,38 +147,6 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 	}
 	if err := (&Assignment{}).UnmarshalJSON([]byte("{bad")); err == nil {
 		t.Fatal("bad JSON accepted")
-	}
-}
-
-// Property: Diff(a, a) reports no changed slots, and Diff respects moves:
-// every executor that changed slot appears in exactly two changed diffs.
-func TestPropertyDiffConsistency(t *testing.T) {
-	f := func(placements []uint8, moves []uint8) bool {
-		slots := []SlotID{{"n1", 6700}, {"n2", 6700}, {"n3", 6700}, {"n3", 6701}}
-		oldA := NewAssignment(1)
-		for i, p := range placements {
-			oldA.Assign(exec("c", i), slots[int(p)%len(slots)])
-		}
-		for _, d := range Diff(oldA, oldA) {
-			if d.Changed() {
-				return false
-			}
-		}
-		newA := oldA.Clone()
-		for _, m := range moves {
-			i := int(m) % max(1, len(placements))
-			if len(placements) == 0 {
-				break
-			}
-			newA.Assign(exec("c", i), slots[(int(placements[i])+1)%len(slots)])
-		}
-		for _, d := range Diff(oldA, newA) {
-			_ = d.Changed()
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -17,7 +17,6 @@ package coord
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,7 +42,6 @@ const (
 	EventCreated EventType = iota + 1
 	EventChanged
 	EventDeleted
-	EventChildren
 )
 
 // String names the event type.
@@ -55,8 +53,6 @@ func (t EventType) String() string {
 		return "changed"
 	case EventDeleted:
 		return "deleted"
-	case EventChildren:
-		return "children"
 	default:
 		return fmt.Sprintf("EventType(%d)", int(t))
 	}
@@ -70,12 +66,6 @@ type Event struct {
 	Version int    // post-change version (-1 for deletes)
 }
 
-// Stat describes a znode.
-type Stat struct {
-	Version     int
-	NumChildren int
-}
-
 type znode struct {
 	data     []byte
 	version  int
@@ -87,10 +77,9 @@ func newZnode() *znode {
 }
 
 type watcher struct {
-	path     string
-	children bool
-	fn       func(Event)
-	active   atomic.Bool
+	path   string
+	fn     func(Event)
+	active atomic.Bool
 }
 
 // Watch is a handle to a registered watcher.
@@ -168,14 +157,6 @@ func split(path string) ([]string, error) {
 	return parts, nil
 }
 
-func parent(path string) string {
-	i := strings.LastIndexByte(path, '/')
-	if i <= 0 {
-		return "/"
-	}
-	return path[:i]
-}
-
 func (s *Store) lookup(parts []string) (*znode, bool) {
 	n := s.root
 	for _, p := range parts {
@@ -217,7 +198,6 @@ func (s *Store) createLocked(path string, data []byte) error {
 	n.data = append([]byte(nil), data...)
 	pnode.children[name] = n
 	s.notify(path, Event{Type: EventCreated, Path: path, Data: n.data, Version: 0})
-	s.notifyChildren(parent(path))
 	return nil
 }
 
@@ -326,41 +306,6 @@ func (s *Store) Exists(path string) bool {
 	return ok
 }
 
-// Stat returns metadata for the znode at path.
-func (s *Store) Stat(path string) (Stat, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	parts, err := split(path)
-	if err != nil {
-		return Stat{}, err
-	}
-	n, ok := s.lookup(parts)
-	if !ok {
-		return Stat{}, fmt.Errorf("%w: %q", ErrNoNode, path)
-	}
-	return Stat{Version: n.version, NumChildren: len(n.children)}, nil
-}
-
-// Children returns the sorted child names of the znode at path.
-func (s *Store) Children(path string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	parts, err := split(path)
-	if err != nil {
-		return nil, err
-	}
-	n, ok := s.lookup(parts)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoNode, path)
-	}
-	out := make([]string, 0, len(n.children))
-	for name := range n.children {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // Delete removes the znode at path. It returns ErrNotEmpty if the node
 // still has children.
 func (s *Store) Delete(path string) error {
@@ -387,7 +332,6 @@ func (s *Store) Delete(path string) error {
 	}
 	delete(pnode.children, name)
 	s.notify(path, Event{Type: EventDeleted, Path: path, Version: -1})
-	s.notifyChildren(parent(path))
 	return nil
 }
 
@@ -402,38 +346,12 @@ func (s *Store) WatchData(path string, fn func(Event)) *Watch {
 	return &Watch{w: w}
 }
 
-// WatchChildren registers a persistent watcher fired whenever the set of
-// children of path changes. The event carries Type EventChildren.
-func (s *Store) WatchChildren(path string, fn func(Event)) *Watch {
-	w := &watcher{path: path, children: true, fn: fn}
-	w.active.Store(true)
-	s.mu.Lock()
-	s.watchers[path] = append(s.watchers[path], w)
-	s.mu.Unlock()
-	return &Watch{w: w}
-}
-
 func (s *Store) notify(path string, ev Event) {
 	for _, w := range s.watchers[path] {
-		if !w.active.Load() || w.children {
+		if !w.active.Load() {
 			continue
 		}
 		w := w
-		s.after(func() {
-			if w.active.Load() {
-				w.fn(ev)
-			}
-		})
-	}
-}
-
-func (s *Store) notifyChildren(dir string) {
-	for _, w := range s.watchers[dir] {
-		if !w.active.Load() || !w.children {
-			continue
-		}
-		w := w
-		ev := Event{Type: EventChildren, Path: dir}
 		s.after(func() {
 			if w.active.Load() {
 				w.fn(ev)

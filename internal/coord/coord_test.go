@@ -122,31 +122,6 @@ func TestDeleteErrors(t *testing.T) {
 	}
 }
 
-func TestChildrenSorted(t *testing.T) {
-	_, s := newTestStore()
-	_ = s.Create("/top", nil)
-	for _, c := range []string{"zeta", "alpha", "mid"} {
-		_ = s.Create("/top/"+c, nil)
-	}
-	kids, err := s.Children("/top")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if kids[i] != want[i] {
-			t.Fatalf("Children = %v, want %v", kids, want)
-		}
-	}
-	st, err := s.Stat("/top")
-	if err != nil || st.NumChildren != 3 {
-		t.Fatalf("Stat = %+v err=%v", st, err)
-	}
-	if _, err := s.Children("/missing"); !errors.Is(err, ErrNoNode) {
-		t.Fatalf("Children missing = %v", err)
-	}
-}
-
 func TestGetReturnsCopy(t *testing.T) {
 	_, s := newTestStore()
 	_ = s.Create("/a", []byte("abc"))
@@ -196,30 +171,6 @@ func TestWatchDataDeliveredWithLatency(t *testing.T) {
 	}
 }
 
-func TestWatchChildren(t *testing.T) {
-	eng, s := newTestStore()
-	_ = s.Create("/dir", nil)
-	n := 0
-	s.WatchChildren("/dir", func(ev Event) {
-		if ev.Type != EventChildren || ev.Path != "/dir" {
-			t.Errorf("bad children event %+v", ev)
-		}
-		n++
-	})
-	eng.After(time.Second, func() {
-		_ = s.Create("/dir/a", nil)
-		_ = s.Create("/dir/b", nil)
-		_ = s.Delete("/dir/a")
-		_, _ = s.Set("/dir/b", []byte("x"), -1) // data change: no children event
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("children events = %d, want 3", n)
-	}
-}
-
 func TestWatchCancel(t *testing.T) {
 	eng, s := newTestStore()
 	n := 0
@@ -246,7 +197,6 @@ func TestEventTypeString(t *testing.T) {
 		{EventCreated, "created"},
 		{EventChanged, "changed"},
 		{EventDeleted, "deleted"},
-		{EventChildren, "children"},
 		{EventType(99), "EventType(99)"},
 	}
 	for _, tt := range tests {

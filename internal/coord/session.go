@@ -38,9 +38,6 @@ func (s *Store) NewSession(timeout time.Duration) (*Session, error) {
 	return sess, nil
 }
 
-// ID returns the session's identifier.
-func (sess *Session) ID() int64 { return sess.id }
-
 // Alive reports whether the session has neither expired nor been closed.
 func (sess *Session) Alive() bool { return !sess.closed }
 
@@ -57,15 +54,6 @@ func (sess *Session) Refresh() bool {
 	sess.expiry.Cancel()
 	sess.arm()
 	return true
-}
-
-// Close ends the session immediately, deleting its ephemeral nodes.
-func (sess *Session) Close() {
-	if sess.closed {
-		return
-	}
-	sess.expiry.Cancel()
-	sess.expire()
 }
 
 func (sess *Session) expire() {

@@ -11,7 +11,7 @@ func TestSessionEphemeralLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Alive() || sess.ID() == 0 {
+	if !sess.Alive() || sess.id == 0 {
 		t.Fatal("fresh session not alive")
 	}
 	if err := sess.CreateEphemeral("/hb", []byte("x")); err != nil {
@@ -87,12 +87,13 @@ func TestSessionSetEphemeralAndClose(t *testing.T) {
 	if err != nil || string(data) != "v2" || ver != 1 {
 		t.Fatalf("Get = %q v%d err=%v", data, ver, err)
 	}
-	sess.Close()
-	sess.Close() // idempotent
-	if s.Exists("/e") {
-		t.Fatal("Close did not delete ephemeral node")
+	// Unrefreshed, the session expires after its minute.
+	if err := eng.RunUntil(61 * 1e9); err != nil {
+		t.Fatal(err)
 	}
-	_ = eng
+	if s.Exists("/e") {
+		t.Fatal("session end did not delete ephemeral node")
+	}
 }
 
 func TestSessionBadTimeout(t *testing.T) {

@@ -197,17 +197,6 @@ func (g *Generator) Algorithm() scheduler.Algorithm {
 	return g.algo
 }
 
-// SetAlgorithm hot-swaps the scheduling algorithm: the next generation
-// (periodic or overload-triggered) uses it. Nothing in Storm is stopped
-// or reconfigured.
-func (g *Generator) SetAlgorithm(a scheduler.Algorithm) {
-	g.registry.Register(a)
-	g.algoMu.Lock()
-	g.algo = a
-	g.algoMu.Unlock()
-	g.clock.Event(trace.AlgorithmSwapped, "", a.Name())
-}
-
 // SwapTo hot-swaps to a previously registered algorithm by name.
 func (g *Generator) SwapTo(name string) error {
 	a, ok := g.registry.Get(name)
@@ -447,9 +436,6 @@ func StartCustomScheduler(rt *engine.Runtime, period time.Duration) *CustomSched
 func (cs *CustomScheduler) Stop() {
 	cs.ticker.Stop()
 }
-
-// Applied reports how many schedules were applied.
-func (cs *CustomScheduler) Applied() int { return cs.applied }
 
 // Fetch reads each topology's published schedule and applies it when it
 // differs from the live assignment.

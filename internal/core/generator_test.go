@@ -229,7 +229,7 @@ func TestEndToEndReschedulingImprovesLatencyAndConsolidates(t *testing.T) {
 	if gen.Applied() == 0 {
 		t.Fatal("generator never published a schedule")
 	}
-	if cs.Applied() == 0 {
+	if cs.applied == 0 {
 		t.Fatal("custom scheduler never applied a schedule")
 	}
 	// Consolidation: the initial round-robin spread over 10 nodes must
@@ -259,7 +259,10 @@ func TestHotSwapAlgorithmAndGamma(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Register and swap to a different algorithm, then back by name.
-	gen.SetAlgorithm(scheduler.AnielloOnline{})
+	gen.Registry().Register(scheduler.AnielloOnline{})
+	if err := gen.SwapTo("aniello-online"); err != nil {
+		t.Fatal(err)
+	}
 	if gen.Algorithm().Name() != "aniello-online" {
 		t.Fatal("hot swap did not take")
 	}

@@ -185,7 +185,7 @@ func TestCapacityConstraintSpreadsHeavyLoad(t *testing.T) {
 	}
 	perNode := make(map[cluster.NodeID]float64)
 	for e, s := range a.Executors {
-		perNode[s.Node] += db.ExecutorLoad(e)
+		perNode[s.Node] += db.Snapshot().ExecLoad[e]
 	}
 	for n, l := range perNode {
 		if l > 7200 {

@@ -332,10 +332,6 @@ func (e *Engine) ingestSpans(spans []tracing.Span) {
 	}
 }
 
-// Store exposes the coordination store assignments publish through (the
-// ZooKeeper stand-in), for tests and debugging.
-func (e *Engine) Store() *coord.Store { return e.store }
-
 // Submit registers one workload (by registry name) with its initial
 // assignment. The driver builds it locally too — the scheduler needs the
 // topology, and misconfigurations should fail here, not in N workers.

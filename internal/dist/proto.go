@@ -171,10 +171,6 @@ type flowEntry struct {
 	Rate float64             `json:"rate"`
 }
 
-// maxControlLine bounds one control-plane JSON line (assignments for large
-// topologies are the big case).
-const maxControlLine = 32 << 20
-
 // lineConn frames JSON messages over a TCP connection, one per line.
 // Sends are serialized; receives belong to a single reader goroutine.
 type lineConn struct {

@@ -127,13 +127,13 @@ func TestDistributedTraceUnderMigration(t *testing.T) {
 	if !sawInterNode {
 		t.Error("no inter-node step on any critical path despite cross-process placement")
 	}
-	shares := tracing.ShareByClassOf(trees)
+	shares := tc.ShareByClass()
 	var frac float64
 	for _, v := range shares {
 		frac += v
 	}
 	if math.Abs(frac-1) > 1e-6 {
-		t.Errorf("ShareByClassOf fractions sum to %.6f, want 1", frac)
+		t.Errorf("ShareByClass fractions sum to %.6f, want 1", frac)
 	}
 	t.Logf("%d trees assembled; share by class: %v", len(trees), shares)
 }

@@ -52,13 +52,6 @@ func (s *Store) IncCounter(coll, key string, delta int64) int64 {
 	return c[key]
 }
 
-// Counter returns the current value of a counter key (0 if absent).
-func (s *Store) Counter(coll, key string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[coll][key]
-}
-
 // Counters returns a copy of all counters in a collection.
 func (s *Store) Counters(coll string) map[string]int64 {
 	s.mu.Lock()

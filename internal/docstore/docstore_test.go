@@ -61,10 +61,10 @@ func TestIncCounter(t *testing.T) {
 	if got := s.IncCounter("words", "alice", 2); got != 3 {
 		t.Fatalf("IncCounter = %d, want 3", got)
 	}
-	if got := s.Counter("words", "alice"); got != 3 {
+	if got := s.Counters("words")["alice"]; got != 3 {
 		t.Fatalf("Counter = %d, want 3", got)
 	}
-	if got := s.Counter("words", "rabbit"); got != 0 {
+	if got := s.Counters("words")["rabbit"]; got != 0 {
 		t.Fatalf("Counter(absent) = %d, want 0", got)
 	}
 	all := s.Counters("words")
@@ -72,7 +72,7 @@ func TestIncCounter(t *testing.T) {
 		t.Fatalf("Counters = %v", all)
 	}
 	all["alice"] = 99
-	if s.Counter("words", "alice") != 3 {
+	if s.Counters("words")["alice"] != 3 {
 		t.Fatal("Counters aliases internal state")
 	}
 }
@@ -98,7 +98,7 @@ func TestPropertyCounterSums(t *testing.T) {
 				want += int64(d)
 			}
 		}
-		return s.Counter("c", "k0") == want
+		return s.Counters("c")["k0"] == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -93,12 +93,6 @@ func ConstCost(cycles float64) CostFn {
 	return func(tuple.Tuple) float64 { return cycles }
 }
 
-// PerByteCost returns a CostFn charging base plus perByte times the
-// tuple's serialized size.
-func PerByteCost(base, perByte float64) CostFn {
-	return func(in tuple.Tuple) float64 { return base + perByte*float64(in.Size) }
-}
-
 // DefaultSpoutInterval is the emit-cycle interval used when an App does
 // not configure one — the 5 ms rate-control sleep of the paper's
 // Throughput Test spout.

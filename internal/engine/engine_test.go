@@ -168,8 +168,12 @@ func TestPipelineProcessesAndAcks(t *testing.T) {
 	if len(spout.acked) != 100 || len(spout.failed) != 0 {
 		t.Fatalf("acked=%d failed=%d", len(spout.acked), len(spout.failed))
 	}
-	if tm.Latency.TotalCount() != 100 {
-		t.Fatalf("latency samples = %d", tm.Latency.TotalCount())
+	var samples int64
+	for _, p := range tm.Latency.Points() {
+		samples += p.Count
+	}
+	if samples != 100 {
+		t.Fatalf("latency samples = %d", samples)
 	}
 	// Latency is small but positive on a single packed node.
 	mean := tm.Latency.MeanAfter(0)

@@ -81,12 +81,6 @@ func (r *Runtime) RecoverNode(id cluster.NodeID) bool {
 	return true
 }
 
-// NodeDown reports whether a node is currently failed.
-func (r *Runtime) NodeDown(id cluster.NodeID) bool {
-	ns := r.nodes[id]
-	return ns != nil && ns.down
-}
-
 // DownNodes lists currently failed nodes, sorted.
 func (r *Runtime) DownNodes() []cluster.NodeID {
 	var out []cluster.NodeID

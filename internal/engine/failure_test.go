@@ -79,7 +79,7 @@ func TestNodeFailureTriggersRescueReassignment(t *testing.T) {
 	if rt.FailNode("node02") {
 		t.Fatal("double FailNode reported success")
 	}
-	if !rt.NodeDown("node02") || len(rt.DownNodes()) != 1 {
+	if !rt.nodes["node02"].down || len(rt.DownNodes()) != 1 {
 		t.Fatal("down-node accounting wrong")
 	}
 	// Heartbeat timeout (30s) + sync: rescue within ~60s.

@@ -184,15 +184,11 @@ type topoState struct {
 	name string
 	app  *App
 	tm   *TopologyMetrics
-	// killed is set by KillTopology: the name may be submitted again, the
-	// metrics stay readable, and workers still draining keep running on
-	// app until their shutdown delay ends.
-	killed bool
 	// The topology's executors are the dense indexes base..base+n-1, in
 	// Topology.Executors() order; its acker task i is ackerBase+i.
 	base, n           int
 	ackers, ackerBase int
-	// current is the newest published generation (nil once killed).
+	// current is the newest published generation.
 	current *generation
 }
 
@@ -220,9 +216,8 @@ type Runtime struct {
 	cl    *cluster.Cluster
 	coord *coord.Store
 
-	// topos holds every topology ever submitted under its name (a killed
-	// one keeps its entry for its metrics); appOrder lists the running
-	// ones, sorted.
+	// topos holds every submitted topology under its name; appOrder lists
+	// the names, sorted.
 	topos    map[string]*topoState
 	appOrder []string
 
@@ -338,7 +333,7 @@ func (r *Runtime) Submit(app *App, initial *cluster.Assignment) error {
 		return err
 	}
 	name := app.Topology.Name()
-	if r.running(name) != nil {
+	if r.topos[name] != nil {
 		return fmt.Errorf("engine: topology %q already submitted", name)
 	}
 	if err := r.validateAssignment(name, app, initial); err != nil {
@@ -364,17 +359,9 @@ func (r *Runtime) Submit(app *App, initial *cluster.Assignment) error {
 	return r.PublishAssignment(name, initial)
 }
 
-// running returns the state of a submitted topology that was not killed.
-func (r *Runtime) running(topo string) *topoState {
-	if ts := r.topos[topo]; ts != nil && !ts.killed {
-		return ts
-	}
-	return nil
-}
-
 // App returns a submitted app.
 func (r *Runtime) App(topo string) (*App, bool) {
-	if ts := r.running(topo); ts != nil {
+	if ts := r.topos[topo]; ts != nil {
 		return ts.app, true
 	}
 	return nil, false
@@ -387,25 +374,14 @@ func (r *Runtime) Topologies() []string {
 	return out
 }
 
-// DenseIndex returns the dense integer index of a logical executor, used
-// as the key of the traffic matrix and CPU accounting.
-func (r *Runtime) DenseIndex(e topology.ExecutorID) (int, bool) {
-	i, ok := r.dense[e]
-	return i, ok
-}
-
-// ExecutorByDense is the inverse of DenseIndex.
+// ExecutorByDense maps a dense executor index back to its identity.
 func (r *Runtime) ExecutorByDense(i int) topology.ExecutorID { return r.denseRev[i] }
-
-// NumExecutors returns the number of registered executors across all
-// submitted topologies.
-func (r *Runtime) NumExecutors() int { return len(r.denseRev) }
 
 // PublishAssignment validates and publishes a new assignment for the
 // topology: it becomes the current generation, is written to the
 // coordination store, and supervisors apply it at their next sync.
 func (r *Runtime) PublishAssignment(topo string, a *cluster.Assignment) error {
-	ts := r.running(topo)
+	ts := r.topos[topo]
 	if ts == nil {
 		return fmt.Errorf("engine: unknown topology %q", topo)
 	}
@@ -525,14 +501,6 @@ func (r *Runtime) DrainLoadSamples() []ExecutorLoadSample {
 // the last drain, keyed by dense executor index pairs.
 func (r *Runtime) DrainTraffic() map[metrics.Pair]float64 { return r.traffic.Drain() }
 
-// NodeCapacityMHz returns the CPU capacity of a node.
-func (r *Runtime) NodeCapacityMHz(id cluster.NodeID) float64 {
-	if ns, ok := r.nodes[id]; ok {
-		return ns.node.CapacityMHz()
-	}
-	return 0
-}
-
 // ---- message fabric ----
 
 type msgKind uint8
@@ -601,17 +569,12 @@ func (r *Runtime) launch(arrive sim.Time, dst placement, m *message) {
 // serialization, NIC and propagation costs. Traffic between the logical
 // pair is counted for the monitors. The target's slot comes from the
 // placement table of the generation the message is stamped with; a
-// message with no generation uses the topology's newest, and one whose
-// topology has none left (it was killed) is dropped.
+// message with no generation uses the topology's newest.
 func (r *Runtime) send(from *executor, gen *generation, m *message) {
 	r.traffic.Add(from.dense, m.to, 1)
 	ts := from.ts
 	if gen == nil {
 		gen = ts.current
-	}
-	if gen == nil {
-		ts.tm.Dropped++
-		return
 	}
 	m.gen = gen
 	dst := gen.place[m.to-ts.base]

@@ -38,13 +38,10 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	if got := len(rec.Filter(trace.WorkerStarted)); got != 2 {
 		t.Fatalf("worker-started after restart = %d, want 2", got)
 	}
-	// Node failure + kill topology leave their marks.
+	// Node failure and recovery leave their marks.
 	rt.FailNode("node02")
 	rt.RecoverNode("node02")
-	if err := rt.KillTopology("test"); err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []trace.Kind{trace.NodeFailed, trace.NodeRecovered, trace.TopologyKilled} {
+	for _, kind := range []trace.Kind{trace.NodeFailed, trace.NodeRecovered} {
 		if got := len(rec.Filter(kind)); got != 1 {
 			t.Fatalf("%s events = %d, want 1", kind, got)
 		}

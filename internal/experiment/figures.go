@@ -87,18 +87,6 @@ func GeneratorIDs() []string {
 	return []string{"table2", "2", "3", "5", "6", "8", "9", "10", "headline", "baselines", "gamma"}
 }
 
-// PinAllOnFirstSlot places every executor on the first slot of the first
-// node (the n1w1 placement of Fig. 2).
-func PinAllOnFirstSlot(top *topology.Topology, cl *cluster.Cluster) *cluster.Assignment {
-	return pinAllOn(top, cl)
-}
-
-// PinSpread returns a placement builder spreading executors round-robin
-// over `workers` slots across `nodes` nodes (the n5w5/n5w10 placements).
-func PinSpread(nodes, workers int) func(*topology.Topology, *cluster.Cluster) *cluster.Assignment {
-	return pinSpread(nodes, workers)
-}
-
 // pinAllOn places every executor on the first slot of the first node
 // (the n1w1 placement).
 func pinAllOn(top *topology.Topology, cl *cluster.Cluster) *cluster.Assignment {

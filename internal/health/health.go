@@ -57,21 +57,6 @@ func Above(warn, crit float64) Judge {
 	}
 }
 
-// Below flags values at or below warn as degraded and at or below crit
-// as critical (crit < warn).
-func Below(warn, crit float64) Judge {
-	return func(v, _ float64) Level {
-		switch {
-		case v <= crit:
-			return Critical
-		case v <= warn:
-			return Degraded
-		default:
-			return OK
-		}
-	}
-}
-
 // BelowFraction compares the value to fractions of the EWMA baseline:
 // under warn×baseline is degraded, under crit×baseline is critical.
 // Requires Spec.Baseline.
@@ -346,34 +331,3 @@ func (e *Engine) Status(now time.Time) Status {
 	out.Overall = worst.String()
 	return out
 }
-
-// Overall returns the worst rule level.
-func (e *Engine) Overall() Level {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	worst := OK
-	for _, st := range e.rules {
-		if st.level > worst {
-			worst = st.level
-		}
-	}
-	return worst
-}
-
-// RuleLevel returns the named rule's level (OK, false when unknown).
-func (e *Engine) RuleLevel(name string) (Level, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, st := range e.rules {
-		if st.spec.Name == name {
-			return st.level, true
-		}
-	}
-	return OK, false
-}
-
-// Evals reports how many Evaluate passes have run.
-func (e *Engine) Evals() int64 { return e.evals.Load() }
-
-// Transitions reports the total level transitions across all rules.
-func (e *Engine) Transitions() int64 { return e.transitions.Load() }

@@ -31,11 +31,15 @@ func min(a, b int) int {
 
 func level(t *testing.T, e *Engine, rule string) Level {
 	t.Helper()
-	l, ok := e.RuleLevel(rule)
-	if !ok {
-		t.Fatalf("rule %q unknown", rule)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, st := range e.rules {
+		if st.spec.Name == rule {
+			return st.level
+		}
 	}
-	return l
+	t.Fatalf("rule %q unknown", rule)
+	return OK
 }
 
 // TestHysteresisNoFlapOnSingleBadSample is the satellite-required check:
@@ -77,8 +81,8 @@ func TestHysteresisNoFlapOnSingleBadSample(t *testing.T) {
 			t.Fatalf("after sample %d (v=%v): level %v, want %v", i, vals[min(i, len(vals)-1)], got, want)
 		}
 	}
-	if e.Transitions() != 2 {
-		t.Errorf("transitions = %d, want 2 (one raise, one clear)", e.Transitions())
+	if e.transitions.Load() != 2 {
+		t.Errorf("transitions = %d, want 2 (one raise, one clear)", e.transitions.Load())
 	}
 	deg := rec.Filter(trace.HealthDegraded)
 	recov := rec.Filter(trace.HealthRecovered)
@@ -103,8 +107,8 @@ func TestEscalationToCritical(t *testing.T) {
 	if got := level(t, e, "esc"); got != Critical {
 		t.Fatalf("level %v, want critical", got)
 	}
-	if e.Overall() != Critical {
-		t.Errorf("overall %v, want critical", e.Overall())
+	if got := e.Status(now).Overall; got != Critical.String() {
+		t.Errorf("overall %v, want critical", got)
 	}
 	if len(rec.Filter(trace.HealthCritical)) != 1 {
 		t.Error("missing health-critical trace event")
@@ -211,8 +215,8 @@ func TestStandardRulesAgainstSeededDB(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tick(1000, 0.1)
 	}
-	if e.Overall() != OK {
-		t.Fatalf("healthy fleet judged %v: %+v", e.Overall(), e.Status(now).Rules)
+	if st := e.Status(now); st.Overall != OK.String() {
+		t.Fatalf("healthy fleet judged %v: %+v", st.Overall, st.Rules)
 	}
 	for i := 0; i < 6; i++ {
 		tick(50, 2.5) // collapse + stale heartbeats
@@ -230,11 +234,11 @@ func TestStandardRulesAgainstSeededDB(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		tick(1000, 0.1)
 	}
-	if e.Overall() != OK {
+	if e.Status(now).Overall != OK.String() {
 		t.Errorf("fleet did not recover: %+v", e.Status(now).Rules)
 	}
-	if e.Transitions() < 4 {
-		t.Errorf("transitions = %d, want >= 4 (two raises, two clears)", e.Transitions())
+	if e.transitions.Load() < 4 {
+		t.Errorf("transitions = %d, want >= 4 (two raises, two clears)", e.transitions.Load())
 	}
 }
 
@@ -279,7 +283,7 @@ func TestCollectorFeedsSeries(t *testing.T) {
 	}
 	// The empty completion window appended nothing; after samples arrive
 	// the per-window p99 is diffed from consecutive cumulative snapshots.
-	if db.Lookup(SeriesCompletionP99).Len() != 0 {
+	if retained(db.Lookup(SeriesCompletionP99)) != 0 {
 		t.Error("completion p99 written from an empty window")
 	}
 	for i := 0; i < 100; i++ {
@@ -291,11 +295,14 @@ func TestCollectorFeedsSeries(t *testing.T) {
 		t.Errorf("completion p99 = %v/%v, want ~10ms", p.V, ok)
 	}
 	// Next window is empty again (cumulative unchanged): no new point.
-	if before := db.Lookup(SeriesCompletionP99).Len(); before != 1 {
+	if before := retained(db.Lookup(SeriesCompletionP99)); before != 1 {
 		t.Fatalf("p99 series len = %d, want 1", before)
 	}
 	c.Collect(now.Add(2 * time.Second))
-	if db.Lookup(SeriesCompletionP99).Len() != 1 {
+	if retained(db.Lookup(SeriesCompletionP99)) != 1 {
 		t.Error("empty completion window appended a point")
 	}
 }
+
+// retained is how many samples a series holds.
+func retained(s *tsdb.Series) int { return len(s.Last(s.Cap())) }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tstorm/internal/acker"
-	"tstorm/internal/topology"
 	"tstorm/internal/trace"
 	"tstorm/internal/tuple"
 )
@@ -527,15 +526,4 @@ func (le *liveExec) flushAnchored(em *spoutEmitter, die <-chan struct{}) bool {
 		}
 	}
 	return le.flushCtl(die)
-}
-
-// ackerFor returns the acker executor responsible for a root (nil when
-// the topology has none). Retained for tests and tooling; the hot path
-// uses the cached le.ackers + ackerIndex instead.
-func (le *liveExec) ackerFor(rt *routeTable, root tuple.ID) *liveExec {
-	tasks := rt.byComp[compKey{topo: le.id.Topology, comp: topology.AckerComponent}]
-	if len(tasks) == 0 {
-		return nil
-	}
-	return tasks[int(uint64(root)%uint64(len(tasks)))]
 }

@@ -227,7 +227,11 @@ func TestGeneratorMatchesReference(t *testing.T) {
 				gamma := 1 + 3*rng.Float64()
 				op = "set-algorithm"
 				ref.SetAlgorithm(core.NewTrafficAware(gamma))
-				gen.SetAlgorithm(core.NewTrafficAware(gamma))
+				a := core.NewTrafficAware(gamma)
+				gen.Registry().Register(a)
+				if err := gen.SwapTo(a.Name()); err != nil {
+					t.Fatal(err)
+				}
 			case k == 9:
 				op = "down"
 				node := w.cl.Nodes()[rng.IntN(w.cl.NumNodes())].ID

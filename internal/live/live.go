@@ -341,13 +341,6 @@ func (eng *Engine) isLocalSlot(s cluster.SlotID) bool {
 	return eng.localSlots == nil || eng.localSlots[s]
 }
 
-// Local reports whether an executor currently executes in this process.
-func (eng *Engine) Local(e topology.ExecutorID) bool {
-	rt := eng.routes.Load()
-	le := rt.executor(e.Topology, e.Component, e.Index)
-	return le != nil && rt.local[le.dense]
-}
-
 // AckTimeout returns the effective root timeout.
 func (eng *Engine) AckTimeout() time.Duration {
 	return time.Duration(eng.ackTimeout.Load())
@@ -690,25 +683,4 @@ func (eng *Engine) CurrentAssignment(name string) (*cluster.Assignment, bool) {
 		return nil, false
 	}
 	return a.Clone(), true
-}
-
-// ExecutorByDense maps a dense executor index back to its identity (used
-// by the monitor when draining the traffic matrix). Out-of-range indexes
-// return the zero ExecutorID rather than panicking.
-func (eng *Engine) ExecutorByDense(i int) topology.ExecutorID {
-	rt := eng.routes.Load()
-	if i < 0 || i >= len(rt.denseRev) {
-		return topology.ExecutorID{}
-	}
-	return rt.denseRev[i]
-}
-
-// slotOf reads an executor's current slot from the routing snapshot (the
-// zero SlotID for unknown executors).
-func (eng *Engine) slotOf(e topology.ExecutorID) cluster.SlotID {
-	rt := eng.routes.Load()
-	if le := rt.executor(e.Topology, e.Component, e.Index); le != nil {
-		return rt.slotOf[le.dense]
-	}
-	return cluster.SlotID{}
 }

@@ -104,9 +104,8 @@ func (eng *Engine) validateAssignment(name string, next *cluster.Assignment) (*e
 // number of executors moved (counting fleet-wide moves, not just the ones
 // touching this process, so counters agree across distributed workers).
 func (eng *Engine) applyMoves(app *engine.App, name string, next *cluster.Assignment) int {
-	// Trace emission happens after eng.mu is released: Emit runs
-	// subscribers synchronously, and a subscriber reading engine state
-	// must not deadlock against the migration.
+	// Trace emission happens after eng.mu is released, so the recorder's
+	// lock is never taken while the engine lock is held.
 	type move struct {
 		exec     string
 		from, to cluster.SlotID

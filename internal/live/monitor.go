@@ -133,9 +133,6 @@ func (m *Monitor) LastRoundDuration() time.Duration {
 	return time.Duration(m.lastRoundNanos.Load())
 }
 
-// Period returns the sampling period.
-func (m *Monitor) Period() time.Duration { return m.period }
-
 // Forget drops a topology from the monitor's memory and removes its
 // records from the load database: knownFlows entries are pruned and later
 // samples skip the topology's executors, so the zero-rate decay writes

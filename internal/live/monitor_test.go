@@ -88,11 +88,11 @@ func TestMonitorSampleUsesElapsedTime(t *testing.T) {
 	// Elapsed-based: ~1000/0.1s/2 = ~5000 tuples/s (the sleep only ever
 	// overshoots, so use generous lower bounds); period-based would be
 	// 1000/3600/2 ≈ 0.14.
-	if rate := db.Traffic(src, dst); rate < 500 {
+	if rate := snapTraffic(db, src, dst); rate < 500 {
 		t.Errorf("flow rate = %.3f tuples/s, want elapsed-based (≫ 1); period-based division detected", rate)
 	}
 	// Elapsed-based load: 0.02s/0.1s × 2000 MHz / 2 = ~200 MHz.
-	if load := db.ExecutorLoad(src); load < 20 {
+	if load := snapLoad(db, src); load < 20 {
 		t.Errorf("executor load = %.3f MHz, want elapsed-based (≫ 1); period-based division detected", load)
 	}
 }
@@ -133,4 +133,17 @@ func TestMonitorForgetRoundTrip(t *testing.T) {
 	if len(snap.ExecLoad) != 0 || len(snap.Flows) != 0 {
 		t.Fatalf("snapshot not clean after Forget: %d loads, %d flows", len(snap.ExecLoad), len(snap.Flows))
 	}
+}
+
+// snapLoad and snapTraffic read one estimate through a snapshot (0 when
+// unknown).
+func snapLoad(db *loaddb.DB, e topology.ExecutorID) float64 { return db.Snapshot().ExecLoad[e] }
+
+func snapTraffic(db *loaddb.DB, from, to topology.ExecutorID) float64 {
+	for _, f := range db.Snapshot().Flows {
+		if f.From == from && f.To == to {
+			return f.Rate
+		}
+	}
+	return 0
 }

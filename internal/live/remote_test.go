@@ -11,6 +11,7 @@ import (
 
 	"tstorm/internal/cluster"
 	"tstorm/internal/engine"
+	"tstorm/internal/metrics"
 	"tstorm/internal/topology"
 	"tstorm/internal/tuple"
 )
@@ -312,12 +313,12 @@ func TestShedTakesFrameOutOfTrafficWindow(t *testing.T) {
 
 	eng.traffic.Add(s.dense, b.dense, 5)
 	eng.Shed(frame(s.dense, 3))
-	if got := eng.traffic.Get(s.dense, b.dense); got != 2 {
+	if got := eng.traffic.Drain()[metrics.Pair{From: s.dense, To: b.dense}]; got != 2 {
 		t.Fatalf("window holds %v tuples s→b after 5 sent and 3 shed, want 2", got)
 	}
 	eng.traffic.Add(b.dense, b.dense, 4)
 	eng.Shed(frame(b.dense, 4)) // produced by the remote executor
-	if got := eng.traffic.Get(b.dense, b.dense); got != 4 {
+	if got := eng.traffic.Drain()[metrics.Pair{From: b.dense, To: b.dense}]; got != 4 {
 		t.Fatalf("window holds %v tuples b→b after shedding another process's frame, want 4", got)
 	}
 }

@@ -319,24 +319,6 @@ func TestEmissionsFlowWhileEngineLockHeld(t *testing.T) {
 	}
 }
 
-// TestExecutorByDenseOutOfRange asserts the dense-index guard: unknown
-// indexes return the zero identity instead of panicking.
-func TestExecutorByDenseOutOfRange(t *testing.T) {
-	cl, err := cluster.Uniform(1, 4, 2000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(testConfig(), cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{-1, 0, 99} {
-		if got := eng.ExecutorByDense(i); got != (topology.ExecutorID{}) {
-			t.Errorf("ExecutorByDense(%d) = %v, want zero", i, got)
-		}
-	}
-}
-
 // TestStopCancelsPendingResume asserts Engine.Stop cancels the retained
 // spout-resume timer: after Stop, a pending resumeSpoutsAfter must never
 // fire.

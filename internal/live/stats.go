@@ -144,29 +144,11 @@ func (eng *Engine) CompletionLatencySnapshot() *metrics.Histogram {
 	return eng.rootLat.Snapshot()
 }
 
-// DrainCompletionLatency returns the completion-latency histogram window
-// since the last drain and resets it.
-func (eng *Engine) DrainCompletionLatency() *metrics.Histogram {
-	return eng.rootLat.Drain()
-}
-
 // LatencySnapshot returns the cumulative end-to-end latency histogram
 // (never reset). Scrapers read this; DrainLatency's windowed resets are
 // unaffected, so a concurrent scrape cannot lose benchmark samples.
 func (eng *Engine) LatencySnapshot() *metrics.Histogram {
 	return eng.latency.Snapshot()
-}
-
-// ExecutorProcessed reports one executor's lifetime processed-tuple count
-// (0 for unknown executors and spouts). It reads the routing snapshot, so
-// it never contends with Submit/Apply.
-func (eng *Engine) ExecutorProcessed(e topology.ExecutorID) int64 {
-	rt := eng.routes.Load()
-	le := rt.executor(e.Topology, e.Component, e.Index)
-	if le == nil {
-		return 0
-	}
-	return le.processed.Load()
 }
 
 // ExecutorStat is one executor's telemetry snapshot.

@@ -80,19 +80,12 @@ func StartSupervisor(eng *Engine, period time.Duration) *Supervisor {
 // call repeatedly.
 func (s *Supervisor) Stop() { s.tick.stop() }
 
-// Restarts reports how many executor restarts this supervisor performed.
-func (s *Supervisor) Restarts() int { return int(s.restarts.Load()) }
-
 // History returns a copy of the restart log in restart order.
 func (s *Supervisor) History() []RestartRecord {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	return append([]RestartRecord(nil), s.history...)
 }
-
-// Backoff exposes the schedule: the wait imposed before restart attempt
-// n (0-based), doubling from the base up to the cap.
-func (s *Supervisor) Backoff(n int) time.Duration { return s.backoff(n) }
 
 // backoff returns the wait before restart number n (0-based).
 func (s *Supervisor) backoff(n int) time.Duration {

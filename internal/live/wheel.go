@@ -119,6 +119,3 @@ func (w *timeoutWheel) expire(now time.Time) []tuple.ID {
 	}
 	return due
 }
-
-// pendingLen reports how many roots are registered (test hook).
-func (w *timeoutWheel) pendingLen() int { return len(w.slot) }

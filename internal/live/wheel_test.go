@@ -20,8 +20,8 @@ func TestWheelFiresLateNeverEarly(t *testing.T) {
 		t.Fatalf("tick = %v, want 10ms", w.tick)
 	}
 	w.add(1, timeout, wheelBase)
-	if w.pendingLen() != 1 {
-		t.Fatalf("pendingLen = %d, want 1", w.pendingLen())
+	if len(w.slot) != 1 {
+		t.Fatalf("pending = %d, want 1", len(w.slot))
 	}
 	fired := time.Duration(-1)
 	for d := time.Duration(0); d <= timeout+4*w.tick; d += w.tick {
@@ -39,8 +39,8 @@ func TestWheelFiresLateNeverEarly(t *testing.T) {
 	if fired > timeout+2*w.tick {
 		t.Fatalf("root fired at +%v, more than two ticks past %v", fired, timeout)
 	}
-	if w.pendingLen() != 0 {
-		t.Fatalf("pendingLen = %d after fire, want 0", w.pendingLen())
+	if len(w.slot) != 0 {
+		t.Fatalf("pending = %d after fire, want 0", len(w.slot))
 	}
 }
 
@@ -74,8 +74,8 @@ func TestWheelReAddRearms(t *testing.T) {
 		t.Fatalf("root expired early: %v", due)
 	}
 	w.add(3, timeout, half)
-	if w.pendingLen() != 1 {
-		t.Fatalf("pendingLen = %d after re-add, want 1", w.pendingLen())
+	if len(w.slot) != 1 {
+		t.Fatalf("pending = %d after re-add, want 1", len(w.slot))
 	}
 
 	// The old deadline passes without a fire...
@@ -119,8 +119,8 @@ func TestWheelGrowsOnStall(t *testing.T) {
 	if len(due) != 1 || due[0] != 2 {
 		t.Fatalf("fresh root did not fire after growth: %v", due)
 	}
-	if w.pendingLen() != 0 {
-		t.Fatalf("pendingLen = %d, want 0", w.pendingLen())
+	if len(w.slot) != 0 {
+		t.Fatalf("pending = %d, want 0", len(w.slot))
 	}
 }
 
@@ -158,7 +158,7 @@ func TestWheelManyRoots(t *testing.T) {
 		t.Fatalf("accounted %d roots (%d expired + %d cancelled), want %d",
 			got, len(expired), cancelled, n)
 	}
-	if w.pendingLen() != 0 {
-		t.Fatalf("pendingLen = %d, want 0", w.pendingLen())
+	if len(w.slot) != 0 {
+		t.Fatalf("pending = %d, want 0", len(w.slot))
 	}
 }

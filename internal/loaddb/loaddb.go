@@ -52,7 +52,6 @@ func (s *Snapshot) TotalTraffic() map[topology.ExecutorID]float64 {
 // DB is the load database. It is safe for concurrent use.
 type DB struct {
 	mu      sync.Mutex
-	alpha   float64
 	factory predictor.Factory
 	load    map[topology.ExecutorID]predictor.Estimator
 	mem     map[topology.ExecutorID]predictor.Estimator
@@ -63,7 +62,6 @@ type DB struct {
 // coefficient alpha (the paper uses α = 0.5).
 func New(alpha float64) *DB {
 	db := NewWithEstimator(predictor.EWMAFactory(alpha))
-	db.alpha = alpha
 	return db
 }
 
@@ -78,9 +76,6 @@ func NewWithEstimator(factory predictor.Factory) *DB {
 		flows:   make(map[FlowKey]predictor.Estimator),
 	}
 }
-
-// Alpha returns the EWMA coefficient (0 when a custom estimator is used).
-func (db *DB) Alpha() float64 { return db.alpha }
 
 // UpdateExecutorLoad folds one instantaneous workload sample (MHz) into
 // the executor's estimate.
@@ -167,37 +162,6 @@ func (db *DB) ApplyMemory(mem map[topology.ExecutorID]float64) {
 		}
 		est.Update(mb)
 	}
-}
-
-// ExecutorLoad reads one executor's current estimate (0 if unknown).
-func (db *DB) ExecutorLoad(e topology.ExecutorID) float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if est := db.load[e]; est != nil {
-		return est.Value()
-	}
-	return 0
-}
-
-// ExecutorMemory reads one executor's current memory estimate in MB
-// (0 if no monitor has reported memory for it).
-func (db *DB) ExecutorMemory(e topology.ExecutorID) float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if est := db.mem[e]; est != nil {
-		return est.Value()
-	}
-	return 0
-}
-
-// Traffic reads one pair's current estimate (0 if unknown).
-func (db *DB) Traffic(from, to topology.ExecutorID) float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if est := db.flows[FlowKey{From: from, To: to}]; est != nil {
-		return est.Value()
-	}
-	return 0
 }
 
 // HasData reports whether any sample has ever been written — the schedule

@@ -16,32 +16,29 @@ func exec(topo, comp string, i int) topology.ExecutorID {
 func TestExecutorLoadEWMA(t *testing.T) {
 	db := New(0.5)
 	e := exec("t", "bolt", 0)
-	if db.ExecutorLoad(e) != 0 {
+	if snapLoad(db, e) != 0 {
 		t.Fatal("unknown executor load not 0")
 	}
 	db.UpdateExecutorLoad(e, 100)
 	db.UpdateExecutorLoad(e, 200)
-	if got := db.ExecutorLoad(e); got != 150 {
+	if got := snapLoad(db, e); got != 150 {
 		t.Fatalf("load = %v, want 150 (EWMA α=0.5)", got)
-	}
-	if db.Alpha() != 0.5 {
-		t.Fatal("Alpha accessor wrong")
 	}
 }
 
 func TestTrafficEWMA(t *testing.T) {
 	db := New(0.5)
 	a, b := exec("t", "s", 0), exec("t", "b", 0)
-	if db.Traffic(a, b) != 0 {
+	if snapTraffic(db, a, b) != 0 {
 		t.Fatal("unknown traffic not 0")
 	}
 	db.UpdateTraffic(a, b, 10)
 	db.UpdateTraffic(a, b, 0) // pair went quiet: estimate decays
-	if got := db.Traffic(a, b); got != 5 {
+	if got := snapTraffic(db, a, b); got != 5 {
 		t.Fatalf("traffic = %v, want 5", got)
 	}
 	// Directionality.
-	if db.Traffic(b, a) != 0 {
+	if snapTraffic(db, b, a) != 0 {
 		t.Fatal("reverse direction contaminated")
 	}
 }
@@ -78,7 +75,7 @@ func TestSnapshotSortedAndIsolated(t *testing.T) {
 	}
 	// Mutating the snapshot does not affect the DB.
 	s.ExecLoad[a] = 999
-	if db.ExecutorLoad(a) != 50 {
+	if snapLoad(db, a) != 50 {
 		t.Fatal("snapshot aliases DB")
 	}
 }
@@ -105,7 +102,7 @@ func TestForget(t *testing.T) {
 	if len(s.ExecLoad) != 1 || len(s.Flows) != 1 {
 		t.Fatalf("after Forget: %+v", s)
 	}
-	if db.ExecutorLoad(exec("drop", "s", 0)) != 0 {
+	if snapLoad(db, exec("drop", "s", 0)) != 0 {
 		t.Fatal("forgotten executor still has load")
 	}
 }
@@ -129,7 +126,7 @@ func TestPropertyEstimateBounded(t *testing.T) {
 				hi = v
 			}
 		}
-		got := db.ExecutorLoad(e)
+		got := snapLoad(db, e)
 		return got >= lo-1e-9 && got <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -147,14 +144,11 @@ func TestCustomEstimatorIsUsed(t *testing.T) {
 		holt.UpdateExecutorLoad(e, v)
 		ewma.UpdateExecutorLoad(e, v)
 	}
-	if holt.ExecutorLoad(e) <= 500 {
-		t.Fatalf("Holt DB = %v, want forecast beyond 500", holt.ExecutorLoad(e))
+	if snapLoad(holt, e) <= 500 {
+		t.Fatalf("Holt DB = %v, want forecast beyond 500", snapLoad(holt, e))
 	}
-	if ewma.ExecutorLoad(e) >= 500 {
-		t.Fatalf("EWMA DB = %v, want lag below 500", ewma.ExecutorLoad(e))
-	}
-	if holt.Alpha() != 0 {
-		t.Fatalf("custom DB Alpha = %v, want 0", holt.Alpha())
+	if snapLoad(ewma, e) >= 500 {
+		t.Fatalf("EWMA DB = %v, want lag below 500", snapLoad(ewma, e))
 	}
 }
 
@@ -203,4 +197,17 @@ func TestApplyWindowMatchesPerSampleUpdates(t *testing.T) {
 			t.Fatalf("flow %d: batch %+v, single %+v", i, a.Flows[i], f)
 		}
 	}
+}
+
+// snapLoad and snapTraffic read one estimate through a snapshot (0 when
+// unknown).
+func snapLoad(db *DB, e topology.ExecutorID) float64 { return db.Snapshot().ExecLoad[e] }
+
+func snapTraffic(db *DB, from, to topology.ExecutorID) float64 {
+	for _, f := range db.Snapshot().Flows {
+		if f.From == from && f.To == to {
+			return f.Rate
+		}
+	}
+	return 0
 }

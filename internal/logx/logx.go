@@ -98,14 +98,9 @@ func (l *Logger) With(key, value string) *Logger {
 	return &child
 }
 
-// Level reports the logger's threshold.
-func (l *Logger) Level() Level { return l.level }
-
 // Enabled reports whether messages at lv would be written.
 func (l *Logger) Enabled(lv Level) bool { return lv >= l.level && l.level != Off }
 
-// Debugf / Infof / Warnf / Errorf format msg and write one logfmt line.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(Debug, format, args...) }
 func (l *Logger) Infof(format string, args ...any)  { l.logf(Info, format, args...) }
 func (l *Logger) Warnf(format string, args ...any)  { l.logf(Warn, format, args...) }
 func (l *Logger) Errorf(format string, args ...any) { l.logf(Error, format, args...) }

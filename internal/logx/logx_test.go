@@ -25,7 +25,6 @@ func TestLogfmtLineShape(t *testing.T) {
 func TestLevelGating(t *testing.T) {
 	var b strings.Builder
 	l := New(&b, Warn)
-	l.Debugf("nope")
 	l.Infof("nope")
 	l.Warnf("yes")
 	l.Errorf("also")

@@ -77,9 +77,6 @@ func (h *AtomicHistogram) Add(v float64) {
 	}
 }
 
-// Count reports the number of recorded values.
-func (h *AtomicHistogram) Count() int64 { return h.total.Load() }
-
 // Snapshot returns the current contents as a plain Histogram. Concurrent
 // Adds may straddle the copy (a count landing without its sum), skewing
 // the snapshot by at most the in-flight values.

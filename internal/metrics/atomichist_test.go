@@ -74,7 +74,7 @@ func TestAtomicHistogramConcurrentAdds(t *testing.T) {
 			}
 		}(w)
 	}
-	for ah.Count() < writers*per {
+	for ah.total.Load() < writers*per {
 	}
 	close(stop)
 	wg.Wait()

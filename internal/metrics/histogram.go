@@ -127,14 +127,6 @@ func (h *Histogram) Count() int64 { return h.total }
 // Sum reports the exact sum of recorded values.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Mean reports the exact mean of recorded values (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
 // Max reports the exact maximum recorded value.
 func (h *Histogram) Max() float64 { return h.max }
 

@@ -46,9 +46,6 @@ func (e *EWMA) Update(sample float64) float64 {
 // Value returns the current estimate (zero before any sample).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Initialized reports whether at least one sample has been folded in.
-func (e *EWMA) Initialized() bool { return e.seen }
-
 // Point is one bucket of a bucketed series.
 type Point struct {
 	// Start is the bucket's start instant.
@@ -78,9 +75,6 @@ func NewSeries(width time.Duration) *Series {
 	}
 	return &Series{width: width, buckets: make(map[int64]*Point)}
 }
-
-// Width returns the bucket width.
-func (s *Series) Width() time.Duration { return s.width }
 
 // Add records one sample at instant t.
 func (s *Series) Add(t sim.Time, v float64) {
@@ -126,15 +120,6 @@ func (s *Series) MeanAfter(t sim.Time) float64 {
 	return sum / float64(n)
 }
 
-// TotalCount returns the number of samples across all buckets.
-func (s *Series) TotalCount() int64 {
-	var n int64
-	for _, b := range s.buckets {
-		n += b.Count
-	}
-	return n
-}
-
 // StepPoint is one level change of a stepped gauge.
 type StepPoint struct {
 	At    sim.Time
@@ -163,18 +148,6 @@ func (s *StepSeries) Set(t sim.Time, v float64) {
 		}
 	}
 	s.steps = append(s.steps, StepPoint{At: t, Value: v})
-}
-
-// At returns the gauge value at instant t (0 before the first step).
-func (s *StepSeries) At(t sim.Time) float64 {
-	v := 0.0
-	for _, st := range s.steps {
-		if st.At > t {
-			break
-		}
-		v = st.Value
-	}
-	return v
 }
 
 // Steps returns a copy of all level changes in time order.
@@ -232,19 +205,6 @@ func (m *TrafficMatrix) Add(from, to int, n float64) {
 	}
 	m.rows[from] = append(row, trafficCell{to, n})
 	m.n++
-}
-
-// Get returns the current count for a pair.
-func (m *TrafficMatrix) Get(from, to int) float64 {
-	if from < 0 || from >= len(m.rows) {
-		return 0
-	}
-	for _, c := range m.rows[from] {
-		if c.to == to {
-			return c.n
-		}
-	}
-	return 0
 }
 
 // Drain returns every pair counted since the last drain and resets the

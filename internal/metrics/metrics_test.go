@@ -12,13 +12,13 @@ import (
 
 func TestEWMAFirstSampleInitializes(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Initialized() {
+	if e.seen {
 		t.Fatal("fresh EWMA reports initialized")
 	}
 	if got := e.Update(10); got != 10 {
 		t.Fatalf("first Update = %v, want 10", got)
 	}
-	if !e.Initialized() {
+	if !e.seen {
 		t.Fatal("EWMA not initialized after a sample")
 	}
 }
@@ -75,7 +75,7 @@ func TestPropertyEWMABetweenOldAndSample(t *testing.T) {
 				continue
 			}
 			old := e.Value()
-			wasInit := e.Initialized()
+			wasInit := e.seen
 			got := e.Update(s)
 			if !wasInit {
 				if got != s {
@@ -112,11 +112,11 @@ func TestSeriesBucketing(t *testing.T) {
 	if pts[1].Start != secs(60) || pts[1].Mean != 10 {
 		t.Fatalf("bucket 1 = %+v", pts[1])
 	}
-	if s.TotalCount() != 3 {
-		t.Fatalf("TotalCount = %d, want 3", s.TotalCount())
+	if totalCount(s) != 3 {
+		t.Fatalf("total count = %d, want 3", totalCount(s))
 	}
-	if s.Width() != time.Minute {
-		t.Fatalf("Width = %v", s.Width())
+	if s.width != time.Minute {
+		t.Fatalf("Width = %v", s.width)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestPropertySeriesConservesSumAndCount(t *testing.T) {
 
 func TestStepSeries(t *testing.T) {
 	var s StepSeries
-	if s.At(secs(5)) != 0 || s.Last() != 0 {
+	if stepAt(&s, secs(5)) != 0 || s.Last() != 0 {
 		t.Fatal("empty StepSeries should read 0")
 	}
 	s.Set(secs(10), 10)
@@ -176,8 +176,8 @@ func TestStepSeries(t *testing.T) {
 	if got := len(s.Steps()); got != 2 {
 		t.Fatalf("steps = %d, want 2", got)
 	}
-	if s.At(secs(5)) != 0 || s.At(secs(15)) != 10 || s.At(secs(30)) != 7 || s.At(secs(99)) != 7 {
-		t.Fatalf("At readings wrong: %v %v %v %v", s.At(secs(5)), s.At(secs(15)), s.At(secs(30)), s.At(secs(99)))
+	if stepAt(&s, secs(5)) != 0 || stepAt(&s, secs(15)) != 10 || stepAt(&s, secs(30)) != 7 || stepAt(&s, secs(99)) != 7 {
+		t.Fatalf("At readings wrong: %v %v %v %v", stepAt(&s, secs(5)), stepAt(&s, secs(15)), stepAt(&s, secs(30)), stepAt(&s, secs(99)))
 	}
 	if s.Last() != 7 {
 		t.Fatalf("Last = %v, want 7", s.Last())
@@ -188,7 +188,7 @@ func TestStepSeriesSameInstantOverwrites(t *testing.T) {
 	var s StepSeries
 	s.Set(secs(10), 3)
 	s.Set(secs(10), 9)
-	if got := s.At(secs(10)); got != 9 {
+	if got := stepAt(&s, secs(10)); got != 9 {
 		t.Fatalf("At = %v, want 9", got)
 	}
 	if len(s.Steps()) != 1 {
@@ -208,7 +208,7 @@ func TestTrafficMatrixAddGetDrain(t *testing.T) {
 	m.Add(1, 2, 5)
 	m.Add(1, 2, 3)
 	m.Add(2, 1, 1)
-	if got := m.Get(1, 2); got != 8 {
+	if got := cell(m, 1, 2); got != 8 {
 		t.Fatalf("Get = %v, want 8", got)
 	}
 	snap := m.Snapshot()
@@ -219,17 +219,17 @@ func TestTrafficMatrixAddGetDrain(t *testing.T) {
 	if len(drained) != 2 {
 		t.Fatalf("Drain = %v", drained)
 	}
-	if got := m.Get(1, 2); got != 0 {
+	if got := cell(m, 1, 2); got != 0 {
 		t.Fatalf("after Drain Get = %v, want 0", got)
 	}
 	// Snapshot is a copy: mutating it must not affect the matrix.
 	m.Add(3, 4, 1)
 	s2 := m.Snapshot()
 	s2[Pair{3, 4}] = 99
-	if m.Get(3, 4) != 1 {
+	if cell(m, 3, 4) != 1 {
 		t.Fatal("Snapshot aliases the matrix")
 	}
-	if m.Get(-1, 4) != 0 || m.Get(99, 4) != 0 {
+	if cell(m, -1, 4) != 0 || cell(m, 99, 4) != 0 {
 		t.Fatal("Get outside the rows should read 0")
 	}
 }
@@ -257,7 +257,7 @@ func TestTrafficMatrixMatchesMap(t *testing.T) {
 		n := float64(rng.IntN(3)) * 0.7 // zero counts must appear too
 		m.Add(from, to, n)
 		ref[Pair{from, to}] += n
-		if got := m.Get(from, to); got != ref[Pair{from, to}] {
+		if got := cell(m, from, to); got != ref[Pair{from, to}] {
 			t.Fatalf("Get(%d, %d) = %v, want %v", from, to, got, ref[Pair{from, to}])
 		}
 		if rng.IntN(1000) == 0 {
@@ -288,4 +288,38 @@ func BenchmarkTrafficMatrixAdd(b *testing.B) {
 		from := i % sources
 		m.Add(from, (from*7+(i/sources%fanout)*13)%sources, 1)
 	}
+}
+
+// totalCount is the number of samples across a series' buckets.
+func totalCount(s *Series) int64 {
+	var n int64
+	for _, p := range s.Points() {
+		n += p.Count
+	}
+	return n
+}
+
+// stepAt is the gauge value at instant t (0 before the first step).
+func stepAt(s *StepSeries, t sim.Time) float64 {
+	v := 0.0
+	for _, st := range s.Steps() {
+		if st.At > t {
+			break
+		}
+		v = st.Value
+	}
+	return v
+}
+
+// cell is the current count for a pair (0 when absent or out of range).
+func cell(m *TrafficMatrix, from, to int) float64 {
+	if from < 0 || from >= len(m.rows) {
+		return 0
+	}
+	for _, c := range m.rows[from] {
+		if c.to == to {
+			return c.n
+		}
+	}
+	return 0
 }

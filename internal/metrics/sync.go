@@ -24,25 +24,11 @@ func (s *SyncTrafficMatrix) Add(from, to int, n float64) {
 	s.m.Add(from, to, n)
 }
 
-// Get returns the current count for a pair.
-func (s *SyncTrafficMatrix) Get(from, to int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Get(from, to)
-}
-
 // Drain returns all non-zero counts and resets the matrix.
 func (s *SyncTrafficMatrix) Drain() map[Pair]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m.Drain()
-}
-
-// Snapshot returns a copy of the counts without resetting.
-func (s *SyncTrafficMatrix) Snapshot() map[Pair]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Snapshot()
 }
 
 // SyncHistogram is a Histogram safe for concurrent use — the live runtime
@@ -60,14 +46,6 @@ type SyncHistogram struct {
 	cum *Histogram // lifetime accumulation, copied by Snapshot
 }
 
-// NewSyncHistogram wraps a fresh histogram with the given shape.
-func NewSyncHistogram(lo, hi float64, binsPerDecade int) *SyncHistogram {
-	return &SyncHistogram{
-		h:   NewHistogram(lo, hi, binsPerDecade),
-		cum: NewHistogram(lo, hi, binsPerDecade),
-	}
-}
-
 // NewSyncLatencyHistogram covers the same range as NewLatencyHistogram.
 func NewSyncLatencyHistogram() *SyncHistogram {
 	return &SyncHistogram{h: NewLatencyHistogram(), cum: NewLatencyHistogram()}
@@ -79,27 +57,6 @@ func (s *SyncHistogram) Add(v float64) {
 	defer s.mu.Unlock()
 	s.h.Add(v)
 	s.cum.Add(v)
-}
-
-// Count reports the number of recorded values.
-func (s *SyncHistogram) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Count()
-}
-
-// Mean reports the exact mean of recorded values (0 when empty).
-func (s *SyncHistogram) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Mean()
-}
-
-// Quantile returns the approximate q-quantile (see Histogram.Quantile).
-func (s *SyncHistogram) Quantile(q float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Quantile(q)
 }
 
 // Drain returns the current window's histogram and replaces it with a

@@ -20,18 +20,18 @@ func TestSyncTrafficMatrixConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	drained := m.Drain()
 	total := 0.0
-	for _, v := range m.Snapshot() {
+	for _, v := range drained {
 		total += v
 	}
 	if total != workers*perWorker {
 		t.Fatalf("total = %v, want %d", total, workers*perWorker)
 	}
-	drained := m.Drain()
 	if len(drained) != workers {
 		t.Fatalf("drained %d pairs, want %d", len(drained), workers)
 	}
-	if len(m.Snapshot()) != 0 {
+	if len(m.Drain()) != 0 {
 		t.Fatalf("matrix not empty after drain")
 	}
 }
@@ -51,19 +51,19 @@ func TestSyncHistogramConcurrentAndDrain(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*perWorker {
+	if got := h.h.Count(); got != workers*perWorker {
 		t.Fatalf("count = %d, want %d", got, workers*perWorker)
 	}
 	window := h.Drain()
 	if window.Count() != workers*perWorker {
 		t.Fatalf("drained count = %d, want %d", window.Count(), workers*perWorker)
 	}
-	if h.Count() != 0 {
-		t.Fatalf("histogram not empty after drain: %d", h.Count())
+	if h.h.Count() != 0 {
+		t.Fatalf("histogram not empty after drain: %d", h.h.Count())
 	}
 	// The replacement histogram keeps the original shape.
 	h.Add(2.5)
-	if got := h.Quantile(1); got <= 0 {
+	if got := h.h.Quantile(1); got <= 0 {
 		t.Fatalf("quantile after drain = %v, want > 0", got)
 	}
 }

@@ -60,12 +60,6 @@ func (f *Fleet) Stop() {
 	}
 }
 
-// Samples reports how many sampling rounds have run.
-func (f *Fleet) Samples() int { return f.samples }
-
-// Period returns the sampling period.
-func (f *Fleet) Period() time.Duration { return f.period }
-
 // Forget drops a topology from the fleet's memory and removes its records
 // from the load database: knownFlows entries are pruned and later samples
 // skip the topology's executors, so the zero-rate decay writes cannot

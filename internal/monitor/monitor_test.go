@@ -70,11 +70,11 @@ func TestFleetSamplesLoadsAndTraffic(t *testing.T) {
 	if err := rt.RunFor(100 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if f.Samples() != 5 {
-		t.Fatalf("Samples = %d, want 5", f.Samples())
+	if f.samples != 5 {
+		t.Fatalf("Samples = %d, want 5", f.samples)
 	}
-	if f.Period() != 20*time.Second {
-		t.Fatalf("Period = %v", f.Period())
+	if f.period != 20*time.Second {
+		t.Fatalf("Period = %v", f.period)
 	}
 	if !db.HasData() {
 		t.Fatal("no data stored")
@@ -83,7 +83,7 @@ func TestFleetSamplesLoadsAndTraffic(t *testing.T) {
 	boltID := topology.ExecutorID{Topology: "mon", Component: "b", Index: 0}
 	// Spout emits ~200/s at 0.2 ms/tuple ⇒ ~80 MHz (0.04 CPU × 2000 MHz);
 	// the bolt does ~double the work. Check orders of magnitude and ratio.
-	sl, bl := db.ExecutorLoad(spoutID), db.ExecutorLoad(boltID)
+	sl, bl := snapLoad(db, spoutID), snapLoad(db, boltID)
 	if sl <= 0 || bl <= 0 {
 		t.Fatalf("loads not positive: spout=%v bolt=%v", sl, bl)
 	}
@@ -91,7 +91,7 @@ func TestFleetSamplesLoadsAndTraffic(t *testing.T) {
 		t.Fatalf("bolt load %v below spout load %v despite 2× cost", bl, sl)
 	}
 	// Traffic spout→bolt ≈ emit rate (~190-200 tuples/s).
-	tr := db.Traffic(spoutID, boltID)
+	tr := snapTraffic(db, spoutID, boltID)
 	if tr < 100 || tr > 250 {
 		t.Fatalf("spout→bolt traffic = %v tuples/s, want ~200", tr)
 	}
@@ -106,7 +106,7 @@ func TestSilentPairsDecayTowardZero(t *testing.T) {
 	}
 	spoutID := topology.ExecutorID{Topology: "mon", Component: "s", Index: 0}
 	boltID := topology.ExecutorID{Topology: "mon", Component: "b", Index: 0}
-	before := db.Traffic(spoutID, boltID)
+	before := snapTraffic(db, spoutID, boltID)
 	if before <= 0 {
 		t.Fatal("no traffic before stop")
 	}
@@ -117,7 +117,7 @@ func TestSilentPairsDecayTowardZero(t *testing.T) {
 	f.Stop()
 	rt.DrainTraffic() // clear
 	f.Sample()        // window with no flow: all known pairs decay by α
-	after := db.Traffic(spoutID, boltID)
+	after := snapTraffic(db, spoutID, boltID)
 	if after >= before {
 		t.Fatalf("silent pair did not decay: %v → %v", before, after)
 	}
@@ -126,8 +126,21 @@ func TestSilentPairsDecayTowardZero(t *testing.T) {
 func TestStartDefaultsPeriod(t *testing.T) {
 	rt, db, _ := startPipeline(t)
 	f := Start(rt, db, 0)
-	if f.Period() != DefaultPeriod {
-		t.Fatalf("Period = %v, want %v", f.Period(), DefaultPeriod)
+	if f.period != DefaultPeriod {
+		t.Fatalf("Period = %v, want %v", f.period, DefaultPeriod)
 	}
 	f.Stop()
+}
+
+// snapLoad and snapTraffic read one estimate through a snapshot (0 when
+// unknown).
+func snapLoad(db *loaddb.DB, e topology.ExecutorID) float64 { return db.Snapshot().ExecLoad[e] }
+
+func snapTraffic(db *loaddb.DB, from, to topology.ExecutorID) float64 {
+	for _, f := range db.Snapshot().Flows {
+		if f.From == from && f.To == to {
+			return f.Rate
+		}
+	}
+	return 0
 }

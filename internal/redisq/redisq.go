@@ -1,7 +1,7 @@
 // Package redisq is the Redis-list substrate the paper's Word Count and
 // Log Stream topologies consume from: producers RPUSH lines onto named
-// lists and spouts LPOP (or block with BLPop) from them. Only the list
-// operations the workloads need are implemented.
+// lists and spouts LPOP from them. Only the list operations the workloads
+// need are implemented.
 package redisq
 
 import "sync"
@@ -10,39 +10,21 @@ import "sync"
 // use (the simulation itself is single-threaded, but tests and examples may
 // load queues from other goroutines).
 type Server struct {
-	mu      sync.Mutex
-	lists   map[string][]string
-	waiters map[string][]func(string)
-	pushed  map[string]int64
-	popped  map[string]int64
+	mu    sync.Mutex
+	lists map[string][]string
 }
 
 // NewServer returns an empty server.
 func NewServer() *Server {
-	return &Server{
-		lists:   make(map[string][]string),
-		waiters: make(map[string][]func(string)),
-		pushed:  make(map[string]int64),
-		popped:  make(map[string]int64),
-	}
+	return &Server{lists: make(map[string][]string)}
 }
 
 // RPush appends values to the tail of the named list and returns the new
-// length. Blocked BLPop waiters are served first, in FIFO order.
+// length.
 func (s *Server) RPush(key string, vals ...string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pushed[key] += int64(len(vals))
-	for _, v := range vals {
-		if ws := s.waiters[key]; len(ws) > 0 {
-			fn := ws[0]
-			s.waiters[key] = ws[1:]
-			s.popped[key]++
-			fn(v)
-			continue
-		}
-		s.lists[key] = append(s.lists[key], v)
-	}
+	s.lists[key] = append(s.lists[key], vals...)
 	return len(s.lists[key])
 }
 
@@ -56,46 +38,5 @@ func (s *Server) LPop(key string) (string, bool) {
 	}
 	v := l[0]
 	s.lists[key] = l[1:]
-	s.popped[key]++
 	return v, true
-}
-
-// BLPop pops the head of the list if available; otherwise it registers fn
-// to be called with the next pushed value. fn is invoked synchronously
-// from RPush (callers in the simulation should re-schedule work rather
-// than doing heavy processing inside fn).
-func (s *Server) BLPop(key string, fn func(string)) {
-	s.mu.Lock()
-	l := s.lists[key]
-	if len(l) > 0 {
-		v := l[0]
-		s.lists[key] = l[1:]
-		s.popped[key]++
-		s.mu.Unlock()
-		fn(v)
-		return
-	}
-	s.waiters[key] = append(s.waiters[key], fn)
-	s.mu.Unlock()
-}
-
-// LLen returns the length of the named list.
-func (s *Server) LLen(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.lists[key])
-}
-
-// Pushed returns how many values were ever pushed onto the named list.
-func (s *Server) Pushed(key string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushed[key]
-}
-
-// Popped returns how many values were ever consumed from the named list.
-func (s *Server) Popped(key string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.popped[key]
 }

@@ -77,45 +77,21 @@ type Demand struct {
 	NetMBps float64
 }
 
-// DemandModel converts a load snapshot into per-executor demands. The
-// zero value selects the defaults.
-type DemandModel struct {
-	// BytesPerTuple converts traffic rates (tuples/s) into bandwidth
-	// demand (MB/s). 0 selects DefaultBytesPerTuple.
-	BytesPerTuple float64
-	// BaselineMemMB is the per-executor memory floor assumed when no
-	// monitor has reported a footprint. 0 selects DefaultBaselineMemMB.
-	BaselineMemMB float64
-}
-
-// DefaultBytesPerTuple approximates the wire size of one encoded tuple.
+// DefaultBytesPerTuple approximates the wire size of one encoded tuple:
+// it converts traffic rates (tuples/s) into bandwidth demand (MB/s).
 const DefaultBytesPerTuple = 256.0
 
 // DefaultBaselineMemMB is the per-executor memory floor: queues, routing
 // state, and component state make even an idle executor non-free.
 const DefaultBaselineMemMB = 64.0
 
-func (m DemandModel) bytesPerTuple() float64 {
-	if m.BytesPerTuple == 0 {
-		return DefaultBytesPerTuple
-	}
-	return m.BytesPerTuple
-}
-
-func (m DemandModel) baselineMemMB() float64 {
-	if m.BaselineMemMB == 0 {
-		return DefaultBaselineMemMB
-	}
-	return m.BaselineMemMB
-}
-
 // DeriveDemands estimates every executor's demand from the load
 // snapshot: CPU is the smoothed workload, network is total traffic
-// scaled by BytesPerTuple, and memory is the monitored footprint when
-// one exists, else the baseline. Executors absent from the snapshot get
+// scaled by DefaultBytesPerTuple, and memory is the monitored footprint when
+// one exists, else DefaultBaselineMemMB. Executors absent from the snapshot get
 // zero CPU/network and baseline memory — matching how Algorithm 1 has
 // always treated unknown load. load may be nil.
-func DeriveDemands(topos []*topology.Topology, load *loaddb.Snapshot, model DemandModel) map[topology.ExecutorID]Demand {
+func DeriveDemands(topos []*topology.Topology, load *loaddb.Snapshot) map[topology.ExecutorID]Demand {
 	if load == nil {
 		load = &loaddb.Snapshot{}
 	}
@@ -125,8 +101,8 @@ func DeriveDemands(topos []*topology.Topology, load *loaddb.Snapshot, model Dema
 		for _, e := range top.Executors() {
 			d := Demand{
 				CPUMHz:  load.ExecLoad[e],
-				MemMB:   model.baselineMemMB(),
-				NetMBps: total[e] * model.bytesPerTuple() / 1e6,
+				MemMB:   DefaultBaselineMemMB,
+				NetMBps: total[e] * DefaultBytesPerTuple / 1e6,
 			}
 			if mb, ok := load.ExecMem[e]; ok && mb > 0 {
 				d.MemMB = mb

@@ -84,7 +84,7 @@ func TestConstraintsConvention(t *testing.T) {
 }
 
 // TestDeriveDemands checks the snapshot-to-demand derivation: CPU is the
-// smoothed workload, network is total traffic scaled by BytesPerTuple,
+// smoothed workload, network is total traffic scaled by DefaultBytesPerTuple,
 // and memory is the monitored footprint when present, else the baseline.
 func TestDeriveDemands(t *testing.T) {
 	top := buildChain(t, "d", 2, 1, 1) // spout, mid, sink + 2 ackers
@@ -97,7 +97,7 @@ func TestDeriveDemands(t *testing.T) {
 	db.UpdateExecutorMemory(mid, 512)
 	snap := db.Snapshot()
 
-	demands := DeriveDemands([]*topology.Topology{top}, snap, DemandModel{})
+	demands := DeriveDemands([]*topology.Topology{top}, snap)
 	if len(demands) != top.NumExecutors() {
 		t.Fatalf("derived %d demands, want %d", len(demands), top.NumExecutors())
 	}

@@ -56,16 +56,14 @@ type Input struct {
 // both backends hand algorithms inputs of identical shape. load may be
 // nil for offline/initial scheduling; capacityFraction populates
 // Constraints.CPUFraction (0 selects full capacity). Per-executor
-// resource demands are derived from the snapshot with the default
-// DemandModel; callers needing a custom model overwrite Demands after
-// construction.
+// resource demands are derived from the snapshot by DeriveDemands.
 func NewInput(topos []*topology.Topology, cl *cluster.Cluster, load *loaddb.Snapshot, capacityFraction float64) *Input {
 	topos = append([]*topology.Topology(nil), topos...)
 	return &Input{
 		Topologies:  topos,
 		Cluster:     cl,
 		Load:        load,
-		Demands:     DeriveDemands(topos, load, DemandModel{}),
+		Demands:     DeriveDemands(topos, load),
 		Constraints: Constraints{CPUFraction: capacityFraction},
 		Occupied:    make(map[cluster.SlotID]bool),
 	}

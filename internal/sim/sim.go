@@ -177,17 +177,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // EventsFired reports how many events have executed so far.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled and not yet fired, on the
-// heap and on every lane (including cancelled events that have not been
-// drained).
-func (e *Engine) Pending() int {
-	n := len(e.queue)
-	for _, l := range e.lanes {
-		n += l.n
-	}
-	return n
-}
-
 // At schedules fn to run at instant t. Scheduling in the past panics: that
 // is always a logic error in a deterministic simulation.
 func (e *Engine) At(t Time, fn func()) *Timer {
@@ -318,14 +307,6 @@ func (l *Lane) AtEvent(t Time, ev Event) {
 	l.n++
 }
 
-// After is Engine.After on the lane: fn runs d from now unless the
-// returned Timer is cancelled first.
-func (l *Lane) After(d time.Duration, fn func()) *Timer {
-	ev := &event{fn: fn}
-	l.AtEvent(l.e.now.Add(max(d, 0)), ev)
-	return &Timer{ev: ev}
-}
-
 // pop removes and returns the lane's head. The lane must not be empty.
 func (l *Lane) pop() entry {
 	slot := &l.buf[l.head]
@@ -388,9 +369,6 @@ func (e *Engine) Every(start, period time.Duration, fn func()) *Ticker {
 	tk.cur = e.After(start, tick)
 	return tk
 }
-
-// Stop halts a Run/RunUntil in progress after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called.
 // It returns ErrStopped if stopped early.

@@ -47,7 +47,7 @@ func TestRequestLimitValidation(t *testing.T) {
 
 	count := func(path string) int {
 		t.Helper()
-		code, body := scrape(t, srv.Handler(), path)
+		code, body := scrape(t, srv.mux, path)
 		if code != http.StatusOK {
 			t.Fatalf("%s status %d", path, code)
 		}
@@ -68,7 +68,7 @@ func TestRequestLimitValidation(t *testing.T) {
 		t.Errorf("?n=1 returned %d events, want 1", got)
 	}
 	for _, q := range []string{"abc", "0", "-3", "1.5"} {
-		code, body := scrape(t, srv.Handler(), "/debug/trace?n="+q)
+		code, body := scrape(t, srv.mux, "/debug/trace?n="+q)
 		if code != http.StatusBadRequest {
 			t.Errorf("?n=%s status %d, want 400", q, code)
 		}
@@ -121,7 +121,7 @@ func TestSchedulerEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, body := scrape(t, srv.Handler(), "/debug/scheduler")
+	code, body := scrape(t, srv.mux, "/debug/scheduler")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/scheduler status %d", code)
 	}
@@ -145,7 +145,7 @@ func TestSchedulerEndpoint(t *testing.T) {
 		t.Fatalf("reports = %+v", doc.Reports)
 	}
 
-	_, limited := scrape(t, srv.Handler(), "/debug/scheduler?n=1")
+	_, limited := scrape(t, srv.mux, "/debug/scheduler?n=1")
 	doc.Reports = nil
 	if err := json.Unmarshal([]byte(limited), &doc); err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestSchedulerEndpoint(t *testing.T) {
 		t.Errorf("?n=1 returned %+v, want only the newest round", doc.Reports)
 	}
 
-	_, text := scrape(t, srv.Handler(), "/debug/scheduler?format=text")
+	_, text := scrape(t, srv.mux, "/debug/scheduler?format=text")
 	lines := strings.Split(strings.TrimSpace(text), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("text timeline has %d lines: %q", len(lines), lines)
@@ -171,7 +171,7 @@ func TestSchedulerEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := scrape(t, bare.Handler(), "/debug/scheduler"); code != http.StatusNotFound {
+	if code, _ := scrape(t, bare.mux, "/debug/scheduler"); code != http.StatusNotFound {
 		t.Errorf("historyless /debug/scheduler status %d, want 404", code)
 	}
 }
@@ -194,7 +194,7 @@ func TestTrafficEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, body := scrape(t, srv.Handler(), "/debug/traffic")
+	code, body := scrape(t, srv.mux, "/debug/traffic")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/traffic status %d", code)
 	}
@@ -216,7 +216,7 @@ func TestTrafficEndpoint(t *testing.T) {
 	}
 
 	doc.Current = nil
-	_, limited := scrape(t, srv.Handler(), "/debug/traffic?n=1")
+	_, limited := scrape(t, srv.mux, "/debug/traffic?n=1")
 	doc.History = nil
 	if err := json.Unmarshal([]byte(limited), &doc); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestTrafficEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := scrape(t, bare.Handler(), "/debug/traffic"); code != http.StatusNotFound {
+	if code, _ := scrape(t, bare.mux, "/debug/traffic"); code != http.StatusNotFound {
 		t.Errorf("sourceless /debug/traffic status %d, want 404", code)
 	}
 }
@@ -271,7 +271,7 @@ func TestGeneratorEventsOnTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := scrape(t, srv.Handler(), "/debug/trace")
+	code, body := scrape(t, srv.mux, "/debug/trace")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/trace status %d", code)
 	}
@@ -318,7 +318,7 @@ func TestPlacementOmitsForgottenTopology(t *testing.T) {
 	var doc struct {
 		Placements []live.PlacementEntry `json:"placements"`
 	}
-	_, body := scrape(t, srv.Handler(), "/debug/placement")
+	_, body := scrape(t, srv.mux, "/debug/placement")
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestPlacementOmitsForgottenTopology(t *testing.T) {
 
 	mon.Forget("expo")
 	doc.Placements = nil
-	_, body = scrape(t, srv.Handler(), "/debug/placement")
+	_, body = scrape(t, srv.mux, "/debug/placement")
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestPredictedVsObservedRatioLive(t *testing.T) {
 	gen.Generate()
 	time.Sleep(6 * period)
 
-	_, body := scrape(t, srv.Handler(), "/metrics")
+	_, body := scrape(t, srv.mux, "/metrics")
 	var ratio float64
 	found := false
 	for _, line := range strings.Split(body, "\n") {

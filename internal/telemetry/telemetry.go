@@ -186,9 +186,6 @@ func (s *Server) placement() []live.PlacementEntry {
 	return nil
 }
 
-// Handler returns the endpoint mux, for tests and embedding.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Start binds addr (e.g. ":9090" or "127.0.0.1:0") and serves in a
 // background goroutine. It returns once the listener is bound, so Addr is
 // immediately valid.

@@ -95,11 +95,11 @@ func TestMetricsDeterministicAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, first := scrape(t, srv.Handler(), "/metrics")
+	code, first := scrape(t, srv.mux, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	_, second := scrape(t, srv.Handler(), "/metrics")
+	_, second := scrape(t, srv.mux, "/metrics")
 	if first != second {
 		t.Fatal("two scrapes of identical state differ byte-for-byte")
 	}
@@ -264,7 +264,7 @@ func TestPlacementReflectsApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, body := scrape(t, srv.Handler(), "/debug/placement")
+	code, body := scrape(t, srv.mux, "/debug/placement")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/placement status %d", code)
 	}
@@ -312,7 +312,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, body := scrape(t, srv.Handler(), "/debug/trace")
+	code, body := scrape(t, srv.mux, "/debug/trace")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/trace status %d", code)
 	}
@@ -333,7 +333,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("wall event fields %v", docs[1])
 	}
 
-	_, limited := scrape(t, srv.Handler(), "/debug/trace?n=1")
+	_, limited := scrape(t, srv.mux, "/debug/trace?n=1")
 	docs = nil
 	if err := json.Unmarshal([]byte(limited), &docs); err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("?n=1 returned %v, want the newest event", docs)
 	}
 
-	_, text := scrape(t, srv.Handler(), "/debug/trace?format=text")
+	_, text := scrape(t, srv.mux, "/debug/trace?format=text")
 	lines := strings.Split(strings.TrimSpace(text), "\n")
 	if len(lines) != 3 || !strings.HasPrefix(lines[0], "t=2.5s worker-started") {
 		t.Errorf("text timeline %q", lines)
@@ -352,7 +352,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := scrape(t, bare.Handler(), "/debug/trace"); code != http.StatusNotFound {
+	if code, _ := scrape(t, bare.mux, "/debug/trace"); code != http.StatusNotFound {
 		t.Errorf("traceless /debug/trace status %d, want 404", code)
 	}
 }
@@ -418,7 +418,7 @@ func TestScrapeUnderChurnStress(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if code, _ := scrape(t, srv.Handler(), path); code != http.StatusOK {
+					if code, _ := scrape(t, srv.mux, path); code != http.StatusOK {
 						t.Errorf("%s status %d under churn", path, code)
 						return
 					}
@@ -445,7 +445,7 @@ func TestScrapeUnderChurnStress(t *testing.T) {
 
 	// After the churn the scrape still reflects a consistent engine: the
 	// applies counter matches and the placement equals the last assignment.
-	_, body := scrape(t, srv.Handler(), "/metrics")
+	_, body := scrape(t, srv.mux, "/metrics")
 	if !strings.Contains(body, fmt.Sprintf("tstorm_engine_applies_total %d\n", applies)) {
 		t.Error("applies counter missing or wrong after churn")
 	}

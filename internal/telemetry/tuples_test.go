@@ -52,7 +52,7 @@ func tupleServer(t *testing.T, c *tracing.Collector, pprofOn bool) *Server {
 
 func TestDebugTuplesJSON(t *testing.T) {
 	srv := tupleServer(t, fedCollector(t), false)
-	code, body := scrape(t, srv.Handler(), "/debug/tuples")
+	code, body := scrape(t, srv.mux, "/debug/tuples")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/tuples status %d: %s", code, body)
 	}
@@ -89,7 +89,7 @@ func TestDebugTuplesText(t *testing.T) {
 	srv := tupleServer(t, fedCollector(t), false)
 	req := httptest.NewRequest(http.MethodGet, "/debug/tuples?format=text", nil)
 	w := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(w, req)
+	srv.mux.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
@@ -115,7 +115,7 @@ func TestDebugTuplesDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, _ := scrape(t, srv.Handler(), "/debug/tuples"); code != http.StatusNotFound {
+	if code, _ := scrape(t, srv.mux, "/debug/tuples"); code != http.StatusNotFound {
 		t.Fatalf("/debug/tuples without a collector: status %d, want 404", code)
 	}
 }
@@ -126,7 +126,7 @@ func TestDebugTuplesDisabled(t *testing.T) {
 // a different, pre-existing family and must not match).
 func TestTraceMetricFamiliesGated(t *testing.T) {
 	srv := tupleServer(t, fedCollector(t), false)
-	_, body := scrape(t, srv.Handler(), "/metrics")
+	_, body := scrape(t, srv.mux, "/metrics")
 	for _, want := range []string{
 		"tstorm_trace_sampled_roots_total 3",
 		"tstorm_trace_span_dropped_total 1",
@@ -148,7 +148,7 @@ func TestTraceMetricFamiliesGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, body = scrape(t, bare.Handler(), "/metrics")
+	_, body = scrape(t, bare.mux, "/metrics")
 	for _, stray := range []string{
 		"tstorm_trace_sampled_roots_total",
 		"tstorm_trace_span_dropped_total",
@@ -173,7 +173,7 @@ func TestReadOnlyEndpoints(t *testing.T) {
 		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
 			req := httptest.NewRequest(method, path, strings.NewReader("x"))
 			w := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(w, req)
+			srv.mux.ServeHTTP(w, req)
 			if w.Code != http.StatusMethodNotAllowed {
 				t.Errorf("%s %s: status %d, want 405", method, path, w.Code)
 			}
@@ -184,7 +184,7 @@ func TestReadOnlyEndpoints(t *testing.T) {
 		// HEAD must pass the guard (handlers may still 404 on state).
 		req := httptest.NewRequest(http.MethodHead, path, nil)
 		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, req)
+		srv.mux.ServeHTTP(w, req)
 		if w.Code == http.StatusMethodNotAllowed {
 			t.Errorf("HEAD %s: rejected with 405", path)
 		}
@@ -193,14 +193,14 @@ func TestReadOnlyEndpoints(t *testing.T) {
 
 func TestPprofGated(t *testing.T) {
 	on := tupleServer(t, nil, true)
-	if code, body := scrape(t, on.Handler(), "/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+	if code, body := scrape(t, on.mux, "/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ with Pprof on: status %d", code)
 	}
-	if code, _ := scrape(t, on.Handler(), "/debug/pprof/cmdline"); code != http.StatusOK {
+	if code, _ := scrape(t, on.mux, "/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline: status %d", code)
 	}
 	off := tupleServer(t, nil, false)
-	if code, _ := scrape(t, off.Handler(), "/debug/pprof/"); code != http.StatusNotFound {
+	if code, _ := scrape(t, off.mux, "/debug/pprof/"); code != http.StatusNotFound {
 		t.Errorf("/debug/pprof/ with Pprof off: status %d, want 404", code)
 	}
 }

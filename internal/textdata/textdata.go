@@ -81,14 +81,6 @@ question, it did not much matter which way she put it.`
 
 var lines = strings.Split(alice, "\n")
 
-// Lines returns the corpus as individual lines. The returned slice is
-// freshly allocated on each call.
-func Lines() []string {
-	out := make([]string, len(lines))
-	copy(out, lines)
-	return out
-}
-
 // NumLines reports how many lines the corpus has.
 func NumLines() int { return len(lines) }
 

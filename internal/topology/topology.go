@@ -150,16 +150,6 @@ func (t *Topology) Name() string { return t.name }
 // paper's N_u.
 func (t *Topology) NumWorkers() int { return t.numWorkers }
 
-// SetNumWorkers changes the requested worker count at runtime — the knob
-// Storm's `rebalance` command adjusts.
-func (t *Topology) SetNumWorkers(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("topology %q: numWorkers %d must be positive", t.name, n)
-	}
-	t.numWorkers = n
-	return nil
-}
-
 // Ackers returns the configured number of acker executors.
 func (t *Topology) Ackers() int { return t.ackers }
 

@@ -280,16 +280,6 @@ func TestDOTExport(t *testing.T) {
 	}
 }
 
-func TestSetNumWorkers(t *testing.T) {
-	top := buildWordCount(t)
-	if err := top.SetNumWorkers(7); err != nil || top.NumWorkers() != 7 {
-		t.Fatalf("SetNumWorkers: %v, n=%d", err, top.NumWorkers())
-	}
-	if err := top.SetNumWorkers(0); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-}
-
 func TestLocalOrShuffleBuilderAndString(t *testing.T) {
 	b := NewBuilder("t", 1)
 	b.Spout("s", 1).Output("default", "v")

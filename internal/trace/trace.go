@@ -1,8 +1,8 @@
 // Package trace records structured runtime events — worker lifecycle,
 // assignment publications, overload detections, failures, message drops —
 // so experiments and operators can reconstruct *why* the cluster behaved
-// as it did. The recorder is a bounded ring buffer with optional live
-// subscribers; tracing is off unless a recorder is attached.
+// as it did. The recorder is a bounded ring buffer; tracing is off unless
+// a recorder is attached.
 package trace
 
 import (
@@ -27,7 +27,6 @@ const (
 	NodeFailed          Kind = "node-failed"
 	NodeRecovered       Kind = "node-recovered"
 	RescuePublished     Kind = "rescue-published"
-	TopologyKilled      Kind = "topology-killed"
 	ScheduleGenerated   Kind = "schedule-generated"
 	AlgorithmSwapped    Kind = "algorithm-swapped"
 )
@@ -102,7 +101,6 @@ type Recorder struct {
 	next    int
 	filled  int
 	dropped int64
-	subs    []func(Event)
 }
 
 // NewRecorder returns a recorder keeping the most recent capacity events.
@@ -113,7 +111,7 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{ring: make([]Event, capacity)}
 }
 
-// Emit records an event and notifies subscribers. When the ring is full
+// Emit records an event. When the ring is full
 // the oldest event is overwritten and counted as dropped.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
@@ -124,18 +122,7 @@ func (r *Recorder) Emit(ev Event) {
 	}
 	r.ring[r.next] = ev
 	r.next = (r.next + 1) % len(r.ring)
-	subs := r.subs
 	r.mu.Unlock()
-	for _, fn := range subs {
-		fn(ev)
-	}
-}
-
-// Subscribe registers a live callback, invoked synchronously on Emit.
-func (r *Recorder) Subscribe(fn func(Event)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.subs = append(r.subs, fn)
 }
 
 // Events returns the retained events, oldest first.
@@ -166,11 +153,4 @@ func (r *Recorder) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// Len reports how many events are retained.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.filled
 }

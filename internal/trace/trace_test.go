@@ -15,7 +15,7 @@ func TestEmitAndEvents(t *testing.T) {
 	r.Emit(Event{At: at(1), Kind: WorkerStarted, Topology: "wc", Where: "node01:6700"})
 	r.Emit(Event{At: at(2), Kind: WorkerKilled, Topology: "wc", Where: "node01:6700"})
 	evs := r.Events()
-	if len(evs) != 2 || r.Len() != 2 {
+	if len(evs) != 2 || r.filled != 2 {
 		t.Fatalf("events = %d", len(evs))
 	}
 	if evs[0].Kind != WorkerStarted || evs[1].Kind != WorkerKilled {
@@ -56,17 +56,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	r := NewRecorder(2)
-	var seen []Kind
-	r.Subscribe(func(ev Event) { seen = append(seen, ev.Kind) })
-	r.Emit(Event{Kind: NodeFailed})
-	r.Emit(Event{Kind: NodeRecovered})
-	if len(seen) != 2 || seen[0] != NodeFailed {
-		t.Fatalf("subscriber saw %v", seen)
-	}
-}
-
 func TestEventString(t *testing.T) {
 	ev := Event{At: at(12.3), Kind: OverloadDetected, Topology: "wc", Where: "node03", Detail: "7200 MHz"}
 	s := ev.String()
@@ -84,7 +73,7 @@ func TestEventString(t *testing.T) {
 func TestTinyCapacityClamped(t *testing.T) {
 	r := NewRecorder(0)
 	r.Emit(Event{Kind: WorkerStarted})
-	if r.Len() != 1 {
+	if r.filled != 1 {
 		t.Fatal("capacity clamp failed")
 	}
 }

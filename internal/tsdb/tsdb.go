@@ -58,42 +58,28 @@ type Point struct {
 // flight would be the oldest retained sample's, and head, still h, could
 // not show it).
 type Series struct {
-	name string
 	kind Kind
 	ts   []int64
 	vals []uint64 // math.Float64bits
 	head atomic.Uint64
 }
 
-func newSeries(name string, kind Kind, capacity int) *Series {
+func newSeries(kind Kind, capacity int) *Series {
 	if capacity < 2 {
 		capacity = 2
 	}
 	return &Series{
-		name: name,
 		kind: kind,
 		ts:   make([]int64, capacity+1),
 		vals: make([]uint64, capacity+1),
 	}
 }
 
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
 // Kind returns the series kind.
 func (s *Series) Kind() Kind { return s.kind }
 
 // Cap returns the ring capacity in samples.
 func (s *Series) Cap() int { return len(s.ts) - 1 }
-
-// Len reports how many samples are currently retained.
-func (s *Series) Len() int {
-	h := s.head.Load()
-	if h > uint64(s.Cap()) {
-		return s.Cap()
-	}
-	return int(h)
-}
 
 // Append records one sample. Single writer only: the caller (normally a
 // Sampler tick) must serialize Append calls itself. Allocation-free.
@@ -201,44 +187,6 @@ func (s *Series) DeltaOver(now time.Time, window time.Duration) (delta float64, 
 	return pts[len(pts)-1].V - pts[0].V, true
 }
 
-// QuantileOver returns the q-quantile (0 < q <= 1, nearest-rank) of the
-// sampled values in the window ending at now. ok is false when the
-// window holds no samples.
-func (s *Series) QuantileOver(now time.Time, window time.Duration, q float64) (v float64, ok bool) {
-	pts := s.Since(now.Add(-window).UnixNano())
-	if len(pts) == 0 {
-		return 0, false
-	}
-	vals := make([]float64, len(pts))
-	for i, p := range pts {
-		vals[i] = p.V
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		q = math.SmallestNonzeroFloat64
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int(math.Ceil(q * float64(len(vals))))
-	return vals[rank-1], true
-}
-
-// MaxOver returns the maximum sampled value in the window ending at now.
-func (s *Series) MaxOver(now time.Time, window time.Duration) (v float64, ok bool) {
-	pts := s.Since(now.Add(-window).UnixNano())
-	if len(pts) == 0 {
-		return 0, false
-	}
-	m := pts[0].V
-	for _, p := range pts[1:] {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m, true
-}
-
 // DefaultCapacity retains ~8.5 minutes of history at a 1 s cadence.
 const DefaultCapacity = 512
 
@@ -275,7 +223,7 @@ func (db *DB) Register(name string, kind Kind) *Series {
 	if s := db.series[name]; s != nil {
 		return s
 	}
-	s = newSeries(name, kind, db.capacity)
+	s = newSeries(kind, db.capacity)
 	db.series[name] = s
 	db.order = append(db.order, name)
 	return s

@@ -9,12 +9,12 @@ import (
 func ts(sec int) int64 { return int64(sec) * int64(time.Second) }
 
 func TestSeriesRingWrapKeepsNewest(t *testing.T) {
-	s := newSeries("c", Counter, 4)
+	s := newSeries(Counter, 4)
 	for i := 0; i < 10; i++ {
 		s.Append(ts(i), float64(i))
 	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
+	if len(s.Last(s.Cap())) != 4 {
+		t.Fatalf("Len = %d, want 4", len(s.Last(s.Cap())))
 	}
 	pts := s.Last(10)
 	if len(pts) != 4 {
@@ -34,7 +34,7 @@ func TestSeriesRingWrapKeepsNewest(t *testing.T) {
 
 func TestSeriesQueries(t *testing.T) {
 	now := time.Unix(100, 0)
-	c := newSeries("c", Counter, 64)
+	c := newSeries(Counter, 64)
 	for i := 0; i <= 10; i++ {
 		c.Append(ts(90+i), float64(i*50)) // +50/s for 10s ending at t=100
 	}
@@ -51,21 +51,8 @@ func TestSeriesQueries(t *testing.T) {
 		t.Error("RateOver over an empty window reported ok")
 	}
 
-	g := newSeries("g", Gauge, 64)
-	for i, v := range []float64{5, 1, 9, 3, 7} {
-		g.Append(ts(96+i), v)
-	}
-	if q, ok := g.QuantileOver(now, 10*time.Second, 1); !ok || q != 9 {
-		t.Errorf("QuantileOver(1) = %v/%v, want 9", q, ok)
-	}
-	if q, ok := g.QuantileOver(now, 10*time.Second, 0.5); !ok || q != 5 {
-		t.Errorf("QuantileOver(0.5) = %v/%v, want 5", q, ok)
-	}
-	if m, ok := g.MaxOver(now, 10*time.Second); !ok || m != 9 {
-		t.Errorf("MaxOver = %v/%v, want 9", m, ok)
-	}
 	// A counter that shrank (backend swap) clamps to zero rate, not negative.
-	d := newSeries("d", Counter, 8)
+	d := newSeries(Counter, 8)
 	d.Append(ts(99), 100)
 	d.Append(ts(100), 40)
 	if rate, ok := d.RateOver(now, 5*time.Second); !ok || rate != 0 {
@@ -74,7 +61,7 @@ func TestSeriesQueries(t *testing.T) {
 }
 
 func TestAppendAllocationFree(t *testing.T) {
-	s := newSeries("c", Counter, 128)
+	s := newSeries(Counter, 128)
 	n := testing.AllocsPerRun(1000, func() {
 		s.Append(1, 1)
 	})
@@ -108,7 +95,7 @@ func TestDBRegisterIdempotent(t *testing.T) {
 // consistent (monotone timestamps, value == timestamp scheme preserved).
 // Run under -race by the full ci.sh pass.
 func TestReadersRaceWriter(t *testing.T) {
-	s := newSeries("c", Counter, 32)
+	s := newSeries(Counter, 32)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -156,23 +143,23 @@ func TestSamplerTickAndLoop(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Tick(base.Add(time.Duration(i) * time.Second))
 	}
-	if s.Ticks() != 3 || c.Len() != 3 {
-		t.Fatalf("ticks=%d len=%d, want 3/3", s.Ticks(), c.Len())
+	if s.ticks.Load() != 3 || len(c.Last(c.Cap())) != 3 {
+		t.Fatalf("ticks=%d len=%d, want 3/3", s.ticks.Load(), len(c.Last(c.Cap())))
 	}
 	s.Start()
 	s.Start() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Ticks() < 5 && time.Now().Before(deadline) {
+	for s.ticks.Load() < 5 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Stop()
 	s.Stop() // idempotent
-	if s.Ticks() < 5 {
-		t.Errorf("background loop ticked only %d times", s.Ticks())
+	if s.ticks.Load() < 5 {
+		t.Errorf("background loop ticked only %d times", s.ticks.Load())
 	}
-	after := s.Ticks()
+	after := s.ticks.Load()
 	time.Sleep(5 * time.Millisecond)
-	if s.Ticks() != after {
+	if s.ticks.Load() != after {
 		t.Error("sampler kept ticking after Stop")
 	}
 }

@@ -284,7 +284,9 @@ func TestFeedersZeroRateAreNoops(t *testing.T) {
 	if err := rt.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if queue.LLen("a") != 0 || queue.LLen("b") != 0 {
+	_, a := queue.LPop("a")
+	_, b := queue.LPop("b")
+	if a || b {
 		t.Fatal("zero-rate feeder pushed data")
 	}
 }
