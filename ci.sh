@@ -1,6 +1,10 @@
 #!/bin/sh
 # Tier-1 verification loop: build, vet, and run the full test suite with
 # the race detector enabled (the live runtime is heavily concurrent).
+# The dead-code gates run first, by name and uncached: the declaration
+# gate, the struct-field gate (unread fields, one-value knobs) and the
+# doc-name check, so neither a cached pass nor an earlier failure can
+# hide them.
 # The routing-snapshot stress tests run first and explicitly so the
 # lock-free emission path is always exercised under the race detector,
 # even when the package list or cache state changes.
@@ -128,12 +132,13 @@ test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 (cd bench && go vet ./...)
+go test -count=1 -run 'TestNoDeadInternalCode|TestNoDeadInternalFields|TestDocsNameExistingDeclarations' .
 go test -race -count=1 -run 'TestRoutingSnapshotStress|TestRouteObservesSinglePlacement|TestEmissionsFlowWhileEngineLockHeld|TestMonitorStopConcurrent' ./internal/live
 go test -race -count=1 -run 'TestScrapeUnderChurnStress|TestHealthUnderChurnStress' ./internal/telemetry
 go test -race -count=50 -run 'TestReadersRaceWriter' ./internal/tsdb
 go test -race -count=2 -run 'TestChaos|TestReliabilityParityShape' ./internal/live
 go test -race -count=20 -run 'TestQueueBound|TestQueueCount|TestSaturatedWordCountApplyDrains|TestMonitorGaugesAndSampleEvents' ./internal/live
-go test -race -count=1 -run 'TestDistributed|TestStaleGen' ./internal/dist
+go test -race -count=1 -run 'TestDistributed|TestTracedFrameDelivered' ./internal/dist
 go test -count=1 -run '^$' -bench 'BenchmarkEmit|BenchmarkPoolRoundTrip' -benchmem ./internal/live |
 	awk '/^Benchmark(Emit|PoolRoundTrip)/ { seen++; allocs = $(NF-1); budget = ($1 ~ /^BenchmarkEmit/) ? 1 : 0
 	       if (allocs + 0 > budget) { print "emit-path allocation regression: " $1 " at " allocs " allocs/op (budget " budget ")"; bad = 1 }

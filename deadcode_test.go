@@ -53,8 +53,9 @@ func allowed(name string) (string, bool) {
 // method under internal/ that no non-test code of either module (tstorm,
 // tstorm/bench) references. A method also counts as used when its type
 // satisfies an interface, from either module or the standard library,
-// that names it. A declaration only tests use is dead code with tests:
-// delete both, or allowlist it above with a reason.
+// that names it. A blank assertion (var _ I = T{}) does not count as a use.
+// A declaration only tests use is dead code with tests: delete both, or
+// allowlist it above with a reason.
 func TestNoDeadInternalCode(t *testing.T) {
 	if len(deadAllowlist) > maxAllowlist {
 		t.Errorf("allowlist holds %d entries, at most %d", len(deadAllowlist), maxAllowlist)
@@ -245,6 +246,21 @@ func (u *universe) deadDecls() []deadDecl {
 		decls = append(decls, d)
 		byObj[obj] = d
 	}
+	// A blank assertion (var _ I = T{}) checks a type, it does not use it.
+	var blank []span
+	for _, p := range u.order {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.VAR {
+					for _, s := range g.Specs {
+						if s := s.(*ast.ValueSpec); s.Type != nil && allBlank(s.Names) {
+							blank = append(blank, span{s.Pos(), s.End()})
+						}
+					}
+				}
+			}
+		}
+	}
 	for _, p := range u.order {
 		if !strings.Contains(p.path+"/", "/internal/") {
 			continue
@@ -302,14 +318,7 @@ func (u *universe) deadDecls() []deadDecl {
 		if d == nil || used[obj] {
 			continue
 		}
-		inside := false
-		for _, s := range d.own {
-			if id.Pos() >= s.from && id.Pos() < s.to {
-				inside = true
-				break
-			}
-		}
-		if !inside {
+		if !inSpans(id.Pos(), d.own) && !inSpans(id.Pos(), blank) {
 			used[obj] = true
 		}
 	}
@@ -391,6 +400,24 @@ func (u *universe) markInterfaceMethods(used map[types.Object]bool) {
 			}
 		}
 	}
+}
+
+func inSpans(pos token.Pos, spans []span) bool {
+	for _, s := range spans {
+		if pos >= s.from && pos < s.to {
+			return true
+		}
+	}
+	return false
+}
+
+func allBlank(names []*ast.Ident) bool {
+	for _, n := range names {
+		if n.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 // origin maps a method of an instantiated generic type to its declaration.

@@ -25,18 +25,10 @@ type Completion struct {
 	Root tuple.ID
 	// SpoutExec is the dense engine index of the originating spout executor.
 	SpoutExec int
-	// Latency is the time from the root's first emit to full processing.
-	Latency time.Duration
 	// Late reports that the root had already timed out (and been failed)
 	// before it finally completed — common under overload, and the reason
 	// the paper's "average processing time" can exceed the 30 s timeout.
 	Late bool
-}
-
-// Expiry describes a root that timed out before completing.
-type Expiry struct {
-	Root      tuple.ID
-	SpoutExec int
 }
 
 type rootState struct {
@@ -79,16 +71,15 @@ func (t *Tracker) Init(root tuple.ID, initXor tuple.ID, spoutExec int, emitAt si
 	if s.xor != 0 {
 		return Completion{}, false
 	}
-	return t.complete(root, s, emitAt), true
+	return t.complete(root, s), true
 }
 
 // complete removes a finished root and builds its Completion record.
-func (t *Tracker) complete(root tuple.ID, s *rootState, now sim.Time) Completion {
+func (t *Tracker) complete(root tuple.ID, s *rootState) Completion {
 	delete(t.pending, root)
 	return Completion{
 		Root:      root,
 		SpoutExec: s.spoutExec,
-		Latency:   now.Sub(s.emitAt),
 		Late:      s.failed,
 	}
 }
@@ -111,24 +102,20 @@ func (t *Tracker) Ack(root tuple.ID, xorVal tuple.ID, now sim.Time) (Completion,
 	if !s.inited || s.xor != 0 {
 		return Completion{}, false
 	}
-	return t.complete(root, s, now), true
+	return t.complete(root, s), true
 }
 
 // ExpireBefore marks failed every inited, not-yet-failed root that was
-// emitted before cutoff, returning their expiries. It serves callers that
+// emitted before cutoff. It serves callers that
 // track time coarsely instead of arming one timer per root — the live runtime's acker executors run it on a slow tick so
 // roots whose acks stopped arriving (dropped on a crashed worker) become
 // sweepable zombies instead of leaking.
-func (t *Tracker) ExpireBefore(cutoff sim.Time) []Expiry {
-	var out []Expiry
-	for root, s := range t.pending {
-		if s.failed || !s.inited || s.emitAt >= cutoff {
-			continue
+func (t *Tracker) ExpireBefore(cutoff sim.Time) {
+	for _, s := range t.pending {
+		if !s.failed && s.inited && s.emitAt < cutoff {
+			s.failed = true
 		}
-		s.failed = true
-		out = append(out, Expiry{Root: root, SpoutExec: s.spoutExec})
 	}
-	return out
 }
 
 // Sweep evicts entries not touched for at least maxAge: failed zombies

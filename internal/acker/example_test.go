@@ -20,8 +20,8 @@ func ExampleTracker() {
 	fmt.Println("after bolt:", done)
 	// The sink consumed edge 0xB and emitted nothing.
 	c, done := tr.Ack(root, edge, sim.Time(2))
-	fmt.Println("after sink:", done, "latency:", c.Latency)
+	fmt.Println("after sink:", done, "late:", c.Late)
 	// Output:
 	// after bolt: false
-	// after sink: true latency: 2ns
+	// after sink: true late: false
 }

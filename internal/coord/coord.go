@@ -34,38 +34,6 @@ var (
 	ErrBadPath    = errors.New("coord: malformed path")
 )
 
-// EventType describes what happened to a watched path.
-type EventType int
-
-// Watch event types.
-const (
-	EventCreated EventType = iota + 1
-	EventChanged
-	EventDeleted
-)
-
-// String names the event type.
-func (t EventType) String() string {
-	switch t {
-	case EventCreated:
-		return "created"
-	case EventChanged:
-		return "changed"
-	case EventDeleted:
-		return "deleted"
-	default:
-		return fmt.Sprintf("EventType(%d)", int(t))
-	}
-}
-
-// Event is delivered to watchers when a znode changes.
-type Event struct {
-	Type    EventType
-	Path    string
-	Data    []byte // post-change data (nil for deletes)
-	Version int    // post-change version (-1 for deletes)
-}
-
 type znode struct {
 	data     []byte
 	version  int
@@ -77,8 +45,7 @@ func newZnode() *znode {
 }
 
 type watcher struct {
-	path   string
-	fn     func(Event)
+	fn     func()
 	active atomic.Bool
 }
 
@@ -197,7 +164,7 @@ func (s *Store) createLocked(path string, data []byte) error {
 	n := newZnode()
 	n.data = append([]byte(nil), data...)
 	pnode.children[name] = n
-	s.notify(path, Event{Type: EventCreated, Path: path, Data: n.data, Version: 0})
+	s.notify(path)
 	return nil
 }
 
@@ -257,7 +224,7 @@ func (s *Store) setLocked(path string, data []byte, expectVersion int) (int, err
 	}
 	n.data = append([]byte(nil), data...)
 	n.version++
-	s.notify(path, Event{Type: EventChanged, Path: path, Data: n.data, Version: n.version})
+	s.notify(path)
 	return n.version, nil
 }
 
@@ -331,14 +298,15 @@ func (s *Store) Delete(path string) error {
 		return fmt.Errorf("%w: %q", ErrNotEmpty, path)
 	}
 	delete(pnode.children, name)
-	s.notify(path, Event{Type: EventDeleted, Path: path, Version: -1})
+	s.notify(path)
 	return nil
 }
 
 // WatchData registers a persistent watcher for data changes (create,
-// change, delete) of the znode at path. The node need not exist yet.
-func (s *Store) WatchData(path string, fn func(Event)) *Watch {
-	w := &watcher{path: path, fn: fn}
+// change, delete) of the znode at path. The node need not exist yet; fn
+// reads the node's state itself.
+func (s *Store) WatchData(path string, fn func()) *Watch {
+	w := &watcher{fn: fn}
 	w.active.Store(true)
 	s.mu.Lock()
 	s.watchers[path] = append(s.watchers[path], w)
@@ -346,7 +314,7 @@ func (s *Store) WatchData(path string, fn func(Event)) *Watch {
 	return &Watch{w: w}
 }
 
-func (s *Store) notify(path string, ev Event) {
+func (s *Store) notify(path string) {
 	for _, w := range s.watchers[path] {
 		if !w.active.Load() {
 			continue
@@ -354,7 +322,7 @@ func (s *Store) notify(path string, ev Event) {
 		w := w
 		s.after(func() {
 			if w.active.Load() {
-				w.fn(ev)
+				w.fn()
 			}
 		})
 	}

@@ -135,10 +135,17 @@ func TestGetReturnsCopy(t *testing.T) {
 
 func TestWatchDataDeliveredWithLatency(t *testing.T) {
 	eng, s := newTestStore()
-	var events []Event
+	// Each delivery reads the node as the watcher sees it then.
+	type seen struct {
+		data    string
+		version int
+		err     error
+	}
+	var events []seen
 	var at []sim.Time
-	s.WatchData("/a", func(ev Event) {
-		events = append(events, ev)
+	s.WatchData("/a", func() {
+		data, version, err := s.Get("/a")
+		events = append(events, seen{string(data), version, err})
 		at = append(at, eng.Now())
 	})
 	eng.After(time.Second, func() {
@@ -156,13 +163,13 @@ func TestWatchDataDeliveredWithLatency(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want 3: %+v", len(events), events)
 	}
-	if events[0].Type != EventCreated || string(events[0].Data) != "v0" {
+	if events[0].err != nil || events[0].data != "v0" || events[0].version != 0 {
 		t.Fatalf("event 0 = %+v", events[0])
 	}
-	if events[1].Type != EventChanged || events[1].Version != 1 {
+	if events[1].err != nil || events[1].version != 1 {
 		t.Fatalf("event 1 = %+v", events[1])
 	}
-	if events[2].Type != EventDeleted || events[2].Version != -1 {
+	if !errors.Is(events[2].err, ErrNoNode) {
 		t.Fatalf("event 2 = %+v", events[2])
 	}
 	// Delivered after the 5ms notify delay, not at the mutation instant.
@@ -174,7 +181,7 @@ func TestWatchDataDeliveredWithLatency(t *testing.T) {
 func TestWatchCancel(t *testing.T) {
 	eng, s := newTestStore()
 	n := 0
-	w := s.WatchData("/a", func(Event) { n++ })
+	w := s.WatchData("/a", func() { n++ })
 	eng.After(time.Second, func() {
 		_ = s.Create("/a", nil) // notification scheduled...
 		w.Cancel()              // ...but cancelled before delivery
@@ -187,23 +194,6 @@ func TestWatchCancel(t *testing.T) {
 	}
 	var nilWatch *Watch
 	nilWatch.Cancel() // must not panic
-}
-
-func TestEventTypeString(t *testing.T) {
-	tests := []struct {
-		ty   EventType
-		want string
-	}{
-		{EventCreated, "created"},
-		{EventChanged, "changed"},
-		{EventDeleted, "deleted"},
-		{EventType(99), "EventType(99)"},
-	}
-	for _, tt := range tests {
-		if got := tt.ty.String(); got != tt.want {
-			t.Errorf("String(%d) = %q, want %q", int(tt.ty), got, tt.want)
-		}
-	}
 }
 
 // Property: after any sequence of SetOrCreate writes, the last write wins

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -58,8 +59,8 @@ func TestSessionExpiryNotifiesWatchers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var deleted bool
-	s.WatchData("/sup", func(ev Event) {
-		if ev.Type == EventDeleted {
+	s.WatchData("/sup", func() {
+		if _, _, err := s.Get("/sup"); errors.Is(err, ErrNoNode) {
 			deleted = true
 		}
 	})

@@ -17,11 +17,13 @@ import (
 
 // runBoth schedules one generated case with the kernel-backed Schedule and
 // with referenceSchedule, probe on or off, and fails on any difference in
-// error, assignment, Stats or decision report. It returns the kernel's
-// side for further checks (nil assignment when both sides errored).
-func runBoth(t *testing.T, c schedtest.Case, probed bool) (*cluster.Assignment, Stats, *decision.Report) {
+// error, assignment or decision report (the report carries the relaxation
+// count; the assignment fixes nodes used and inter-node traffic). It
+// returns the kernel's side for further checks (nil assignment when both
+// sides errored).
+func runBoth(t *testing.T, c schedtest.Case, probed bool) (*cluster.Assignment, *decision.Report) {
 	t.Helper()
-	run := func(schedule func(*TrafficAware, *scheduler.Input) (*cluster.Assignment, error)) (*cluster.Assignment, Stats, *decision.Report, error) {
+	run := func(schedule func(*TrafficAware, *scheduler.Input) (*cluster.Assignment, error)) (*cluster.Assignment, *decision.Report, error) {
 		in := *c.Input
 		if probed {
 			in.Probe = decision.NewBuilder()
@@ -33,26 +35,29 @@ func runBoth(t *testing.T, c schedtest.Case, probed bool) (*cluster.Assignment, 
 			rep = in.Probe.Report()
 			rep.Start, rep.Duration = time.Time{}, 0
 		}
-		return a, ta.LastStats, rep, err
+		return a, rep, err
 	}
-	got, gotStats, gotRep, gotErr := run((*TrafficAware).Schedule)
-	want, wantStats, wantRep, wantErr := run(referenceSchedule)
+	got, gotRep, gotErr := run((*TrafficAware).Schedule)
+	want, wantRep, wantErr := run(referenceSchedule)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("error = %v, reference error = %v", gotErr, wantErr)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("LastStats = %+v, reference %+v", gotStats, wantStats)
 	}
 	if !reflect.DeepEqual(gotRep, wantRep) {
 		t.Fatalf("decision reports differ:\n got %+v\nwant %+v", gotRep, wantRep)
 	}
 	if gotErr != nil {
-		return nil, gotStats, gotRep
+		return nil, gotRep
 	}
 	if !got.Equal(want) {
 		t.Fatalf("assignments differ:\n got %v\nwant %v", got.Executors, want.Executors)
 	}
-	return got, gotStats, gotRep
+	if g, w := got.NumUsedNodes(), want.NumUsedNodes(); g != w {
+		t.Fatalf("nodes used = %d, reference %d", g, w)
+	}
+	if g, w := InterNodeTraffic(got, c.Input.Load), InterNodeTraffic(want, c.Input.Load); g != w {
+		t.Fatalf("inter-node traffic = %v, reference %v", g, w)
+	}
+	return got, gotRep
 }
 
 // TestScheduleMatchesReference is the seeded differential test: random
@@ -68,9 +73,9 @@ func TestScheduleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		_, stats, _ := runBoth(t, c, false)
-		_, _, rep := runBoth(t, c, true)
-		if stats.Relaxations > 0 {
+		runBoth(t, c, false)
+		_, rep := runBoth(t, c, true)
+		if rep.Relaxations > 0 {
 			relaxed++
 		}
 		if t.Failed() {
@@ -114,12 +119,13 @@ func TestScheduleMatchesReferenceAtScale(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := schedtest.Case{Input: in, Gamma: 1.8}
-			_, stats, _ := runBoth(t, c, false)
-			_, _, rep := runBoth(t, c, true)
+			a, _ := runBoth(t, c, false)
+			_, rep := runBoth(t, c, true)
+			nodesUsed := a.NumUsedNodes()
 			shape := candidateShape(in.Load, rep)
-			t.Logf("%d of %d placed through the candidate pass, %d walked past a node full on CPU only; %d nodes used", shape.strict, len(rep.Placements), shape.walked, stats.NodesUsed)
-			if shape.strict < 1900 || stats.NodesUsed >= 100 || (tc.levels > 1 && shape.walked < 100) {
-				t.Fatalf("not the intended round: %d strict placements, %d walked, %d nodes used", shape.strict, shape.walked, stats.NodesUsed)
+			t.Logf("%d of %d placed through the candidate pass, %d walked past a node full on CPU only; %d nodes used", shape.strict, len(rep.Placements), shape.walked, nodesUsed)
+			if shape.strict < 1900 || nodesUsed >= 100 || (tc.levels > 1 && shape.walked < 100) {
+				t.Fatalf("not the intended round: %d strict placements, %d walked, %d nodes used", shape.strict, shape.walked, nodesUsed)
 			}
 		})
 	}
@@ -295,7 +301,7 @@ func FuzzSchedule(f *testing.F) {
 			t.Skip(err)
 		}
 		runBoth(t, c, false)
-		if a, _, rep := runBoth(t, c, true); a != nil {
+		if a, rep := runBoth(t, c, true); a != nil {
 			checkConstraints(t, c.Input, a, rep)
 		}
 	})

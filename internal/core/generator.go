@@ -128,7 +128,7 @@ type Generator struct {
 	algoMu   sync.Mutex
 	algo     scheduler.Algorithm
 	// roundMu runs one round at a time: a wall-clock tick may meet a
-	// caller's Reschedule, and algorithms keep state (LastStats, Gamma).
+	// caller's Reschedule, and an algorithm's Gamma may change between rounds.
 	roundMu sync.Mutex
 
 	// Only the overload tick reads and writes these.
@@ -412,10 +412,8 @@ func (des) Observed() (int64, time.Time, bool) { return 0, time.Time{}, false }
 // it. It never computes schedules itself — that is the generator's job,
 // which is what makes hot-swapping possible.
 type CustomScheduler struct {
-	rt      *engine.Runtime
-	period  time.Duration
-	applied int
-	ticker  *sim.Ticker
+	rt     *engine.Runtime
+	ticker *sim.Ticker
 }
 
 // DefaultFetchPeriod is the paper's schedule fetching period.
@@ -427,7 +425,7 @@ func StartCustomScheduler(rt *engine.Runtime, period time.Duration) *CustomSched
 	if period <= 0 {
 		period = DefaultFetchPeriod
 	}
-	cs := &CustomScheduler{rt: rt, period: period}
+	cs := &CustomScheduler{rt: rt}
 	cs.ticker = rt.Sim().Every(period, period, cs.Fetch)
 	return cs
 }
@@ -453,8 +451,6 @@ func (cs *CustomScheduler) Fetch() {
 		if ok && cur.Equal(&a) {
 			continue
 		}
-		if err := cs.rt.PublishAssignment(name, &a); err == nil {
-			cs.applied++
-		}
+		_ = cs.rt.PublishAssignment(name, &a)
 	}
 }

@@ -218,7 +218,7 @@ func simDecisionHistory(t *testing.T) (*Generator, *decision.History, *engine.Ap
 }
 
 func TestEndToEndReschedulingImprovesLatencyAndConsolidates(t *testing.T) {
-	rt, gen, cs, _ := pipelineStack(t, 4)
+	rt, gen, _, _ := pipelineStack(t, 4)
 	if err := rt.RunFor(400 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,17 @@ func TestEndToEndReschedulingImprovesLatencyAndConsolidates(t *testing.T) {
 	if gen.Applied() == 0 {
 		t.Fatal("generator never published a schedule")
 	}
-	if cs.applied == 0 {
+	// The custom scheduler applied the published schedule: the running
+	// assignment is the one in the store, not the initial round-robin.
+	data, _, err := rt.Coord().Get(SchedulePath("pipeline"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var published cluster.Assignment
+	if err := json.Unmarshal(data, &published); err != nil {
+		t.Fatal(err)
+	}
+	if cur, ok := rt.CurrentAssignment("pipeline"); !ok || !cur.Equal(&published) {
 		t.Fatal("custom scheduler never applied a schedule")
 	}
 	// Consolidation: the initial round-robin spread over 10 nodes must

@@ -86,7 +86,6 @@ func referenceSchedule(t *TrafficAware, in *scheduler.Input) (*cluster.Assignmen
 	placedOnNode := make(map[cluster.NodeID][]topology.ExecutorID)
 
 	a := cluster.NewAssignment(0)
-	t.LastStats = Stats{}
 
 	capacityOf := func(n cluster.NodeID) float64 {
 		node, _ := in.Cluster.Node(n)
@@ -165,7 +164,6 @@ func referenceSchedule(t *TrafficAware, in *scheduler.Input) (*cluster.Assignmen
 		slot, ok := eval(false, false, probe != nil)
 		relaxedCount, relaxedCapacity := false, false
 		if !ok {
-			t.LastStats.Relaxations++
 			relaxedCount = true
 			slot, ok = eval(true, false, false)
 		}
@@ -205,8 +203,6 @@ func referenceSchedule(t *TrafficAware, in *scheduler.Input) (*cluster.Assignmen
 		slotTopo[slot] = e.Topology
 	}
 
-	t.LastStats.NodesUsed = a.NumUsedNodes()
-	t.LastStats.InterNodeTraffic = InterNodeTraffic(a, load)
 	if probe != nil {
 		probe.Finish(a, load)
 	}

@@ -31,7 +31,8 @@ import (
 //
 // If no slot satisfies every constraint, the constraints are relaxed
 // progressively (first the count cap, then capacity), so the algorithm is
-// total; relaxations are reported in the Stats.
+// total; a decision probe (scheduler.Input.Probe) reports the
+// relaxations.
 type TrafficAware struct {
 	// Gamma is the consolidation factor γ (≥ 1). 1 spreads executors
 	// almost evenly over all nodes; larger values consolidate onto fewer
@@ -41,20 +42,6 @@ type TrafficAware struct {
 	// total-traffic sort) and places executors in declaration order
 	// instead — an ablation isolating the sort's contribution.
 	DisableTrafficOrder bool
-
-	// LastStats records diagnostics of the most recent Schedule call.
-	LastStats Stats
-}
-
-// Stats reports diagnostics of one scheduling run.
-type Stats struct {
-	// Relaxations counts executors that needed constraint relaxation.
-	Relaxations int
-	// InterNodeTraffic is the objective value of the produced assignment
-	// (sum of traffic rates crossing node boundaries).
-	InterNodeTraffic float64
-	// NodesUsed is the number of distinct nodes in the assignment.
-	NodesUsed int
 }
 
 var _ scheduler.Algorithm = (*TrafficAware)(nil)
@@ -122,14 +109,7 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		p.SortDescending(p.Traffic)
 	}
 
-	res, err := scheduler.Place(in, p)
-	t.LastStats = Stats{Relaxations: res.Relaxations}
-	if err != nil {
-		return nil, err
-	}
-	t.LastStats.NodesUsed = res.Assignment.NumUsedNodes()
-	t.LastStats.InterNodeTraffic = res.InterNodeRate
-	return res.Assignment, nil
+	return scheduler.Place(in, p)
 }
 
 // InterNodeTraffic computes the objective of the paper's scheduling

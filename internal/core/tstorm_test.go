@@ -4,10 +4,23 @@ import (
 	"testing"
 
 	"tstorm/internal/cluster"
+	"tstorm/internal/decision"
 	"tstorm/internal/loaddb"
 	"tstorm/internal/scheduler"
 	"tstorm/internal/topology"
 )
+
+// scheduleProbed runs one Algorithm 1 round with a decision probe and
+// returns the assignment and how many placements needed a relaxation.
+func scheduleProbed(t *testing.T, ta *TrafficAware, in *scheduler.Input) (*cluster.Assignment, int) {
+	t.Helper()
+	in.Probe = decision.NewBuilder()
+	a, err := ta.Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, in.Probe.Report().Relaxations
+}
 
 func buildChain(t *testing.T, name string, workers, spoutPar, boltPar, ackers int) *topology.Topology {
 	t.Helper()
@@ -83,9 +96,6 @@ func TestTrafficAwareBeatsRoundRobinOnObjective(t *testing.T) {
 	rrObj := InterNodeTraffic(rrA, snap)
 	if tstormObj >= rrObj {
 		t.Fatalf("T-Storm inter-node traffic %.1f not below round-robin %.1f", tstormObj, rrObj)
-	}
-	if ta.LastStats.InterNodeTraffic != tstormObj {
-		t.Fatalf("LastStats objective %v != recomputed %v", ta.LastStats.InterNodeTraffic, tstormObj)
 	}
 }
 
@@ -201,17 +211,13 @@ func TestRelaxationWhenInfeasible(t *testing.T) {
 	top := buildChain(t, "t", 40, 5, 15, 10) // 5+15+15+10 = 45
 	cl := tenNodes(t)
 	db := chainLoad(top, 1000, 100)
-	ta := NewTrafficAware(1)
-	a, err := ta.Schedule(&scheduler.Input{
+	a, relaxations := scheduleProbed(t, NewTrafficAware(1), &scheduler.Input{
 		Topologies: []*topology.Topology{top}, Cluster: cl, Load: db.Snapshot(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(a.Executors) != 45 {
 		t.Fatalf("placed %d, want 45", len(a.Executors))
 	}
-	if ta.LastStats.Relaxations == 0 {
+	if relaxations == 0 {
 		t.Fatal("expected relaxations at γ=1 with 45 executors")
 	}
 	if got := a.NumUsedNodes(); got != 10 {
@@ -335,16 +341,12 @@ func TestHeterogeneousClusterRespectsPerNodeCapacity(t *testing.T) {
 	for _, e := range top.Executors() {
 		db.UpdateExecutorLoad(e, 2400) // 2.4 GHz each: small nodes fit ≤1, big ≤6
 	}
-	ta := NewTrafficAware(6)
-	a, err := ta.Schedule(&scheduler.Input{
+	a, relaxations := scheduleProbed(t, NewTrafficAware(6), &scheduler.Input{
 		Topologies:  []*topology.Topology{top},
 		Cluster:     cl,
 		Load:        db.Snapshot(),
 		Constraints: scheduler.Constraints{CPUFraction: 0.9},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	snap := db.Snapshot()
 	perNode := map[cluster.NodeID]float64{}
 	for e, s := range a.Executors {
@@ -359,8 +361,8 @@ func TestHeterogeneousClusterRespectsPerNodeCapacity(t *testing.T) {
 	if perNode["big1"] <= perNode["small1"] {
 		t.Fatalf("capacity-blind packing: big1=%v small1=%v", perNode["big1"], perNode["small1"])
 	}
-	if ta.LastStats.Relaxations != 0 {
-		t.Fatalf("feasible heterogeneous input needed %d relaxations", ta.LastStats.Relaxations)
+	if relaxations != 0 {
+		t.Fatalf("feasible heterogeneous input needed %d relaxations", relaxations)
 	}
 }
 
@@ -413,13 +415,9 @@ func TestCountCapIgnoresFencedNodes(t *testing.T) {
 	}
 	in := scheduler.NewInput([]*topology.Topology{top}, cl, chainLoad(top, 100, 100).Snapshot(), 0)
 	in.OccupyNode("node02")
-	ta := NewTrafficAware(1)
-	a, err := ta.Schedule(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ta.LastStats.Relaxations != 0 {
-		t.Fatalf("Relaxations = %d, want 0", ta.LastStats.Relaxations)
+	a, relaxations := scheduleProbed(t, NewTrafficAware(1), in)
+	if relaxations != 0 {
+		t.Fatalf("Relaxations = %d, want 0", relaxations)
 	}
 	perNode := make(map[cluster.NodeID]int)
 	for _, s := range a.Executors {

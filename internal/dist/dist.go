@@ -34,7 +34,6 @@ type Config struct {
 	// Worker-engine knobs, shipped to every worker verbatim.
 	Seed       uint64
 	AckTimeout time.Duration
-	MaxPending int
 
 	// MaxHops bounds mid-migration frame forwarding (default 3).
 	MaxHops int
@@ -67,7 +66,7 @@ type Config struct {
 
 	// Log receives the driver's structured operational log (worker spawn
 	// failures, respawns). Defaults to stderr at the level named by
-	// TSTORM_LOG (info when unset); use logx.Nop() to silence.
+	// TSTORM_LOG (info when unset); use logx.New(io.Discard, logx.Off) to silence.
 	Log *logx.Logger
 
 	// TraceSampling samples 1-in-N tuple trees for end-to-end tracing (a
@@ -111,10 +110,10 @@ func (c *Config) fillDefaults() {
 		c.SpoutHaltDelay = 250 * time.Millisecond
 	}
 	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
+		c.BackoffBase = live.DefaultBackoffBase
 	}
 	if c.BackoffCap <= 0 {
-		c.BackoffCap = DefaultBackoffCap
+		c.BackoffCap = live.DefaultBackoffCap
 	}
 	if c.Log == nil {
 		c.Log = logx.New(os.Stderr, logx.ParseLevel(os.Getenv(EnvLogLevel)))
@@ -287,36 +286,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.order = append(e.order, slot)
 	}
 	if cfg.TraceSampling != 0 {
-		if err := e.SetTraceSampling(cfg.TraceSampling); err != nil {
+		// The rate ships to workers in the config broadcast.
+		if _, err := tracing.Mask(cfg.TraceSampling); err != nil {
 			return nil, err
 		}
+		e.collector = tracing.NewCollector(tracing.Config{})
 	}
 	return e, nil
 }
-
-// SetTraceSampling sets the 1-in-rate tuple-tree sampling rate (a power of
-// two; 0 disables). Must precede Start: the rate ships to workers in the
-// config broadcast.
-func (e *Engine) SetTraceSampling(rate int) error {
-	if e.started.Load() {
-		return fmt.Errorf("dist: SetTraceSampling after start")
-	}
-	if rate == 0 {
-		e.cfg.TraceSampling, e.collector = 0, nil
-		return nil
-	}
-	if _, err := tracing.Mask(rate); err != nil {
-		return err
-	}
-	e.cfg.TraceSampling = rate
-	if e.collector == nil {
-		e.collector = tracing.NewCollector(tracing.Config{})
-	}
-	return nil
-}
-
-// TraceSampling returns the sampling rate (0 = tracing off).
-func (e *Engine) TraceSampling() int { return e.cfg.TraceSampling }
 
 // TraceCollector returns the driver's tuple-tree collector — nil when
 // tracing is off.

@@ -156,7 +156,7 @@ func (s *session) watchAssignments() {
 	}
 	for _, name := range s.e.Topologies() {
 		name := name
-		w := s.e.store.WatchData(assignmentPath(name), func(coord.Event) {
+		w := s.e.store.WatchData(assignmentPath(name), func() {
 			s.relayAssignment(name)
 		})
 		s.watches = append(s.watches, w)
@@ -291,7 +291,6 @@ func (e *Engine) buildConfigMsg() *msg {
 		Engine: &engineSpec{
 			Seed:          e.cfg.Seed,
 			AckTimeoutNs:  int64(e.cfg.AckTimeout),
-			MaxPending:    e.cfg.MaxPending,
 			MaxHops:       e.cfg.MaxHops,
 			HeartbeatNs:   int64(e.cfg.HeartbeatPeriod),
 			MonitorNs:     int64(e.cfg.MonitorPeriod),

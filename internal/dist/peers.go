@@ -18,16 +18,13 @@ import (
 // Data-plane wire format: length-prefixed frames over persistent per-peer
 // TCP connections. Each frame is
 //
-//	[u32 length][u32 generation][u8 hops][live binary frame]
+//	[u32 length][u8 hops][live binary frame]
 //
-// with length covering everything after itself (5 + len(frame), big
-// endian). The generation is the sender's assignment generation at
-// dispatch, so a receiver can tell pre-reassignment traffic from current
-// traffic (§IV-D's dispatcher distinguishes tuples emitted under the old
-// schedule); hops is the forwarding budget left for frames that land on a
+// with length covering everything after itself (1 + len(frame), big
+// endian). hops is the forwarding budget left for frames that land on a
 // worker which no longer hosts the target executor mid-migration.
 const (
-	frameHeaderLen = 4 + 4 + 1
+	frameHeaderLen = 4 + 1
 	// maxWireFrame caps one data frame; anything larger is a corrupt or
 	// hostile length prefix and the connection is dropped.
 	maxWireFrame = 64 << 20
@@ -48,9 +45,8 @@ const (
 )
 
 // appendWireFrame appends one frame, header first, to buf.
-func appendWireFrame(buf []byte, gen uint32, hops byte, frame []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(5+len(frame)))
-	buf = binary.BigEndian.AppendUint32(buf, gen)
+func appendWireFrame(buf []byte, hops byte, frame []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(frame)))
 	buf = append(buf, hops)
 	return append(buf, frame...)
 }
@@ -73,7 +69,7 @@ func newWireReader(c io.Reader) *wireReader {
 // next reads one frame, enforcing the length cap before allocating. A
 // stream that ends inside a frame reports io.ErrUnexpectedEOF; only one
 // that ends between frames reports io.EOF.
-func (wr *wireReader) next() (gen uint32, hops byte, frame []byte, err error) {
+func (wr *wireReader) next() (hops byte, frame []byte, err error) {
 	wr.r.Discard(wr.held)
 	wr.held = 0
 	hdr, err := wr.r.Peek(frameHeaderLen)
@@ -81,18 +77,18 @@ func (wr *wireReader) next() (gen uint32, hops byte, frame []byte, err error) {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	length := binary.BigEndian.Uint32(hdr[:4])
-	if length < 5 || length > maxWireFrame {
-		return 0, 0, nil, fmt.Errorf("dist: wire frame length %d out of bounds", length)
+	if length < 1 || length > maxWireFrame {
+		return 0, nil, fmt.Errorf("dist: wire frame length %d out of bounds", length)
 	}
-	gen, hops = binary.BigEndian.Uint32(hdr[4:8]), hdr[8]
+	hops = hdr[4]
 	total := 4 + int(length)
 	if total <= wr.r.Size() {
 		if frame, err = wr.r.Peek(total); err == nil {
 			wr.held = total
-			return gen, hops, frame[frameHeaderLen:], nil
+			return hops, frame[frameHeaderLen:], nil
 		}
 	} else {
 		wr.r.Discard(frameHeaderLen)
@@ -102,13 +98,13 @@ func (wr *wireReader) next() (gen uint32, hops byte, frame []byte, err error) {
 		}
 		frame = wr.big[:n]
 		if _, err = io.ReadFull(wr.r, frame); err == nil {
-			return gen, hops, frame, nil
+			return hops, frame, nil
 		}
 	}
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
-	return 0, 0, nil, err
+	return 0, nil, err
 }
 
 // peerConn is the outbound half of one peer link: a bounded,
@@ -148,7 +144,7 @@ func newPeerConn(set *peerSet, addr string) *peerConn {
 // send queues one frame for the writer, blocking while the queue is full
 // (a frame larger than the bound goes through alone). False means the
 // link was closed under the sender.
-func (pc *peerConn) send(gen uint32, hops byte, frame []byte) bool {
+func (pc *peerConn) send(hops byte, frame []byte) bool {
 	pc.mu.Lock()
 	for !pc.closed && len(pc.queue) > 0 && len(pc.queue)+frameHeaderLen+len(frame) > peerQueueBound {
 		pc.notFull.Wait()
@@ -158,7 +154,7 @@ func (pc *peerConn) send(gen uint32, hops byte, frame []byte) bool {
 		return false
 	}
 	first := len(pc.queue) == 0
-	pc.queue = appendWireFrame(pc.queue, gen, hops, frame)
+	pc.queue = appendWireFrame(pc.queue, hops, frame)
 	pc.frames++
 	pc.set.inFlight.Add(1)
 	pc.mu.Unlock()
@@ -285,7 +281,6 @@ func (pc *peerConn) close() {
 // borrows the frame — the bytes are copied into the peer's queue before
 // it returns.
 type peerSet struct {
-	local   cluster.SlotID
 	maxHops int
 	// dial and writeTimeout are fixed at construction (net.Dialer with
 	// dialTimeout, and the writeTimeout constant); the fault-injection
@@ -300,10 +295,6 @@ type peerSet struct {
 	// writers tracks every writer goroutine ever started, including those
 	// of links update retired, so closeAll can wait them all out.
 	writers sync.WaitGroup
-
-	// gen is the worker's current assignment generation, stamped on every
-	// outgoing frame.
-	gen atomic.Uint32
 
 	// inFlight counts frames queued for, or being written by, the peer
 	// writers: sent as far as the engine is concerned, not yet handed to
@@ -323,12 +314,11 @@ type peerSet struct {
 	onShed func(frame []byte)
 }
 
-func newPeerSet(local cluster.SlotID, maxHops int) *peerSet {
+func newPeerSet(maxHops int) *peerSet {
 	if maxHops <= 0 {
 		maxHops = DefaultMaxHops
 	}
 	return &peerSet{
-		local:   local,
 		maxHops: maxHops,
 		dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			d := net.Dialer{Timeout: dialTimeout}
@@ -391,7 +381,7 @@ func (p *peerSet) send(to cluster.SlotID, frame []byte, hops byte) bool {
 		go pc.run()
 	}
 	p.mu.Unlock()
-	if !pc.send(p.gen.Load(), hops, frame) {
+	if !pc.send(hops, frame) {
 		p.dropped.Add(int64(live.FrameTuples(frame)))
 		return false
 	}

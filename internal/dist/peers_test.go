@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -74,7 +75,7 @@ func (tp *testPeer) read(i int, c net.Conn) {
 	}
 	r := newWireReader(c)
 	for {
-		_, _, frame, err := r.next()
+		_, frame, err := r.next()
 		if err != nil {
 			return
 		}
@@ -206,7 +207,7 @@ func TestStalledPeerKeepsPendingNonZero(t *testing.T) {
 		a.Assign(topology.ExecutorID{Topology: "trace-stale", Component: comp, Index: 0}, local)
 	}
 	eng := staleTestEngine(t, cl, staleTestApp(t), a, local, &captureSink{})
-	w := &worker{slot: local, baseLog: logx.Nop(), peers: newPeerSet(local, 3), eng: eng}
+	w := &worker{slot: local, baseLog: logx.New(io.Discard, logx.Off), peers: newPeerSet(3), eng: eng}
 	w.logv.Store(w.baseLog)
 	defer w.peers.closeAll()
 	eng.HaltSpouts()
@@ -308,7 +309,7 @@ func TestWriterSurvivesFaultyConnections(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		peer := newTestPeer(t, false)
 		slot := cluster.SlotID{Node: "node02", Port: 6700}
-		p := newPeerSet(cluster.SlotID{Node: "node01", Port: 6700}, 3)
+		p := newPeerSet(3)
 		p.writeTimeout = 150 * time.Millisecond
 		rng := rand.New(rand.NewPCG(seed, 15))
 		faults := 0
@@ -383,7 +384,7 @@ func TestWriterSurvivesFaultyConnections(t *testing.T) {
 func TestHealthyPeerFlowsWhileAnotherStalls(t *testing.T) {
 	stalled, healthy := newTestPeer(t, true), newTestPeer(t, false)
 	slotA, slotB := cluster.SlotID{Node: "node02", Port: 6700}, cluster.SlotID{Node: "node03", Port: 6700}
-	p := newPeerSet(cluster.SlotID{Node: "node01", Port: 6700}, 3)
+	p := newPeerSet(3)
 	defer p.closeAll()
 	p.writeTimeout = 500 * time.Millisecond
 	p.update([]peerEntry{{Slot: slotA, Addr: stalled.addr()}, {Slot: slotB, Addr: healthy.addr()}})
@@ -438,7 +439,7 @@ func TestNoWriterOutlivesCloseAll(t *testing.T) {
 	}
 	gone.Close() // an address that refuses connections
 	slots := []cluster.SlotID{{Node: "a", Port: 1}, {Node: "b", Port: 1}, {Node: "c", Port: 1}, {Node: "d", Port: 1}}
-	p := newPeerSet(cluster.SlotID{Node: "self", Port: 1}, 3)
+	p := newPeerSet(3)
 	p.update([]peerEntry{
 		{Slot: slots[0], Addr: stalled.addr()}, {Slot: slots[1], Addr: healthy.addr()},
 		{Slot: slots[2], Addr: gone.Addr().String()}, {Slot: slots[3], Addr: moved.addr()},
@@ -478,7 +479,7 @@ func TestNoWriterOutlivesCloseAll(t *testing.T) {
 func TestSendDoesNotRetainFrame(t *testing.T) {
 	peer := newTestPeer(t, true)
 	slot := cluster.SlotID{Node: "node02", Port: 6700}
-	p := newPeerSet(cluster.SlotID{Node: "node01", Port: 6700}, 3)
+	p := newPeerSet(3)
 	defer p.closeAll()
 	p.update([]peerEntry{{Slot: slot, Addr: peer.addr()}})
 	const n = 200

@@ -21,10 +21,9 @@
 // every spout, polls workers until the fleet is quiescent, bumps the
 // assignment generation, publishes the new assignment through the coord
 // store (worker sessions watch it and relay), and resumes spouts after the
-// smoothing delay. Data frames carry the sender's generation and a hop
-// budget; a frame that lands on a worker no longer hosting its target is
-// forwarded to the current owner, so tuples in flight during the handoff
-// are conserved.
+// smoothing delay. Data frames carry a hop budget; a frame that lands on a
+// worker no longer hosting its target is forwarded to the current owner,
+// so tuples in flight during the handoff are conserved.
 //
 // Any binary that constructs a dist Engine must call RunWorkerIfChild
 // first thing in main (or TestMain): worker processes are this same binary
@@ -35,6 +34,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
@@ -127,7 +127,6 @@ type msg struct {
 type engineSpec struct {
 	Seed          uint64 `json:"seed"`
 	AckTimeoutNs  int64  `json:"ack_timeout_ns"`
-	MaxPending    int    `json:"max_pending"`
 	MaxHops       int    `json:"max_hops"`
 	HeartbeatNs   int64  `json:"heartbeat_ns"`
 	MonitorNs     int64  `json:"monitor_ns"`
@@ -171,16 +170,27 @@ type flowEntry struct {
 	Rate float64             `json:"rate"`
 }
 
+// maxControlLine bounds one control-plane message: far above the largest
+// heartbeat (span batches, monitor windows) or config a fleet sends, and
+// small enough that a peer writing an endless line cannot make the
+// receiver buffer without limit.
+const maxControlLine = 32 << 20
+
+// errLineTooLong fails a connection whose peer sent a control line longer
+// than maxControlLine.
+var errLineTooLong = fmt.Errorf("dist: control line exceeds %d bytes", maxControlLine)
+
 // lineConn frames JSON messages over a TCP connection, one per line.
 // Sends are serialized; receives belong to a single reader goroutine.
 type lineConn struct {
-	c   net.Conn
-	dec *json.Decoder
-	wmu sync.Mutex
+	c    net.Conn
+	r    *bufio.Reader
+	line []byte // the line being read, reused across receives
+	wmu  sync.Mutex
 }
 
 func newLineConn(c net.Conn) *lineConn {
-	return &lineConn{c: c, dec: json.NewDecoder(bufio.NewReaderSize(c, 64<<10))}
+	return &lineConn{c: c, r: bufio.NewReaderSize(c, 64<<10)}
 }
 
 func (l *lineConn) send(m *msg) error {
@@ -195,9 +205,28 @@ func (l *lineConn) send(m *msg) error {
 	return err
 }
 
+// recv reads and decodes one line. A line past maxControlLine fails with
+// errLineTooLong after at most that many bytes are buffered.
 func (l *lineConn) recv() (*msg, error) {
+	l.line = l.line[:0]
+	for {
+		frag, err := l.r.ReadSlice('\n')
+		if len(l.line)+len(frag) > maxControlLine {
+			return nil, errLineTooLong
+		}
+		l.line = append(l.line, frag...)
+		if err == nil {
+			break
+		}
+		if err != bufio.ErrBufferFull {
+			if err == io.EOF && len(l.line) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
 	var m msg
-	if err := l.dec.Decode(&m); err != nil {
+	if err := json.Unmarshal(l.line, &m); err != nil {
 		return nil, err
 	}
 	return &m, nil

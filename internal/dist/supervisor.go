@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tstorm/internal/cluster"
+	"tstorm/internal/live"
 	"tstorm/internal/trace"
 )
 
@@ -26,30 +27,16 @@ type RestartRecord struct {
 	Attempt int
 	Backoff time.Duration
 	Waited  time.Duration
-	At      time.Time
 }
 
-// Default process-restart pacing (same shape as live.Supervisor).
-const (
-	DefaultBackoffBase = 100 * time.Millisecond
-	DefaultBackoffCap  = 10 * time.Second
-
-	// nodeDownScanPeriod is how often an idled supervisor re-checks
-	// whether its failed node recovered.
-	nodeDownScanPeriod = 50 * time.Millisecond
-)
+// nodeDownScanPeriod is how often an idled supervisor re-checks whether
+// its failed node recovered.
+const nodeDownScanPeriod = 50 * time.Millisecond
 
 // Backoff exposes the restart schedule: the wait imposed before respawn
 // attempt n (0-based), doubling from the base up to the cap.
 func (e *Engine) Backoff(n int) time.Duration {
-	d := e.cfg.BackoffBase
-	for i := 0; i < n && d < e.cfg.BackoffCap; i++ {
-		d *= 2
-	}
-	if d > e.cfg.BackoffCap {
-		d = e.cfg.BackoffCap
-	}
-	return d
+	return live.Backoff(e.cfg.BackoffBase, e.cfg.BackoffCap, n)
 }
 
 // History returns a copy of the process-restart log in respawn order.
@@ -110,7 +97,6 @@ func (e *Engine) superviseSlot(h *workerHandle) {
 				Attempt: crashes,
 				Backoff: backoff,
 				Waited:  time.Since(lastCrash),
-				At:      time.Now(),
 			}
 			e.histMu.Lock()
 			e.history = append(e.history, rec)

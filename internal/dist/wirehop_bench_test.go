@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -114,7 +115,7 @@ func benchWireHop(b *testing.B, k int, decodeAllocs float64) {
 	var engs [2]*live.Engine
 	var peers [2]*peerSet
 	for i := range engs {
-		peers[i] = newPeerSet(slots[i], 0)
+		peers[i] = newPeerSet(0)
 		engs[i], err = live.NewEngine(live.Config{
 			Seed: 1, InterNodeCopies: 0, WireCost: -1,
 			LocalSlots: []cluster.SlotID{slots[i]}, Remote: peers[i],
@@ -137,7 +138,7 @@ func benchWireHop(b *testing.B, k int, decodeAllocs float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	recv := &worker{slot: slots[1], baseLog: logx.Nop(), peers: peers[1], eng: engs[1],
+	recv := &worker{slot: slots[1], baseLog: logx.New(io.Discard, logx.Off), peers: peers[1], eng: engs[1],
 		dataLn: countingListener{ln, &wireBytes}}
 	recv.logv.Store(recv.baseLog)
 	peers[0].update([]peerEntry{{Slot: slots[1], Addr: ln.Addr().String()}})

@@ -52,13 +52,8 @@ type worker struct {
 	audits map[string]AuditFn
 	spec   engineSpec
 
-	// staleFrames counts data frames that arrived stamped with an older
-	// assignment generation than ours — §IV-D traffic emitted under the
-	// previous schedule, conserved by forwarding.
-	staleFrames atomic.Int64
-	// forwarded counts frames re-sent to the current owner of a migrated
-	// executor; forwardDrops counts the ones whose hop budget ran out.
-	forwarded    atomic.Int64
+	// forwardDrops counts frames for a migrated executor whose hop budget
+	// ran out before they reached its current owner.
 	forwardDrops atomic.Int64
 }
 
@@ -172,9 +167,6 @@ func (w *worker) controlLoop() int {
 				if err != nil {
 					reply.Err = err.Error()
 				}
-				// Stamp subsequent sends with the new generation only after
-				// the new routing table is in place.
-				w.peers.gen.Store(m.Gen)
 				w.setGen(m.Gen)
 			}
 			w.ctrl.send(reply)
@@ -215,13 +207,12 @@ func (w *worker) configure(m *msg) error {
 		return err
 	}
 	w.spec = *m.Engine
-	w.peers = newPeerSet(w.slot, w.spec.MaxHops)
+	w.peers = newPeerSet(w.spec.MaxHops)
 	w.peersUpdate(m)
 
 	eng, err := live.NewEngine(live.Config{
 		Seed:       w.spec.Seed,
 		AckTimeout: time.Duration(w.spec.AckTimeoutNs),
-		MaxPending: w.spec.MaxPending,
 		// Emulation off: a process hop costs real codec + TCP work, and
 		// a same-process hop costs a channel send — measured, not modeled.
 		InterNodeCopies: 0,
@@ -267,7 +258,6 @@ func (w *worker) peersUpdate(m *msg) {
 	}
 	w.peers.update(m.Peers)
 	if m.Gen != 0 {
-		w.peers.gen.Store(m.Gen)
 		w.setGen(m.Gen)
 	}
 }
@@ -357,35 +347,31 @@ func (w *worker) handleData(c net.Conn) {
 	defer c.Close()
 	r := newWireReader(c)
 	for {
-		gen, hops, frame, err := r.next()
+		hops, frame, err := r.next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				w.log().Warnf("data connection from %s dropped: %v", c.RemoteAddr(), err)
 			}
 			return
 		}
-		if err := w.handleFrame(gen, hops, frame); err != nil {
+		if err := w.handleFrame(hops, frame); err != nil {
 			w.log().Errorf("malformed frame from %s: %v — closing connection", c.RemoteAddr(), err)
 			return
 		}
 	}
 }
 
-// handleFrame processes one decoded wire frame: stale-generation
-// accounting, ingest, and mid-migration forwarding. A non-nil error means
-// the frame was malformed and the connection should drop.
-func (w *worker) handleFrame(gen uint32, hops byte, frame []byte) error {
-	if cur := w.peers.gen.Load(); gen < cur {
-		w.staleFrames.Add(1)
-	}
+// handleFrame processes one decoded wire frame: ingest, and
+// mid-migration forwarding. A frame emitted under the previous schedule
+// (§IV-D) is ingested like any other. A non-nil error means the frame was
+// malformed and the connection should drop.
+func (w *worker) handleFrame(hops byte, frame []byte) error {
 	if err := w.eng.Ingest(frame); err != nil {
 		var nl *live.NotLocalError
 		if errors.As(err, &nl) {
 			// Mid-migration race: we no longer (or never did) host the
 			// target. Chase the current owner.
-			if hops > 0 && w.peers.send(nl.Slot, frame, hops-1) {
-				w.forwarded.Add(1)
-			} else {
+			if hops == 0 || !w.peers.send(nl.Slot, frame, hops-1) {
 				w.forwardDrops.Add(1)
 				w.log().Warnf("frame for %s undeliverable (hops exhausted)", nl.Slot)
 			}

@@ -121,10 +121,6 @@ type executor struct {
 
 	pending     map[tuple.ID]*pendingRoot
 	outstanding int
-
-	// Stats (lifetime of this incarnation).
-	processed int64
-	emitted   int64
 }
 
 func (ex *executor) rt() *Runtime { return ex.w.rt }
@@ -284,7 +280,6 @@ func (ex *executor) flushSpoutEmits(now sim.Time) {
 		re := &ex.roots[i]
 		msgs := ex.out[sent : sent+re.n]
 		sent += re.n
-		ex.emitted++
 		cs := ex.stats()
 		cs.Executed++
 		cs.Emitted += int64(len(msgs))
@@ -341,7 +336,6 @@ func (ex *executor) timeoutRoot(root tuple.ID) {
 // executeData runs a bolt on one input tuple and queues the input's ack
 // behind whatever the bolt emitted.
 func (ex *executor) executeData(j *message) float64 {
-	ex.processed++
 	ex.bolt.Execute(j.in, (*boltEmitter)(ex))
 	cs := ex.stats()
 	cs.Executed++
@@ -357,7 +351,6 @@ func (ex *executor) executeData(j *message) float64 {
 }
 
 func (ex *executor) executeInit(j *message) float64 {
-	ex.processed++
 	// If every ack raced ahead of the init, the tree completed the moment
 	// the init merged: the spout is notified as for a regular completion.
 	c, done := ex.tracker.Init(j.root, j.xor, j.spoutDense, j.emitAt)
@@ -365,7 +358,6 @@ func (ex *executor) executeInit(j *message) float64 {
 }
 
 func (ex *executor) executeAck(j *message) float64 {
-	ex.processed++
 	c, done := ex.tracker.Ack(j.root, j.xor, ex.rt().sim.Now())
 	return ex.acked(j, c, done)
 }

@@ -134,10 +134,7 @@ func (c Config) Validate() error {
 // drain, as a load monitor would read it from JMX.
 type ExecutorLoadSample struct {
 	Exec   topology.ExecutorID
-	Dense  int
 	Cycles float64
-	// Node is where the executor currently runs ("" if not placed).
-	Node cluster.NodeID
 }
 
 type nodeState struct {
@@ -482,16 +479,12 @@ func (r *Runtime) RunFor(d time.Duration) error {
 }
 
 // DrainLoadSamples returns and resets each executor's CPU cycles consumed
-// since the last drain, tagged with the node currently hosting it — the
-// signal the paper's load monitors collect via getThreadCpuTime.
+// since the last drain, in dense index order — the signal the paper's load
+// monitors collect via getThreadCpuTime.
 func (r *Runtime) DrainLoadSamples() []ExecutorLoadSample {
 	out := make([]ExecutorLoadSample, 0, len(r.denseRev))
 	for i, e := range r.denseRev {
-		var node cluster.NodeID
-		if ts := r.topoOf[i]; ts.current != nil {
-			node = ts.current.place[i-ts.base].ns.node.ID
-		}
-		out = append(out, ExecutorLoadSample{Exec: e, Dense: i, Cycles: r.cpu[i], Node: node})
+		out = append(out, ExecutorLoadSample{Exec: e, Cycles: r.cpu[i]})
 		r.cpu[i] = 0
 	}
 	return out

@@ -43,7 +43,6 @@ func aggregate(vals []float64) Aggregate {
 
 // MultiResult is the cross-seed aggregation of one experiment config.
 type MultiResult struct {
-	Name       string
 	StableMean Aggregate
 	FinalNodes Aggregate
 	Failed     Aggregate
@@ -59,7 +58,7 @@ func RunSeeds(cfg Config, seeds []uint64) (*MultiResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: no seeds")
 	}
-	mr := &MultiResult{Name: cfg.Name}
+	mr := &MultiResult{}
 	var stable, nodes, failed, dropped []float64
 	for _, seed := range seeds {
 		c := cfg

@@ -226,11 +226,7 @@ func TestPoolRecycleNoAliasing(t *testing.T) {
 	eng.Stop()
 
 	// Pools must have actually recycled for the test to mean anything.
-	var hits int64
-	for _, ps := range eng.PoolStats() {
-		hits += ps.Hits
-	}
-	if hits == 0 {
+	if hits := eng.Totals().PoolHits; hits == 0 {
 		t.Fatal("pool hits = 0: nothing was recycled, test exercised nothing")
 	}
 

@@ -220,8 +220,8 @@ func TestChaosCrashBoltWorkerSteadyState(t *testing.T) {
 	if tot.WorkerRestarts < 2 {
 		t.Errorf("WorkerRestarts = %d, want >= 2", tot.WorkerRestarts)
 	}
-	if h.sup.restarts.Load() < 2 {
-		t.Errorf("supervisor restarts = %d, want >= 2", h.sup.restarts.Load())
+	if n := len(h.sup.History()); n < 2 {
+		t.Errorf("supervisor restarts = %d, want >= 2", n)
 	}
 	// A second crash on the same (restarted) slot works too.
 	if killed := h.eng.CrashWorker(h.slotMid); killed != 2 {
@@ -247,7 +247,7 @@ func TestChaosSupervisorBackoffExponential(t *testing.T) {
 		}
 		want := 2 * (i + 1)
 		waitFor(t, 15*time.Second, "restarts after crash round", func() bool {
-			return int(h.sup.restarts.Load()) >= want
+			return len(h.sup.History()) >= want
 		})
 	}
 
@@ -266,7 +266,7 @@ func TestChaosSupervisorBackoffExponential(t *testing.T) {
 			if rec.Attempt != i+1 {
 				t.Errorf("%s record %d: attempt %d, want %d", exec, i, rec.Attempt, i+1)
 			}
-			if want := h.sup.backoff(i); rec.Backoff != want {
+			if want := Backoff(DefaultBackoffBase, DefaultBackoffCap, i); rec.Backoff != want {
 				t.Errorf("%s attempt %d: imposed backoff %s, want %s", exec, i+1, rec.Backoff, want)
 			}
 			if i > 0 && rec.Backoff != 2*recs[i-1].Backoff {

@@ -13,7 +13,10 @@ import (
 // benchEngine builds (without starting) a word-count-shaped topology whose
 // split bolt fans out to counters on both nodes, so BenchmarkEmit exercises
 // the local, inter-process and inter-node emission paths together.
-func benchEngine(b *testing.B) (*Engine, *liveExec) {
+func benchEngine(b *testing.B) (*Engine, *liveExec) { return benchEngineTraced(b, 0) }
+
+// benchEngineTraced is benchEngine with Config.TraceSampling set to rate.
+func benchEngineTraced(b *testing.B, rate int) (*Engine, *liveExec) {
 	b.Helper()
 	tb := topology.NewBuilder("bench", 2)
 	tb.Spout("src", 1).Output("", "line")
@@ -49,6 +52,7 @@ func benchEngine(b *testing.B) (*Engine, *liveExec) {
 	}
 	cfg := testConfig()
 	cfg.WireCost = -1 // isolate allocation cost from the emulated wire burn
+	cfg.TraceSampling = rate
 	eng, err := NewEngine(cfg, cl)
 	if err != nil {
 		b.Fatal(err)
@@ -104,10 +108,7 @@ func BenchmarkEmit(b *testing.B) {
 // line at ≤1 alloc/op, so a regression that makes unsampled tuples pay
 // for the sampled path fails CI.
 func BenchmarkEmitTraced(b *testing.B) {
-	eng, split := benchEngine(b)
-	if err := eng.SetTraceSampling(1024); err != nil {
-		b.Fatal(err)
-	}
+	eng, split := benchEngineTraced(b, 1024)
 	if eng.sampledRoot(42) {
 		b.Fatal("root 42 unexpectedly sampled at rate 1024")
 	}

@@ -50,7 +50,6 @@ import (
 	"tstorm/internal/acker"
 	"tstorm/internal/cluster"
 	"tstorm/internal/engine"
-	"tstorm/internal/logx"
 	"tstorm/internal/metrics"
 	"tstorm/internal/sim"
 	"tstorm/internal/topology"
@@ -115,11 +114,6 @@ type Config struct {
 	// Remote carries frames to the worker processes owning non-local
 	// slots. Required when LocalSlots is set.
 	Remote RemoteSink
-	// Log receives structured operational lines (supervisor restarts,
-	// crash handling). Nil keeps the engine silent — trace events remain
-	// the primary record; set a logx logger to mirror them onto stderr
-	// in the same machine-parseable shape dist workers use.
-	Log *logx.Logger
 }
 
 // DefaultConfig returns the default live configuration.
@@ -328,8 +322,17 @@ func NewEngine(cfg Config, cl *cluster.Cluster) (*Engine, error) {
 	eng.maxPending.Store(int64(cfg.MaxPending))
 	eng.routes.Store(emptyRouteTable())
 	if cfg.TraceSampling != 0 {
-		if err := eng.SetTraceSampling(cfg.TraceSampling); err != nil {
+		// The mask is read lock-free on the emit path and the span rings
+		// are sized at Start, so the rate is fixed at construction.
+		mask, err := tracing.Mask(cfg.TraceSampling)
+		if err != nil {
 			return nil, err
+		}
+		eng.traceRate, eng.traceMask = cfg.TraceSampling, mask
+		if eng.localSlots == nil {
+			// In-process engine: own the collector. A distributed worker
+			// (LocalSlots set) exports spans instead; the driver collects.
+			eng.collector = tracing.NewCollector(tracing.Config{})
 		}
 	}
 	return eng, nil
@@ -499,10 +502,8 @@ func (eng *Engine) Start() error {
 		le.ackers = rt.byComp[compKey{topo: le.id.Topology, comp: topology.AckerComponent}]
 		le.ctx = &engine.Context{
 			Topology:    le.id.Topology,
-			Component:   le.id.Component,
 			Index:       le.id.Index,
 			Parallelism: le.comp.Parallelism,
-			Rand:        le.rand,
 		}
 		if le.state == stateRemote {
 			// Routing proxy: context built (a later migration may promote it

@@ -110,29 +110,3 @@ func (p *batchPool[T]) put(s []T) {
 func (p *batchPool[T]) stats() (hits, misses int64) {
 	return p.hits.Load(), p.misses.Load()
 }
-
-// PoolStat is one batch pool's lifetime reuse counters, for telemetry.
-type PoolStat struct {
-	// Name identifies the pool: "msg", "ctl", "ack", "enc" or "slab".
-	Name string
-	// Hits counts gets served from recycled memory; Misses counts gets
-	// that had to allocate.
-	Hits   int64
-	Misses int64
-}
-
-// PoolStats snapshots every batch pool's counters in fixed order.
-func (eng *Engine) PoolStats() []PoolStat {
-	out := make([]PoolStat, 0, 5)
-	h, m := eng.msgPool.stats()
-	out = append(out, PoolStat{Name: "msg", Hits: h, Misses: m})
-	h, m = eng.ctlPool.stats()
-	out = append(out, PoolStat{Name: "ctl", Hits: h, Misses: m})
-	h, m = eng.ackPool.stats()
-	out = append(out, PoolStat{Name: "ack", Hits: h, Misses: m})
-	h, m = eng.encPool.stats()
-	out = append(out, PoolStat{Name: "enc", Hits: h, Misses: m})
-	h, m = eng.slabPool.stats()
-	out = append(out, PoolStat{Name: "slab", Hits: h, Misses: m})
-	return out
-}

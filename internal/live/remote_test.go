@@ -229,10 +229,8 @@ func TestSlabRecycleNoAliasing(t *testing.T) {
 	const n = 50000
 	_, b, _, kept := wirePair(t, n, false, 0)
 	checkKept(t, kept, n)
-	for _, ps := range b.PoolStats() {
-		if ps.Name == "slab" && ps.Hits == 0 {
-			t.Fatal("slab pool hits = 0: no slab was ever reused, the test exercised nothing")
-		}
+	if hits, _ := b.slabPool.stats(); hits == 0 {
+		t.Fatal("slab pool hits = 0: no slab was ever reused, the test exercised nothing")
 	}
 }
 
@@ -254,15 +252,7 @@ func TestIngestRoutesOnHeaderAlone(t *testing.T) {
 	keep := topology.ExecutorID{Topology: "wire-pair", Component: "keep", Index: 0}
 	frame, _ := encodeDataFrame(keep, []liveMsg{{tup: tuple.Tuple{Stream: "words", Values: tuple.Values{int64(1), "x"}}}})
 	var nl *NotLocalError
-	slab := func() (hits, misses int64) {
-		for _, ps := range a.PoolStats() {
-			if ps.Name == "slab" {
-				return ps.Hits, ps.Misses
-			}
-		}
-		t.Fatal("no slab pool in PoolStats")
-		return 0, 0
-	}
+	slab := a.slabPool.stats
 	h0, m0 := slab()
 	// Whole, and cut short inside the body: the header decides either way.
 	for _, buf := range [][]byte{frame, frame[:len(frame)-3]} {

@@ -60,10 +60,12 @@ type Totals struct {
 // Totals returns the current counter snapshot.
 func (eng *Engine) Totals() Totals {
 	var poolHits, poolMisses int64
-	for _, ps := range eng.PoolStats() {
-		poolHits += ps.Hits
-		poolMisses += ps.Misses
-	}
+	pool := func(hits, misses int64) { poolHits, poolMisses = poolHits+hits, poolMisses+misses }
+	pool(eng.msgPool.stats())
+	pool(eng.ctlPool.stats())
+	pool(eng.ackPool.stats())
+	pool(eng.encPool.stats())
+	pool(eng.slabPool.stats())
 	return Totals{
 		RootsEmitted:     eng.rootsEmitted.Load(),
 		TuplesSent:       eng.tuplesSent.Load(),
@@ -153,8 +155,7 @@ func (eng *Engine) LatencySnapshot() *metrics.Histogram {
 
 // ExecutorStat is one executor's telemetry snapshot.
 type ExecutorStat struct {
-	ID   topology.ExecutorID
-	Slot cluster.SlotID
+	ID topology.ExecutorID
 	// Kind is "spout", "bolt", or "acker".
 	Kind string
 	// QueueLen and QueueCap describe the input queue in tuples: the count
@@ -176,10 +177,9 @@ type ExecutorStat struct {
 func (eng *Engine) ExecutorStats() []ExecutorStat {
 	rt := eng.routes.Load()
 	out := make([]ExecutorStat, 0, len(rt.byDense))
-	for dense, le := range rt.byDense {
+	for _, le := range rt.byDense {
 		st := ExecutorStat{
 			ID:        le.id,
-			Slot:      rt.slotOf[dense],
 			Processed: le.processed.Load(),
 			Emitted:   le.emitted.Load(),
 		}

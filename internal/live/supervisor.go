@@ -3,10 +3,8 @@ package live
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"tstorm/internal/logx"
 	"tstorm/internal/topology"
 	"tstorm/internal/trace"
 	"tstorm/internal/tuple"
@@ -23,7 +21,6 @@ type RestartRecord struct {
 	Attempt  int
 	Backoff  time.Duration
 	Waited   time.Duration
-	At       time.Time
 }
 
 // Supervisor restart pacing: a freshly crashed executor waits BackoffBase,
@@ -42,12 +39,7 @@ const (
 // monitor hides the node and the generator fences it, so Algorithm 1's
 // next schedule does), or RecoverNode must bring the node back.
 type Supervisor struct {
-	eng  *Engine
-	base time.Duration
-	cap  time.Duration
-	log  *logx.Logger
-
-	restarts atomic.Int64
+	eng *Engine
 
 	// histMu guards history, the append-only restart log.
 	histMu  sync.Mutex
@@ -62,16 +54,7 @@ func StartSupervisor(eng *Engine, period time.Duration) *Supervisor {
 	if period <= 0 {
 		period = DefaultSupervisorPeriod
 	}
-	log := eng.cfg.Log
-	if log == nil {
-		log = logx.Nop()
-	}
-	s := &Supervisor{
-		eng:  eng,
-		base: DefaultBackoffBase,
-		cap:  DefaultBackoffCap,
-		log:  log,
-	}
+	s := &Supervisor{eng: eng}
 	s.tick = startTicker(eng.stopCh, period, func() { s.Scan() })
 	return s
 }
@@ -87,16 +70,16 @@ func (s *Supervisor) History() []RestartRecord {
 	return append([]RestartRecord(nil), s.history...)
 }
 
-// backoff returns the wait before restart number n (0-based).
-func (s *Supervisor) backoff(n int) time.Duration {
-	d := s.base
-	for i := 0; i < n && d < s.cap; i++ {
+// Backoff returns the wait before restart number n (0-based): base,
+// doubling per restart up to limit. The supervisor paces executor
+// restarts with the defaults; the distributed supervisor paces process
+// respawns with its configured pair.
+func Backoff(base, limit time.Duration, n int) time.Duration {
+	d := base
+	for i := 0; i < n && d < limit; i++ {
 		d *= 2
 	}
-	if d > s.cap {
-		d = s.cap
-	}
-	return d
+	return min(d, limit)
 }
 
 // Scan restarts every dead executor whose backoff elapsed and whose node
@@ -117,7 +100,7 @@ func (s *Supervisor) Scan() int {
 		if eng.downNodes[eng.placement[le.id].Node] {
 			continue
 		}
-		if now.Sub(le.crashedAt) < s.backoff(le.restarts) {
+		if now.Sub(le.crashedAt) < Backoff(DefaultBackoffBase, DefaultBackoffCap, le.restarts) {
 			continue
 		}
 		due = append(due, le)
@@ -150,9 +133,8 @@ func (s *Supervisor) restartExec(le *liveExec) bool {
 	rec := RestartRecord{
 		Executor: le.id,
 		Attempt:  le.restarts + 1,
-		Backoff:  s.backoff(le.restarts),
+		Backoff:  Backoff(DefaultBackoffBase, DefaultBackoffCap, le.restarts),
 		Waited:   time.Since(le.crashedAt),
-		At:       time.Now(),
 	}
 	eng.mu.Unlock()
 
@@ -203,14 +185,11 @@ func (s *Supervisor) restartExec(le *liveExec) bool {
 	go le.run(le.die, le.gone)
 	eng.mu.Unlock()
 
-	s.restarts.Add(1)
 	s.histMu.Lock()
 	s.history = append(s.history, rec)
 	s.histMu.Unlock()
 	eng.workerRestarts.Add(1)
 	eng.emit(trace.WorkerRestarted, le.id.Topology, "",
 		fmt.Sprintf("%s restarted (attempt %d)", le.id, le.restarts))
-	s.log.With("executor", le.id.String()).Infof("restarted attempt=%d waited=%s",
-		rec.Attempt, rec.Waited.Round(time.Millisecond))
 	return true
 }

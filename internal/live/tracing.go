@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"time"
 
 	"tstorm/internal/tracing"
@@ -42,35 +41,6 @@ const spanDrainPeriod = 50 * time.Millisecond
 func (eng *Engine) sampledRoot(root tuple.ID) bool {
 	return eng.traceRate != 0 && tracing.Sampled(uint64(root), eng.traceMask)
 }
-
-// SetTraceSampling sets the 1-in-rate tuple-tree sampling rate (a power
-// of two; 0 disables tracing). Must be called before Start: the mask is
-// read lock-free on the emit path and the span rings are sized at Start.
-func (eng *Engine) SetTraceSampling(rate int) error {
-	if eng.started.Load() {
-		return fmt.Errorf("live: SetTraceSampling after start")
-	}
-	if rate == 0 {
-		eng.traceRate, eng.traceMask, eng.collector = 0, 0, nil
-		eng.cfg.TraceSampling = 0
-		return nil
-	}
-	mask, err := tracing.Mask(rate)
-	if err != nil {
-		return err
-	}
-	eng.traceRate, eng.traceMask = rate, mask
-	eng.cfg.TraceSampling = rate
-	if eng.localSlots == nil && eng.collector == nil {
-		// In-process engine: own the collector. A distributed worker
-		// (LocalSlots set) exports spans instead; the driver collects.
-		eng.collector = tracing.NewCollector(tracing.Config{})
-	}
-	return nil
-}
-
-// TraceSampling returns the sampling rate (0 = tracing off).
-func (eng *Engine) TraceSampling() int { return eng.traceRate }
 
 // TraceCollector returns the engine's tuple-tree collector — nil when
 // tracing is off or when this engine is a distributed worker exporting

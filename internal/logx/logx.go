@@ -85,11 +85,6 @@ func New(w io.Writer, level Level) *Logger {
 	return &Logger{out: &sink{w: w}, level: level, now: time.Now}
 }
 
-// Nop returns a logger that discards everything.
-func Nop() *Logger {
-	return &Logger{out: &sink{w: io.Discard}, level: Off, now: time.Now}
-}
-
 // With returns a child logger with an extra bound field. The receiver is
 // unchanged; children are cheap to mint per-connection or per-generation.
 func (l *Logger) With(key, value string) *Logger {

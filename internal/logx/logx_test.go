@@ -35,9 +35,10 @@ func TestLevelGating(t *testing.T) {
 	if !l.Enabled(Error) || l.Enabled(Info) {
 		t.Error("Enabled disagrees with the threshold")
 	}
-	Nop().Errorf("discarded") // must not panic
-	if Nop().Enabled(Error) {
-		t.Error("Nop logger claims to be enabled")
+	off := New(&b, Off)
+	off.Errorf("discarded")
+	if off.Enabled(Error) || len(strings.Split(strings.TrimSpace(b.String()), "\n")) != 2 {
+		t.Error("a logger at Off is enabled or wrote")
 	}
 }
 

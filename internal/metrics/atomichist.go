@@ -20,7 +20,6 @@ type AtomicHistogram struct {
 	lo, hi        float64
 	binsPerDecade int
 	counts        []atomic.Int64
-	total         atomic.Int64
 	sumScaled     atomic.Int64 // value × sumScale
 	maxBits       atomic.Uint64
 }
@@ -64,7 +63,6 @@ func (h *AtomicHistogram) Add(v float64) {
 		return
 	}
 	h.counts[h.bin(v)].Add(1)
-	h.total.Add(1)
 	h.sumScaled.Add(int64(v * sumScale))
 	for {
 		old := h.maxBits.Load()
@@ -88,7 +86,7 @@ func (h *AtomicHistogram) Snapshot() *Histogram {
 		out.counts[i] = c
 		total += c
 	}
-	// Derive the total from the copied bins so total == sum(counts) even
+	// The total is the copied bins' sum, so total == sum(counts) even
 	// mid-Add; sum and max are best-effort companions.
 	out.total = total
 	out.sum = float64(h.sumScaled.Load()) / sumScale

@@ -74,7 +74,7 @@ func TestAtomicHistogramConcurrentAdds(t *testing.T) {
 			}
 		}(w)
 	}
-	for ah.total.Load() < writers*per {
+	for ah.Snapshot().Count() < writers*per {
 	}
 	close(stop)
 	wg.Wait()

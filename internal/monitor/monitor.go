@@ -32,7 +32,6 @@ type Fleet struct {
 	// skipped entirely so samples cannot resurrect keys the database has
 	// deleted.
 	forgotten map[string]bool
-	samples   int
 }
 
 // Start creates the fleet and schedules sampling every period on the
@@ -79,7 +78,6 @@ func (f *Fleet) Forget(topo string) {
 // Sample performs one sampling round: drain CPU counters and the traffic
 // matrix, convert to MHz and tuples/s, and update the database.
 func (f *Fleet) Sample() {
-	f.samples++
 	secs := f.period.Seconds()
 
 	for _, s := range f.rt.DrainLoadSamples() {

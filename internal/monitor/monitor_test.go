@@ -70,9 +70,6 @@ func TestFleetSamplesLoadsAndTraffic(t *testing.T) {
 	if err := rt.RunFor(100 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if f.samples != 5 {
-		t.Fatalf("Samples = %d, want 5", f.samples)
-	}
 	if f.period != 20*time.Second {
 		t.Fatalf("Period = %v", f.period)
 	}

@@ -183,6 +183,13 @@ func TestContenderProbesNamePerDimensionConstraints(t *testing.T) {
 	}
 }
 
+// extraAlgorithm is a name no builtin has.
+type extraAlgorithm struct{}
+
+func (extraAlgorithm) Name() string { return "extra" }
+
+func (extraAlgorithm) Schedule(*scheduler.Input) (*cluster.Assignment, error) { return nil, nil }
+
 func TestRegisterBuiltins(t *testing.T) {
 	r := scheduler.NewRegistry()
 	scheduler.RegisterBuiltins(r)
@@ -196,7 +203,7 @@ func TestRegisterBuiltins(t *testing.T) {
 	// algorithm after the builtins, so the instance in use wins clashes.
 	r2 := scheduler.NewRegistry()
 	scheduler.RegisterBuiltins(r2)
-	r2.Register(scheduler.Pinned{Assignment: cluster.NewAssignment(7)})
+	r2.Register(extraAlgorithm{})
 	if len(r2.Names()) != 8 {
 		t.Fatalf("names = %v, want 8 entries", r2.Names())
 	}

@@ -90,28 +90,3 @@ func (TStormInitial) Schedule(in *Input) (*cluster.Assignment, error) {
 	recordDecisions(in, "tstorm-initial", a)
 	return a, nil
 }
-
-// Pinned returns every executor placed on one fixed slot — used by the
-// problem-demonstration experiments (Fig. 2/3) that need hand-built
-// placements.
-type Pinned struct {
-	// Assignment is returned as-is.
-	Assignment *cluster.Assignment
-}
-
-var _ Algorithm = Pinned{}
-
-// Name returns "pinned".
-func (Pinned) Name() string { return "pinned" }
-
-// Schedule returns the pinned assignment.
-func (p Pinned) Schedule(in *Input) (*cluster.Assignment, error) {
-	if p.Assignment == nil {
-		return nil, fmt.Errorf("scheduler: pinned assignment is nil")
-	}
-	a := p.Assignment.Clone()
-	if in != nil {
-		recordDecisions(in, "pinned", a)
-	}
-	return a, nil
-}

@@ -50,6 +50,5 @@ func (Hetero) Schedule(in *Input) (*cluster.Assignment, error) {
 		cpu[i] = d.CPUMHz
 	}
 	p.SortDescending(cpu)
-	res, err := Place(in, p)
-	return res.Assignment, err
+	return Place(in, p)
 }

@@ -406,21 +406,10 @@ func (k *kernel) fit(n int, topo int32, d Demand, enforce Limit, countCap float6
 	return -1
 }
 
-// Result is what one Place round produced.
-type Result struct {
-	Assignment *cluster.Assignment
-	// Relaxations counts the executors that needed a limit dropped.
-	Relaxations int
-	// InterNodeRate is the rate of the policy's Flows whose endpoints
-	// landed on different nodes, summed in flow order — the same float as
-	// decision.InterNodeRate over the snapshot the flows came from.
-	InterNodeRate float64
-}
-
 // Place runs one scheduling round under the policy. With in.Probe set it
 // also records the decision report: every slot's score and verdict from
 // each executor's strict pass, and which limits were dropped for it.
-func Place(in *Input, p Policy) (Result, error) {
+func Place(in *Input, p Policy) (*cluster.Assignment, error) {
 	k := newKernel(in, p.Executors)
 	if p.Score == nil {
 		k.loadFlows(p.Flows)
@@ -444,7 +433,6 @@ func Place(in *Input, p Policy) (Result, error) {
 	candidatesOnly := p.Score == nil && probe == nil && !k.negative
 
 	a := &cluster.Assignment{Executors: make(map[topology.ExecutorID]cluster.SlotID, ne)}
-	relaxations := 0
 	for r, e := range p.Executors {
 		d, topo := p.Demands[r], k.topoOf[r]
 		// Adding the placed neighbours' weights in rank order gives each
@@ -465,16 +453,13 @@ func Place(in *Input, p Policy) (Result, error) {
 		} else {
 			node, slot, score = k.scan(&p, topo, d, p.Enforce, countCap, opts)
 		}
-		if node < 0 {
-			relaxations++
-		}
 		var dropped Limit
 		for i := 0; node < 0 && i < len(p.Relax); i++ {
 			dropped |= p.Relax[i]
 			node, slot, score = k.scan(&p, topo, d, p.Enforce&^dropped, countCap, nil)
 		}
 		if node < 0 {
-			return Result{Relaxations: relaxations}, fmt.Errorf("scheduler: %s found no slot for executor %v", p.Algorithm, e)
+			return nil, fmt.Errorf("scheduler: %s found no slot for executor %v", p.Algorithm, e)
 		}
 		if probe != nil {
 			opts[slot].Chosen = true
@@ -513,11 +498,5 @@ func Place(in *Input, p Policy) (Result, error) {
 	if probe != nil {
 		probe.Finish(a, in.Load)
 	}
-	res := Result{Assignment: a, Relaxations: relaxations}
-	for _, f := range p.Flows {
-		if f.From >= 0 && f.To >= 0 && k.nodeOf[f.From] != k.nodeOf[f.To] {
-			res.InterNodeRate += f.Rate
-		}
-	}
-	return res, nil
+	return a, nil
 }

@@ -77,6 +77,5 @@ func (RStorm) Schedule(in *Input) (*cluster.Assignment, error) {
 	for _, top := range in.Topologies {
 		execs = append(execs, bfsOrderedExecutors(top)...)
 	}
-	res, err := Place(in, resourcePolicy(in, "rstorm", execs, rstormScore))
-	return res.Assignment, err
+	return Place(in, resourcePolicy(in, "rstorm", execs, rstormScore))
 }

@@ -183,8 +183,7 @@ func (r *Registry) Names() []string {
 // its canonical name — the baselines plus the arena contenders — so both
 // schedule generators (sim and live) expose the full field for hot-swap
 // and the arena bench can rank them all. Algorithm 1 itself lives in
-// internal/core (above this package) and is registered by its caller;
-// Pinned is omitted because it needs per-instance state.
+// internal/core (above this package) and is registered by its caller.
 func RegisterBuiltins(r *Registry) {
 	for _, a := range []Algorithm{
 		RoundRobin{}, TStormInitial{}, AnielloOffline{}, AnielloOnline{},

@@ -223,36 +223,6 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-func TestPinned(t *testing.T) {
-	top := buildChain(t, "t", 1, 1, 1)
-	cl := tenNodes(t)
-	want := cluster.NewAssignment(0)
-	for _, e := range top.Executors() {
-		want.Assign(e, cl.Slots()[0])
-	}
-	got, err := Pinned{Assignment: want}.Schedule(nil)
-	if err != nil || !got.Equal(want) {
-		t.Fatalf("pinned schedule wrong: %v", err)
-	}
-	// Returned assignment is a clone.
-	got.Assign(top.Executors()[0], cl.Slots()[1])
-	if !want.Equal(mustSchedule(t, Pinned{Assignment: want})) {
-		t.Fatal("Pinned leaked internal assignment")
-	}
-	if _, err := (Pinned{}).Schedule(nil); err == nil {
-		t.Fatal("nil pinned assignment accepted")
-	}
-}
-
-func mustSchedule(t *testing.T, a Algorithm) *cluster.Assignment {
-	t.Helper()
-	got, err := a.Schedule(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Register(RoundRobin{})

@@ -2,12 +2,9 @@ package sim
 
 import "time"
 
-// Test-only hooks: no program stops a run early, counts pending events or
-// schedules a callback on a lane, but the differential tests against the
-// reference queue drive both engines through them.
-
-// Stop halts a Run/RunUntil in progress after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
+// Test-only hooks: no program counts pending events or schedules a
+// callback on a lane, but the differential tests against the reference
+// queue drive both engines through them.
 
 // Pending reports how many events are scheduled and not yet fired, on the
 // heap and on every lane (including cancelled events that have not been

@@ -72,7 +72,6 @@ type refEngine struct {
 	now     Time
 	queue   refEventQueue
 	seq     uint64
-	stopped bool
 	running bool
 	fired   uint64
 }
@@ -91,8 +90,6 @@ func (e *refEngine) At(t Time, fn func()) *refTimer {
 	return &refTimer{ev: ev}
 }
 
-func (e *refEngine) Stop() { e.stopped = true }
-
 func (e *refEngine) Run() error { return e.run(Time(1<<62), false) }
 
 func (e *refEngine) RunUntil(deadline Time) error { return e.run(deadline, true) }
@@ -102,7 +99,6 @@ func (e *refEngine) run(deadline Time, advance bool) error {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
 
 	for len(e.queue) > 0 {
@@ -118,9 +114,6 @@ func (e *refEngine) run(deadline Time, advance bool) error {
 		next.fired = true
 		e.fired++
 		next.fn()
-		if e.stopped {
-			return ErrStopped
-		}
 	}
 	if advance && e.now < deadline {
 		e.now = deadline
@@ -138,7 +131,6 @@ type kernel interface {
 	Now() Time
 	EventsFired() uint64
 	Pending() int
-	Stop()
 	Run() error
 	RunUntil(Time) error
 	schedule(t Time, typed bool, fn func()) func() bool
@@ -266,15 +258,11 @@ func (p *program) fire(id int) {
 	if p.rng.IntN(3) == 0 {
 		p.cancelOne()
 	}
-	if p.rng.IntN(40) == 0 {
-		p.note("stop")
-		p.k.Stop()
-	}
 }
 
 // runProgram drives one program to completion: up to three lanes, a
 // seeding burst, a few RunUntil phases with scheduling and cancelling in
-// between, then Run until the queue is empty (resuming after every Stop).
+// between, then Run until the queue is empty.
 func runProgram(k kernel, seed uint64, budget int) []string {
 	p := &program{k: k, rng: rand.New(rand.NewPCG(seed, 0x5eed)), budget: budget}
 	for n := p.rng.IntN(4); n > 0; n-- {
@@ -291,13 +279,8 @@ func runProgram(k kernel, seed uint64, budget int) []string {
 		p.spawn()
 		p.cancelOne()
 	}
-	for {
-		err := k.Run()
-		phase("Run", err)
-		if err == nil {
-			return p.log
-		}
-	}
+	phase("Run", k.Run())
+	return p.log
 }
 
 func checkSameOrder(t *testing.T, seed uint64, budget int) {
@@ -335,10 +318,12 @@ func FuzzEventOrder(f *testing.F) {
 // holdEvent is the classic hold model as a typed event: on firing it
 // reschedules itself a pseudo-random delay ahead, so the queue keeps its
 // depth and every operation is one pop plus one push at a fresh position.
+// Once spend reports the budget gone it stops rescheduling, and the queue
+// drains.
 type holdEvent struct {
-	e    *Engine
-	x    uint64
-	left *int
+	e     *Engine
+	x     uint64
+	spend func() bool
 }
 
 func (h *holdEvent) next() Time {
@@ -347,9 +332,21 @@ func (h *holdEvent) next() Time {
 }
 
 func (h *holdEvent) Fire() {
-	h.e.AtEvent(h.next(), h)
-	if *h.left--; *h.left <= 0 {
-		h.e.Stop()
+	if h.spend() {
+		h.e.AtEvent(h.next(), h)
+	}
+}
+
+// holdBudget lets b.N events reschedule, then stops the timer: the drain
+// that follows is not measured.
+func holdBudget(b *testing.B) func() bool {
+	left := b.N
+	return func() bool {
+		left--
+		if left == 0 {
+			b.StopTimer()
+		}
+		return left >= 0
 	}
 }
 
@@ -361,34 +358,33 @@ func BenchmarkScheduleFireDepth(b *testing.B) {
 	for _, depth := range []int{1, 4096, 65536} {
 		b.Run(fmt.Sprintf("func/depth=%d", depth), func(b *testing.B) {
 			e := NewEngine(1)
-			left := b.N
+			spend := holdBudget(b)
 			for i := 0; i < depth; i++ {
-				h := &holdEvent{e: e, x: uint64(i), left: &left}
+				h := &holdEvent{e: e, x: uint64(i), spend: spend}
 				var fn func()
 				fn = func() {
-					e.At(h.next(), fn)
-					if left--; left <= 0 {
-						e.Stop()
+					if spend() {
+						e.At(h.next(), fn)
 					}
 				}
 				e.At(h.next(), fn)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := e.Run(); err != ErrStopped {
+			if err := e.Run(); err != nil {
 				b.Fatal(err)
 			}
 		})
 		b.Run(fmt.Sprintf("typed/depth=%d", depth), func(b *testing.B) {
 			e := NewEngine(1)
-			left := b.N
+			spend := holdBudget(b)
 			for i := 0; i < depth; i++ {
-				h := &holdEvent{e: e, x: uint64(i), left: &left}
+				h := &holdEvent{e: e, x: uint64(i), spend: spend}
 				e.AtEvent(h.next(), h)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := e.Run(); err != ErrStopped {
+			if err := e.Run(); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -40,10 +39,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // String formats t like a time.Duration ("1m30s").
 func (t Time) String() string { return time.Duration(t).String() }
-
-// ErrStopped is returned by Run and RunUntil when the engine was stopped
-// explicitly via Stop before the run completed.
-var ErrStopped = errors.New("sim: engine stopped")
 
 // Timer is a handle to a scheduled callback. The zero value is not a valid
 // timer; timers are created by Engine.At and Engine.After.
@@ -155,7 +150,6 @@ type Engine struct {
 	lanes   []*Lane
 	seq     uint64
 	rng     *rand.Rand
-	stopped bool
 	running bool
 	fired   uint64
 }
@@ -370,12 +364,11 @@ func (e *Engine) Every(start, period time.Duration, fn func()) *Ticker {
 	return tk
 }
 
-// Run executes events until the queue is empty or Stop is called.
-// It returns ErrStopped if stopped early.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() error { return e.run(Time(1<<62), false) }
 
 // RunUntil executes all events with timestamps <= deadline, then advances
-// the clock to exactly deadline. It returns ErrStopped if stopped early.
+// the clock to exactly deadline.
 func (e *Engine) RunUntil(deadline Time) error { return e.run(deadline, true) }
 
 func (e *Engine) run(deadline Time, advance bool) error {
@@ -383,7 +376,6 @@ func (e *Engine) run(deadline Time, advance bool) error {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
 
 	for {
@@ -410,9 +402,6 @@ func (e *Engine) run(deadline Time, advance bool) error {
 		e.now = next.at
 		e.fired++
 		next.ev.Fire()
-		if e.stopped {
-			return ErrStopped
-		}
 	}
 	if advance && e.now < deadline {
 		e.now = deadline

@@ -216,26 +216,6 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	e.After(time.Second, func() { n++; e.Stop() })
-	e.After(2*time.Second, func() { n++ })
-	if err := e.Run(); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if n != 1 {
-		t.Fatalf("n = %d, want 1", n)
-	}
-	// A subsequent Run resumes with remaining events.
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("n = %d, want 2", n)
-	}
-}
-
 func TestReentrantRunPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.After(time.Second, func() {

@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,7 +17,6 @@ type Sampler struct {
 	collect func(now time.Time)
 
 	mu      sync.Mutex // serializes collect calls
-	ticks   atomic.Int64
 	startMu sync.Mutex
 	stop    chan struct{}
 	done    chan struct{}
@@ -40,7 +38,6 @@ func (s *Sampler) Tick(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.collect(now)
-	s.ticks.Add(1)
 }
 
 // Start launches the background sampling loop. Idempotent.

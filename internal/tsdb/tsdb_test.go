@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -134,32 +135,31 @@ func TestReadersRaceWriter(t *testing.T) {
 func TestSamplerTickAndLoop(t *testing.T) {
 	db := NewDB(64)
 	c := db.Register("x", Counter)
-	var n int64
+	var ticks atomic.Int64 // collect passes, read while the loop runs
 	s := NewSampler(time.Millisecond, func(now time.Time) {
-		n++
-		c.Append(now.UnixNano(), float64(n))
+		c.Append(now.UnixNano(), float64(ticks.Add(1)))
 	})
 	base := time.Unix(50, 0)
 	for i := 0; i < 3; i++ {
 		s.Tick(base.Add(time.Duration(i) * time.Second))
 	}
-	if s.ticks.Load() != 3 || len(c.Last(c.Cap())) != 3 {
-		t.Fatalf("ticks=%d len=%d, want 3/3", s.ticks.Load(), len(c.Last(c.Cap())))
+	if ticks.Load() != 3 || len(c.Last(c.Cap())) != 3 {
+		t.Fatalf("ticks=%d len=%d, want 3/3", ticks.Load(), len(c.Last(c.Cap())))
 	}
 	s.Start()
 	s.Start() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
-	for s.ticks.Load() < 5 && time.Now().Before(deadline) {
+	for ticks.Load() < 5 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Stop()
 	s.Stop() // idempotent
-	if s.ticks.Load() < 5 {
-		t.Errorf("background loop ticked only %d times", s.ticks.Load())
+	if ticks.Load() < 5 {
+		t.Errorf("background loop ticked only %d times", ticks.Load())
 	}
-	after := s.ticks.Load()
+	after := ticks.Load()
 	time.Sleep(5 * time.Millisecond)
-	if s.ticks.Load() != after {
+	if ticks.Load() != after {
 		t.Error("sampler kept ticking after Stop")
 	}
 }

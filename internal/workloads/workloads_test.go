@@ -342,7 +342,7 @@ func TestReliableCorpusSpoutRestart(t *testing.T) {
 	if app.MaxPending["reader"] == 0 {
 		t.Fatal("reliable reader has no max-pending cap")
 	}
-	ctx := &engine.Context{Topology: "wordcount-live", Component: "reader", Index: 0, Parallelism: 1}
+	ctx := &engine.Context{Topology: "wordcount-live", Index: 0, Parallelism: 1}
 
 	s := app.Spouts["reader"]().(*reliableCorpusSpout)
 	s.Open(ctx)

@@ -316,7 +316,6 @@ type wireConfig struct {
 	ackTimeout      time.Duration // live only
 	maxPending      int           // live only; -1 = unset
 	decisionHistory int           // reports retained; 0 = disabled
-	traceSampling   int           // wall-clock backends; 0 = disabled
 	pprof           bool          // mount /debug/pprof on StartTelemetry
 	health          bool          // wall-clock backends; sampler + SLO engine
 	sampleEvery     time.Duration // health sampling cadence; 0 = 1 s
@@ -416,25 +415,6 @@ func WithDecisionHistory(n int) Option {
 			return
 		}
 		c.decisionHistory = n
-	}
-}
-
-// WithTraceSampling enables sampled end-to-end tuple tracing: one in rate
-// spout roots (rate must be a power of two; 1 samples everything) carries
-// its tuple tree's spans to a collector that assembles them with a
-// critical-path latency decomposition by boundary class (local,
-// inter-slot, inter-process, inter-node). StartTelemetry then serves the
-// assembled trees on /debug/tuples and exports the tstorm_trace_*
-// families. Unsampled tuples stay on the allocation-free emit path.
-// Wall-clock backends only; Wire rejects it on the simulated Runtime,
-// which has no wall clock to attribute latency against.
-func WithTraceSampling(rate int) Option {
-	return func(c *wireConfig) {
-		if rate <= 0 {
-			c.optErr(fmt.Errorf("tstorm: WithTraceSampling(%d): rate must be a positive power of two", rate))
-			return
-		}
-		c.traceSampling = rate
 	}
 }
 
@@ -609,9 +589,6 @@ func Wire(backend Backend, opts ...Option) (*Stack, error) {
 		if cfg.ackTimeout != 0 || cfg.maxPending >= 0 {
 			return nil, fmt.Errorf("tstorm: WithAckTimeout/WithMaxPending apply to the live backend only (the simulated Runtime reads Config.MessageTimeout and App.MaxPending)")
 		}
-		if cfg.traceSampling != 0 {
-			return nil, fmt.Errorf("tstorm: WithTraceSampling applies to the wall-clock backends only (the simulated Runtime has no wall clock to attribute latency against)")
-		}
 		if cfg.health {
 			return nil, fmt.Errorf("tstorm: WithHealth applies to the wall-clock backends only (the simulated Runtime has no wall clock to sample against)")
 		}
@@ -624,14 +601,6 @@ func Wire(backend Backend, opts ...Option) (*Stack, error) {
 		}
 		if cfg.maxPending >= 0 {
 			be.SetMaxPending(cfg.maxPending)
-		}
-		if cfg.traceSampling != 0 && be.TraceSampling() != cfg.traceSampling {
-			// Must land before Start (the mask is read lock-free on the emit
-			// path); an already-started engine takes LiveConfig.TraceSampling
-			// at construction instead.
-			if err := be.SetTraceSampling(cfg.traceSampling); err != nil {
-				return nil, err
-			}
 		}
 		st.Engine = be
 		st.Monitor = live.StartMonitor(be, db, cfg.monitorPeriod)
@@ -657,17 +626,12 @@ func Wire(backend Backend, opts ...Option) (*Stack, error) {
 
 	case *DistEngine:
 		if cfg.ackTimeout != 0 || cfg.maxPending >= 0 {
-			return nil, fmt.Errorf("tstorm: WithAckTimeout/WithMaxPending on the distributed backend go through DistConfig before Start")
+			return nil, fmt.Errorf("tstorm: WithAckTimeout/WithMaxPending do not apply to the distributed backend (set DistConfig.AckTimeout before Start, and App.MaxPending per spout)")
 		}
 		// Monitoring is worker-side: each process samples its executors and
 		// ships windows over the control plane into this load DB.
 		be.SetLoadSink(db)
 		be.SetMonitorPeriod(cfg.monitorPeriod)
-		if cfg.traceSampling != 0 && be.TraceSampling() != cfg.traceSampling {
-			if err := be.SetTraceSampling(cfg.traceSampling); err != nil {
-				return nil, err
-			}
-		}
 		st.Dist = be
 		if cfg.health {
 			// CachedTotals reads the heartbeat-refreshed aggregates — the
@@ -757,9 +721,10 @@ func startHealth(cfg *wireConfig, st *Stack, src health.Sources, rec *trace.Reco
 // StartTelemetry serves the stack's observability endpoints — Prometheus
 // text-format /metrics, /debug/placement, /debug/trace (when the engine
 // was built with LiveConfig.Trace), /debug/scheduler + /debug/traffic
-// (when wired WithDecisionHistory), /debug/tuples (when wired
-// WithTraceSampling), /debug/timeseries + /debug/health (when wired
-// WithHealth), and /debug/pprof/ (when wired WithPprof) — on addr (e.g. ":9090", or
+// (when wired WithDecisionHistory), /debug/tuples (when the engine was
+// built with LiveConfig.TraceSampling or DistConfig.TraceSampling),
+// /debug/timeseries + /debug/health (when wired WithHealth), and
+// /debug/pprof/ (when wired WithPprof) — on addr (e.g. ":9090", or
 // "127.0.0.1:0" for an ephemeral port; read the bound address back with
 // Addr). Close the returned server when done. On the distributed backend
 // the counters are fleet aggregates and /debug/workers lists the worker
