@@ -82,7 +82,15 @@
 # gate holds the Algorithm 1 round at Ne = 10000 (500 nodes) to 328
 # allocs/op, twice the 164 it measured once the strict pass visited only
 # candidate nodes and the flows were interned in one pass (the full node
-# scan took 193). The FuzzSchedule smoke then spends 15 s holding the
+# scan took 193). The round's neighbours are gated the same way:
+# BenchmarkSnapshot (internal/loaddb) takes a load-DB snapshot at
+# Ne = 1000 and 10000, cold (every pair new, so it sorts) and warm (no
+# pair new, one copy), and BenchmarkNewInput (internal/scheduler) builds a
+# scheduling input from a snapshot at both sizes; each fails past twice
+# the allocations it measured once the load DB kept its flows dense and
+# the input stopped deriving demands (9 / 8 / 37 / 36 and 1 allocs/op;
+# the map-based DB took 11 / 11 / 39 / 39, the eager input 50 / 149).
+# The FuzzSchedule smoke then spends 15 s holding the
 # kernel to the map-based reference Algorithm 1 — same assignment, Stats
 # and decision report, and the three per-node constraints wherever no
 # relaxation is flagged — and TestScheduleMatchesReferenceAtScale holds it
@@ -172,6 +180,19 @@ go test -count=1 -run '^$' -bench 'BenchmarkAlgorithm1/^Ne=10000$' -benchmem -be
 	       if (allocs + 0 > 328) { print "scheduler-round allocation regression: " $1 " at " allocs " allocs/op (budget 328)"; bad = 1 }
 	       else { print "scheduler-round allocs/op: " $1 " " allocs " (budget 328)" } }
 	     END { if (seen != 1) { print "scheduler-round allocation gate: expected BenchmarkAlgorithm1 at Ne=10000, saw " seen + 0; exit 1 }
+	           exit bad }'
+go test -count=1 -run '^$' -bench 'BenchmarkSnapshot' -benchmem -benchtime 5x ./internal/loaddb |
+	awk 'BEGIN { budget["cold/Ne=1000"] = 18; budget["warm/Ne=1000"] = 16; budget["cold/Ne=10000"] = 74; budget["warm/Ne=10000"] = 72 }
+	     /^BenchmarkSnapshot/ { seen++; split($1, part, "/"); key = part[2] "/" part[3]; sub(/-[0-9]+$/, "", key); allocs = $(NF-1); b = budget[key]
+	       if (allocs + 0 > b) { print "load-DB snapshot allocation regression: " $1 " at " allocs " allocs/op (budget " b ")"; bad = 1 }
+	       else { print "load-DB snapshot allocs/op: " $1 " " allocs " (budget " b ")" } }
+	     END { if (seen != 4) { print "load-DB snapshot allocation gate: expected 4 benchmarks, saw " seen + 0; exit 1 }
+	           exit bad }'
+go test -count=1 -run '^$' -bench 'BenchmarkNewInput' -benchmem -benchtime 1000x ./internal/scheduler |
+	awk '/^BenchmarkNewInput/ { seen++; allocs = $(NF-1)
+	       if (allocs + 0 > 2) { print "scheduling-input allocation regression: " $1 " at " allocs " allocs/op (budget 2)"; bad = 1 }
+	       else { print "scheduling-input allocs/op: " $1 " " allocs " (budget 2)" } }
+	     END { if (seen != 2) { print "scheduling-input allocation gate: expected BenchmarkNewInput at Ne=1000 and 10000, saw " seen + 0; exit 1 }
 	           exit bad }'
 go test -count=1 -fuzz 'FuzzSchedule' -fuzztime 15s -run '^$' ./internal/core
 go test -count=1 -run 'TestScheduleMatchesReferenceAtScale' ./internal/core

@@ -94,7 +94,7 @@ func run(workload string, gamma float64, nodes int, rate float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.Name(), err)
 		}
-		_, maxLoad := core.MaxNodeLoad(assign, snap)
+		_, maxLoad := core.MaxNodeLoad(assign, snap.ExecLoad)
 		fmt.Printf("%-18s  %12.0f  %14.0f  %6d  %14.0f\n",
 			a.Name(),
 			core.InterNodeTraffic(assign, snap),

@@ -171,7 +171,7 @@ func main() {
 	for _, ev := range rec.Events() {
 		switch ev.Kind {
 		case trace.WorkerStarted, trace.WorkerKilled, trace.WorkerRestarted,
-			trace.AssignmentPublished, trace.ReassignApplied,
+			trace.WorkerRejoined, trace.AssignmentPublished, trace.ReassignApplied,
 			trace.SpoutsHalted, trace.SpoutsResumed, trace.QueuesDrained:
 			fmt.Println("    " + ev.String())
 		}

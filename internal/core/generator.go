@@ -361,7 +361,7 @@ func (g *Generator) checkOverload() {
 	if g.hasOverloadGen && now.Sub(g.lastOverloadGen) < g.cfg.OverloadCooldown {
 		return
 	}
-	node, load := MaxNodeLoad(g.placed(g.target.Topologies()), g.db.Snapshot())
+	node, load := MaxNodeLoad(g.placed(g.target.Topologies()), g.db.ExecLoads())
 	if node == "" {
 		return
 	}

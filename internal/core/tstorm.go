@@ -94,15 +94,6 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 		}
 	}
 	p.InternFlows(load.Flows)
-	p.Traffic = make([]float64, len(p.Executors))
-	for _, f := range p.Flows {
-		if f.From >= 0 {
-			p.Traffic[f.From] += f.Rate
-		}
-		if f.To >= 0 {
-			p.Traffic[f.To] += f.Rate
-		}
-	}
 	// Line 2: sort executors by descending total traffic; ties broken by
 	// executor identity for determinism.
 	if !t.DisableTrafficOrder {
@@ -134,10 +125,11 @@ func InterProcessTraffic(a *cluster.Assignment, load *loaddb.Snapshot) float64 {
 }
 
 // MaxNodeLoad returns the highest per-node workload sum (MHz) under the
-// assignment, and that node's ID.
-func MaxNodeLoad(a *cluster.Assignment, load *loaddb.Snapshot) (cluster.NodeID, float64) {
+// assignment, and that node's ID. load maps executors to their smoothed
+// CPU usage, as a snapshot's ExecLoad or loaddb.DB.ExecLoads does.
+func MaxNodeLoad(a *cluster.Assignment, load map[topology.ExecutorID]float64) (cluster.NodeID, float64) {
 	perNode := make(map[cluster.NodeID]float64)
-	for e, mhz := range load.ExecLoad {
+	for e, mhz := range load {
 		if s, ok := a.Slot(e); ok {
 			perNode[s.Node] += mhz
 		}

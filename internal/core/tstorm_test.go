@@ -303,7 +303,7 @@ func TestMaxNodeLoad(t *testing.T) {
 		db.UpdateExecutorLoad(e, float64(100*(i+1)))
 		a.Assign(e, cl.Slots()[0]) // everything on node01
 	}
-	node, load := MaxNodeLoad(a, db.Snapshot())
+	node, load := MaxNodeLoad(a, db.ExecLoads())
 	if node != "node01" {
 		t.Fatalf("MaxNodeLoad node = %s", node)
 	}
@@ -315,7 +315,7 @@ func TestMaxNodeLoad(t *testing.T) {
 		t.Fatalf("load = %v, want %v", load, want)
 	}
 	// Empty assignment.
-	if n, l := MaxNodeLoad(cluster.NewAssignment(0), db.Snapshot()); n != "" || l != 0 {
+	if n, l := MaxNodeLoad(cluster.NewAssignment(0), db.ExecLoads()); n != "" || l != 0 {
 		t.Fatalf("empty MaxNodeLoad = %s, %v", n, l)
 	}
 }

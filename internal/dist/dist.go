@@ -181,9 +181,22 @@ func (h *workerHandle) session() *session {
 	return h.sess
 }
 
-func (h *workerHandle) storeStatus(m *msg) {
+// storeStatus records a status message (heartbeat or totals reply) of
+// the session's incarnation. A status of an incarnation that is no longer
+// the slot's — one that was retired, its counters folded into the
+// driver's, and was still in the connection — is dropped, or it would
+// count that incarnation twice. A status showing that the worker's
+// spouts replayed roots since the last one is traced.
+func (s *session) storeStatus(m *msg) {
+	h := s.h
 	h.mu.Lock()
+	if h.sess != s {
+		h.mu.Unlock()
+		return
+	}
+	var replayed int64
 	if m.Totals != nil {
+		replayed = m.Totals.Replayed - h.lastTotals.Replayed
 		h.lastTotals = *m.Totals
 	}
 	h.lastAudits = m.Audits
@@ -191,6 +204,9 @@ func (h *workerHandle) storeStatus(m *msg) {
 	h.lastDropped = m.DroppedTuples
 	h.lastBeat = time.Now()
 	h.mu.Unlock()
+	if replayed > 0 {
+		s.e.emitTrace(trace.TupleReplayed, "", h.slot.String(), fmt.Sprintf("%d roots replayed", replayed))
+	}
 }
 
 // kill SIGKILLs the current incarnation; reports whether a process was
@@ -659,46 +675,32 @@ func (e *Engine) quiesce() {
 // driver's process-level kills and respawns are added on top of the
 // workers' executor-level ones.
 func (e *Engine) Totals() live.Totals {
-	e.mu.Lock()
-	sum := e.retired
-	e.mu.Unlock()
 	for _, slot := range e.orderedSlots() {
-		h := e.handleFor(slot)
-		if h == nil {
-			continue
-		}
-		if s := h.session(); s != nil {
+		if s := e.handleFor(slot).session(); s != nil {
 			if reply, err := s.rpc(&msg{Type: msgTotals}, time.Second); err == nil {
-				h.storeStatus(reply)
+				s.storeStatus(reply)
 			}
 		}
-		h.mu.Lock()
-		sum = addTotals(sum, h.lastTotals)
-		h.mu.Unlock()
 	}
-	sum.Migrations = e.migrations.Load()
-	sum.Applies = e.applies.Load()
-	sum.WorkerCrashes += e.procCrashes.Load()
-	sum.WorkerRestarts += e.procRestarts.Load()
-	return sum
+	return e.CachedTotals()
 }
 
 // CachedTotals aggregates fleet counters from the last heartbeats alone —
 // no per-worker RPC, so it is cheap enough for a 1 s sampler and never
 // blocks on a sick worker. Staleness is bounded by the heartbeat period.
+// It reads the retired counters and every incarnation's under e.mu, which
+// retireWorker holds while it moves a dead incarnation's counters from
+// one to the other, so a worker's death never makes the sum jump.
 func (e *Engine) CachedTotals() live.Totals {
 	e.mu.Lock()
 	sum := e.retired
-	e.mu.Unlock()
-	for _, slot := range e.orderedSlots() {
-		h := e.handleFor(slot)
-		if h == nil {
-			continue
-		}
+	for _, slot := range e.order {
+		h := e.handles[slot]
 		h.mu.Lock()
 		sum = addTotals(sum, h.lastTotals)
 		h.mu.Unlock()
 	}
+	e.mu.Unlock()
 	sum.Migrations = e.migrations.Load()
 	sum.Applies = e.applies.Load()
 	sum.WorkerCrashes += e.procCrashes.Load()
@@ -710,15 +712,12 @@ func (e *Engine) CachedTotals() live.Totals {
 // hosting none of its spouts contribute zeros) plus retired incarnations.
 func (e *Engine) Audit(name string) (acked, outstanding, restarts int) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if a, ok := e.retiredAudits[name]; ok {
 		acked, restarts = a.Acked, a.Restarts
 	}
-	e.mu.Unlock()
-	for _, slot := range e.orderedSlots() {
-		h := e.handleFor(slot)
-		if h == nil {
-			continue
-		}
+	for _, slot := range e.order {
+		h := e.handles[slot]
 		h.mu.Lock()
 		for _, a := range h.lastAudits {
 			if a.Topology == name {
@@ -733,11 +732,21 @@ func (e *Engine) Audit(name string) (acked, outstanding, restarts int) {
 }
 
 // retireWorker folds a dead incarnation's last-known counters into the
-// retired accumulators and clears its per-incarnation status.
+// retired accumulators and clears its per-incarnation status, in one step
+// under e.mu as CachedTotals and Audit read them. The incarnation's
+// session is detached first, so a status still in its connection is not
+// stored over the cleared counters.
 func (e *Engine) retireWorker(h *workerHandle) {
+	e.mu.Lock()
 	h.mu.Lock()
-	tot := h.lastTotals
-	audits := h.lastAudits
+	e.retired = addTotals(e.retired, h.lastTotals)
+	for _, a := range h.lastAudits {
+		r := e.retiredAudits[a.Topology]
+		r.Topology = a.Topology
+		r.Acked += a.Acked
+		r.Restarts += a.Restarts
+		e.retiredAudits[a.Topology] = r
+	}
 	h.lastTotals = live.Totals{}
 	h.lastAudits = nil
 	h.lastPending = 0
@@ -745,21 +754,13 @@ func (e *Engine) retireWorker(h *workerHandle) {
 	h.lastDropped = 0
 	h.cmd = nil
 	sess := h.sess
+	h.sess = nil
 	h.restarts++
 	h.mu.Unlock()
+	e.mu.Unlock()
 	if sess != nil {
 		sess.conn.close()
 	}
-	e.mu.Lock()
-	e.retired = addTotals(e.retired, tot)
-	for _, a := range audits {
-		r := e.retiredAudits[a.Topology]
-		r.Topology = a.Topology
-		r.Acked += a.Acked
-		r.Restarts += a.Restarts
-		e.retiredAudits[a.Topology] = r
-	}
-	e.mu.Unlock()
 }
 
 func addTotals(a, b live.Totals) live.Totals {

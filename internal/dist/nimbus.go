@@ -110,7 +110,7 @@ func (s *session) readLoop() {
 				ch <- m
 			}
 		case msgHeartbeat:
-			s.h.storeStatus(m)
+			s.storeStatus(m)
 			s.e.ingestSpans(m.Spans)
 		case msgWindow:
 			s.e.applyWindow(m)
@@ -257,7 +257,12 @@ func (e *Engine) configureWorker(s *session) error {
 
 // configureRespawn brings a respawned worker back into a running fleet:
 // full config (current assignments and generation), fresh peer map for
-// everyone (its data address changed), and a resume if spouts are live.
+// everyone (its data address changed), a resume if spouts are live, and
+// then a replay request to every worker. The roots in flight through the
+// dead process are lost, and they fill the spouts' pending caps: waiting
+// out their ack timeouts would stall every spout for that long. Each
+// worker handles the peer map before the replay request (one ordered
+// control connection), so the replays take the new routes.
 func (e *Engine) configureRespawn(s *session) {
 	if err := e.configureWorker(s); err != nil {
 		e.emitTrace(trace.WorkerCrashed, "", s.h.slot.String(),
@@ -272,7 +277,10 @@ func (e *Engine) configureRespawn(s *session) {
 	if resumed {
 		s.notify(&msg{Type: msgResume})
 	}
-	e.emitTrace(trace.AssignmentPublished, "", s.h.slot.String(), "respawned worker reconfigured")
+	for _, ls := range e.liveSessions() {
+		ls.notify(&msg{Type: msgReplay})
+	}
+	e.emitTrace(trace.WorkerRejoined, "", s.h.slot.String(), "respawned worker reconfigured; outstanding roots replayed")
 }
 
 // buildConfigMsg assembles the config message from current engine state.

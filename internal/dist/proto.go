@@ -73,6 +73,7 @@ const (
 	msgPending   = "pending"   // driver → worker: report in-flight tuples + unsent frames (RPC)
 	msgTotals    = "totals"    // driver → worker: report counters + audits (RPC)
 	msgMonitor   = "monitor"   // driver → worker: change the monitor period
+	msgReplay    = "replay"    // driver → worker: fail (replay) every outstanding root now
 	msgStop      = "stop"      // driver → worker: exit cleanly
 	msgHeartbeat = "heartbeat" // worker → driver: periodic counters + audits
 	msgWindow    = "window"    // worker → driver: one monitor sample window

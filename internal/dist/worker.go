@@ -174,6 +174,10 @@ func (w *worker) controlLoop() int {
 			w.ctrl.send(&msg{Type: msgReply, ID: m.ID, OK: true, Pending: w.pending()})
 		case msgTotals:
 			w.ctrl.send(w.statusMsg(msgReply, m.ID))
+		case msgReplay:
+			if w.eng != nil {
+				w.eng.FailPending()
+			}
 		case msgMonitor:
 			// Start a monitor lazily if the worker was configured without
 			// one (the facade turns monitoring on after the fleet is up).

@@ -459,22 +459,23 @@ func (le *liveExec) drainAckEvents() {
 // measured, as in the sim), outstanding drops so MaxPending frees a slot,
 // and the user spout's Fail triggers the replay.
 func (le *liveExec) expireDueRoots(now time.Time) {
-	due := le.wheel.expire(now)
-	if len(due) == 0 {
+	for _, root := range le.wheel.expire(now) {
+		le.failRoot(le.pendingRoots[root])
+	}
+}
+
+// failRoot fails an outstanding root: the entry stays as a zombie, the
+// pending cap frees a slot, and the user spout's Fail triggers the
+// replay. A root already failed, or gone, is left alone.
+func (le *liveExec) failRoot(p *livePendingRoot) {
+	if p == nil || p.failed {
 		return
 	}
-	eng := le.eng
-	for _, root := range due {
-		p := le.pendingRoots[root]
-		if p == nil || p.failed {
-			continue
-		}
-		p.failed = true
-		le.outstanding--
-		eng.pendingRoots.Add(-1)
-		eng.failedRoots.Add(1)
-		le.spout.Fail(p.msgID)
-	}
+	p.failed = true
+	le.outstanding--
+	le.eng.pendingRoots.Add(-1)
+	le.eng.failedRoots.Add(1)
+	le.spout.Fail(p.msgID)
 }
 
 // sweepSpoutZombies drops failed pending entries whose late completion

@@ -284,6 +284,41 @@ func TestAnchoredTimeoutReplay(t *testing.T) {
 	}
 }
 
+// TestFailPendingFailsOutstandingRoots: FailPending fails every
+// outstanding root at its spout's next turn, a minute before the ack
+// timeout would, and the replays (and the late originals) leave no line
+// unacked.
+func TestFailPendingFailsOutstandingRoots(t *testing.T) {
+	const n = 8
+	ledger := newAckLedger()
+	app, cl, initial := ackTestApp(t, ledger, n,
+		func() engine.Bolt { return &slowFirstBolt{seen: make(map[int64]bool), stall: 100 * time.Millisecond} }, 4)
+	cfg := testConfig()
+	cfg.AckTimeout = time.Minute
+	eng, err := NewEngine(cfg, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit(app, initial); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+
+	waitFor(t, 5*time.Second, "roots outstanding", func() bool { return eng.PendingRoots() > 0 })
+	eng.FailPending()
+	waitFor(t, 5*time.Second, "outstanding roots failed", func() bool { return eng.Totals().FailedRoots > 0 })
+	waitFor(t, 30*time.Second, "all roots acked", func() bool { return ledger.ackedCount() >= n })
+	if lost, _ := ledger.lost(n); len(lost) != 0 {
+		t.Errorf("lost roots: %v", lost)
+	}
+	if tot := eng.Totals(); tot.Replayed == 0 {
+		t.Errorf("%d roots failed but none replayed", tot.FailedRoots)
+	}
+}
+
 // TestMaxPendingBackpressure runs with a tiny max-pending against a slow
 // sink and samples the in-flight gauge: it must never exceed the cap.
 func TestMaxPendingBackpressure(t *testing.T) {

@@ -146,6 +146,7 @@ type liveExec struct {
 	outstanding  int
 	wheel        *timeoutWheel
 	nextSweep    time.Time
+	failEpoch    int64 // the engine's failEpoch this spout last acted on
 
 	// ackEvents is the acker→spout completion mailbox: appended under
 	// ackMu by acker goroutines (never blocking), drained by the spout.
@@ -251,6 +252,7 @@ func (le *liveExec) runSpout(die <-chan struct{}) {
 		now := time.Now()
 		le.wheel = newTimeoutWheel(eng.AckTimeout(), now)
 		le.nextSweep = now.Add(liveZombieRetention)
+		le.failEpoch = eng.failEpoch.Load()
 	}
 	em := &le.sem
 	*em = spoutEmitter{le: le} // drop any state a crashed incarnation left
@@ -267,6 +269,12 @@ func (le *liveExec) runSpout(die <-chan struct{}) {
 		if le.anchored {
 			now := time.Now()
 			le.drainAckEvents()
+			if n := eng.failEpoch.Load(); n != le.failEpoch {
+				le.failEpoch = n
+				for _, p := range le.pendingRoots {
+					le.failRoot(p)
+				}
+			}
 			le.expireDueRoots(now)
 			if now.After(le.nextSweep) {
 				le.sweepSpoutZombies(now)

@@ -212,6 +212,10 @@ type Engine struct {
 	timerMu      sync.Mutex
 	resumeTimer  *time.Timer
 
+	// failEpoch counts FailPending calls; each anchored spout fails its
+	// outstanding roots when it sees the count move.
+	failEpoch atomic.Int64
+
 	// applyMu serializes re-assignments.
 	applyMu sync.Mutex
 
@@ -244,7 +248,7 @@ type Engine struct {
 	// Reliability counters (anchored topologies only).
 	acked          atomic.Int64 // roots fully processed and acked to their spout
 	lateAcked      atomic.Int64 // of those, completions that arrived after a timeout
-	failedRoots    atomic.Int64 // roots failed by a spout's timeout wheel
+	failedRoots    atomic.Int64 // roots failed by a spout's timeout wheel or FailPending
 	replayed       atomic.Int64 // re-emits of an already-seen spout msgID
 	pendingRoots   atomic.Int64 // outstanding (un-acked, un-failed) roots right now
 	dropped        atomic.Int64 // tuples dropped at or drained from dead executors
@@ -603,6 +607,15 @@ func (eng *Engine) Stop() {
 	}
 	eng.timerMu.Unlock()
 }
+
+// FailPending makes every anchored spout fail all its outstanding roots
+// at its next turn instead of at their ack-timeout deadlines, so their
+// spouts replay them at once. The distributed driver calls it on every
+// worker once a dead worker's replacement is routable again: the roots in
+// flight through the dead process are lost, and the spouts' pending caps
+// are full of them. A root that was not lost completes late and its
+// replay is a duplicate, which at-least-once delivery allows.
+func (eng *Engine) FailPending() { eng.failEpoch.Add(1) }
 
 // HaltSpouts stops spouts from emitting new roots until ResumeSpouts.
 func (eng *Engine) HaltSpouts() {

@@ -3,10 +3,17 @@
 // workloads (CPU MHz) and inter-executor traffic rates (tuples/s) into it
 // every sampling period, and the schedule generator reads consistent
 // snapshots out of it as the input to the scheduling algorithm.
+//
+// Order invariant: a snapshot lists its flows in (From, To) order, by
+// topology.ExecutorID.Compare on each endpoint, so every reader that sums
+// over flows — Algorithm 1's line-2 totals, TotalTraffic, the inter-node
+// rate, the golden hash — adds the same floats in the same order on
+// every backend.
 package loaddb
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"tstorm/internal/predictor"
@@ -33,8 +40,8 @@ type Snapshot struct {
 	// or missing entries mean no monitor has reported memory for the
 	// executor; demand derivation falls back to a model baseline.
 	ExecMem map[topology.ExecutorID]float64
-	// Flows lists smoothed traffic rates, sorted deterministically
-	// (by From, then To).
+	// Flows lists smoothed traffic rates in the package's order
+	// invariant: by From, then To.
 	Flows []Flow
 }
 
@@ -49,20 +56,30 @@ func (s *Snapshot) TotalTraffic() map[topology.ExecutorID]float64 {
 	return out
 }
 
+// flowEstimate is one pair's estimate in the database's dense flow list.
+type flowEstimate struct {
+	FlowKey
+	est predictor.Estimator
+}
+
 // DB is the load database. It is safe for concurrent use.
 type DB struct {
 	mu      sync.Mutex
 	factory predictor.Factory
 	load    map[topology.ExecutorID]predictor.Estimator
 	mem     map[topology.ExecutorID]predictor.Estimator
-	flows   map[FlowKey]predictor.Estimator
+	// pairs maps a pair to its estimate; flows lists the pairs in arrival
+	// order and order their positions in (From, To) order, sorted again
+	// only after a pair arrived (flows outgrew order) or left (Forget).
+	pairs map[FlowKey]predictor.Estimator
+	flows []flowEstimate
+	order []int32
 }
 
 // New returns an empty database using the paper's EWMA estimator with
 // coefficient alpha (the paper uses α = 0.5).
 func New(alpha float64) *DB {
-	db := NewWithEstimator(predictor.EWMAFactory(alpha))
-	return db
+	return NewWithEstimator(predictor.EWMAFactory(alpha))
 }
 
 // NewWithEstimator returns an empty database whose per-signal estimates
@@ -73,8 +90,34 @@ func NewWithEstimator(factory predictor.Factory) *DB {
 		factory: factory,
 		load:    make(map[topology.ExecutorID]predictor.Estimator),
 		mem:     make(map[topology.ExecutorID]predictor.Estimator),
-		flows:   make(map[FlowKey]predictor.Estimator),
+		pairs:   make(map[FlowKey]predictor.Estimator),
 	}
+}
+
+// estimate returns the executor's estimator in m, creating it on first
+// use. Caller holds db.mu.
+func (db *DB) estimate(m map[topology.ExecutorID]predictor.Estimator, e topology.ExecutorID) predictor.Estimator {
+	est := m[e]
+	if est == nil {
+		est = db.factory()
+		m[e] = est
+	}
+	return est
+}
+
+// updateFlow folds one rate sample into the pair's estimate, appending
+// the pair on first use. Caller holds db.mu.
+func (db *DB) updateFlow(k FlowKey, rate float64) {
+	est := db.pairs[k]
+	if est == nil {
+		est = db.factory()
+		db.pairs[k] = est
+		if len(db.flows) == cap(db.flows) { // pairs arrive in bulk: double, not append's 1.25×
+			db.flows = slices.Grow(db.flows, len(db.flows))
+		}
+		db.flows = append(db.flows, flowEstimate{FlowKey: k, est: est})
+	}
+	est.Update(rate)
 }
 
 // UpdateExecutorLoad folds one instantaneous workload sample (MHz) into
@@ -82,12 +125,7 @@ func NewWithEstimator(factory predictor.Factory) *DB {
 func (db *DB) UpdateExecutorLoad(e topology.ExecutorID, mhz float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	est := db.load[e]
-	if est == nil {
-		est = db.factory()
-		db.load[e] = est
-	}
-	est.Update(mhz)
+	db.estimate(db.load, e).Update(mhz)
 }
 
 // UpdateExecutorMemory folds one instantaneous memory footprint sample
@@ -97,12 +135,7 @@ func (db *DB) UpdateExecutorLoad(e topology.ExecutorID, mhz float64) {
 func (db *DB) UpdateExecutorMemory(e topology.ExecutorID, mb float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	est := db.mem[e]
-	if est == nil {
-		est = db.factory()
-		db.mem[e] = est
-	}
-	est.Update(mb)
+	db.estimate(db.mem, e).Update(mb)
 }
 
 // UpdateTraffic folds one instantaneous rate sample (tuples/s) into the
@@ -110,13 +143,7 @@ func (db *DB) UpdateExecutorMemory(e topology.ExecutorID, mb float64) {
 func (db *DB) UpdateTraffic(from, to topology.ExecutorID, rate float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	k := FlowKey{From: from, To: to}
-	est := db.flows[k]
-	if est == nil {
-		est = db.factory()
-		db.flows[k] = est
-	}
-	est.Update(rate)
+	db.updateFlow(FlowKey{From: from, To: to}, rate)
 }
 
 // ApplyWindow folds one whole monitoring window into the database under a
@@ -129,20 +156,10 @@ func (db *DB) ApplyWindow(loads map[topology.ExecutorID]float64, flows map[FlowK
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for e, mhz := range loads {
-		est := db.load[e]
-		if est == nil {
-			est = db.factory()
-			db.load[e] = est
-		}
-		est.Update(mhz)
+		db.estimate(db.load, e).Update(mhz)
 	}
 	for k, rate := range flows {
-		est := db.flows[k]
-		if est == nil {
-			est = db.factory()
-			db.flows[k] = est
-		}
-		est.Update(rate)
+		db.updateFlow(k, rate)
 	}
 }
 
@@ -155,12 +172,7 @@ func (db *DB) ApplyMemory(mem map[topology.ExecutorID]float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for e, mb := range mem {
-		est := db.mem[e]
-		if est == nil {
-			est = db.factory()
-			db.mem[e] = est
-		}
-		est.Update(mb)
+		db.estimate(db.mem, e).Update(mb)
 	}
 }
 
@@ -178,46 +190,57 @@ func (db *DB) HasData() bool {
 func (db *DB) Forget(topo string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for e := range db.load {
-		if e.Topology == topo {
-			delete(db.load, e)
-		}
+	ofTopo := func(e topology.ExecutorID, _ predictor.Estimator) bool { return e.Topology == topo }
+	maps.DeleteFunc(db.load, ofTopo)
+	maps.DeleteFunc(db.mem, ofTopo)
+	gone := func(k FlowKey) bool { return k.From.Topology == topo || k.To.Topology == topo }
+	maps.DeleteFunc(db.pairs, func(k FlowKey, _ predictor.Estimator) bool { return gone(k) })
+	db.flows = slices.DeleteFunc(db.flows, func(f flowEstimate) bool { return gone(f.FlowKey) })
+	db.order = db.order[:0]
+}
+
+// ExecLoads returns a copy of every executor's smoothed CPU usage in MHz:
+// a snapshot's ExecLoad, for readers such as the overload check.
+func (db *DB) ExecLoads() map[topology.ExecutorID]float64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return values(db.load)
+}
+
+// values copies each estimator's current value. Caller holds db.mu.
+func values(m map[topology.ExecutorID]predictor.Estimator) map[topology.ExecutorID]float64 {
+	out := make(map[topology.ExecutorID]float64, len(m))
+	for e, est := range m {
+		out[e] = est.Value()
 	}
-	for e := range db.mem {
-		if e.Topology == topo {
-			delete(db.mem, e)
-		}
-	}
-	for k := range db.flows {
-		if k.From.Topology == topo || k.To.Topology == topo {
-			delete(db.flows, k)
-		}
-	}
+	return out
 }
 
 // Snapshot returns a consistent copy of all estimates.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &Snapshot{ExecLoad: make(map[topology.ExecutorID]float64, len(db.load))}
-	for e, est := range db.load {
-		s.ExecLoad[e] = est.Value()
-	}
+	s := &Snapshot{ExecLoad: values(db.load)}
 	if len(db.mem) > 0 {
-		s.ExecMem = make(map[topology.ExecutorID]float64, len(db.mem))
-		for e, est := range db.mem {
-			s.ExecMem[e] = est.Value()
-		}
+		s.ExecMem = values(db.mem)
 	}
-	s.Flows = make([]Flow, 0, len(db.flows))
-	for k, est := range db.flows {
-		s.Flows = append(s.Flows, Flow{From: k.From, To: k.To, Rate: est.Value()})
-	}
-	sort.Slice(s.Flows, func(i, j int) bool {
-		if s.Flows[i].From != s.Flows[j].From {
-			return s.Flows[i].From.Less(s.Flows[j].From)
+	if len(db.order) != len(db.flows) {
+		db.order = slices.Grow(db.order, len(db.flows)-len(db.order))
+		for i := len(db.order); i < len(db.flows); i++ {
+			db.order = append(db.order, int32(i))
 		}
-		return s.Flows[i].To.Less(s.Flows[j].To)
-	})
+		slices.SortFunc(db.order, func(i, j int32) int {
+			a, b := &db.flows[i].FlowKey, &db.flows[j].FlowKey
+			if c := a.From.Compare(b.From); c != 0 {
+				return c
+			}
+			return a.To.Compare(b.To)
+		})
+	}
+	s.Flows = make([]Flow, len(db.order))
+	for n, i := range db.order {
+		f := &db.flows[i]
+		s.Flows[n] = Flow{From: f.From, To: f.To, Rate: f.est.Value()}
+	}
 	return s
 }

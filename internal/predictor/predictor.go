@@ -25,14 +25,15 @@ type Estimator interface {
 // Factory creates one estimator instance per monitored signal.
 type Factory func() Estimator
 
-// EWMA is the paper's estimator.
+// EWMA is the paper's estimator. It holds the average by value, so each
+// monitored signal costs one allocation.
 type EWMA struct {
-	inner *metrics.EWMA
+	inner metrics.EWMA
 }
 
 // NewEWMA returns the paper's α-weighted moving average.
 func NewEWMA(alpha float64) *EWMA {
-	return &EWMA{inner: metrics.NewEWMA(alpha)}
+	return &EWMA{inner: *metrics.NewEWMA(alpha)}
 }
 
 // Update folds in one sample.

@@ -123,7 +123,7 @@ func (AnielloOnline) Schedule(in *Input) (*cluster.Assignment, error) {
 	if in.Load == nil {
 		in = &Input{Topologies: in.Topologies, Cluster: in.Cluster,
 			Load: &loaddb.Snapshot{}, Occupied: in.Occupied,
-			Demands: in.Demands, Constraints: in.Constraints, Probe: in.Probe}
+			Constraints: in.Constraints, Probe: in.Probe}
 	}
 	a := cluster.NewAssignment(0)
 	free := in.InterleavedFreeSlots()

@@ -56,7 +56,7 @@ type Policy struct {
 	Algorithm string
 	// Executors is the placement order. Demands runs parallel to it, and so
 	// does Traffic (each executor's total rate, for the decision report;
-	// nil leaves it zero).
+	// nil leaves it zero; InternFlows sets it).
 	Executors []topology.ExecutorID
 	Demands   []Demand
 	Traffic   []float64
@@ -96,21 +96,25 @@ type Flow struct {
 }
 
 // InternFlows sets p.Flows from the snapshot's flows, hashing each
-// endpoint once.
+// endpoint once, and p.Traffic to each executor's total rate, incoming
+// plus outgoing, summed in flow order.
 func (p *Policy) InternFlows(flows []loaddb.Flow) {
+	// index holds position+1, so an executor outside the round reads -1.
 	index := make(map[topology.ExecutorID]int32, len(p.Executors))
 	for i, e := range p.Executors {
-		index[e] = int32(i)
-	}
-	lookup := func(e topology.ExecutorID) int32 {
-		if i, ok := index[e]; ok {
-			return i
-		}
-		return -1
+		index[e] = int32(i) + 1
 	}
 	p.Flows = make([]Flow, len(flows))
+	p.Traffic = make([]float64, len(p.Executors))
 	for i, f := range flows {
-		p.Flows[i] = Flow{From: lookup(f.From), To: lookup(f.To), Rate: f.Rate}
+		from, to := index[f.From]-1, index[f.To]-1
+		p.Flows[i] = Flow{From: from, To: to, Rate: f.Rate}
+		if from >= 0 {
+			p.Traffic[from] += f.Rate
+		}
+		if to >= 0 {
+			p.Traffic[to] += f.Rate
+		}
 	}
 }
 

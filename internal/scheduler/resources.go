@@ -9,8 +9,6 @@ import (
 	"fmt"
 
 	"tstorm/internal/cluster"
-	"tstorm/internal/loaddb"
-	"tstorm/internal/topology"
 )
 
 // Constraints bounds how much of each node resource the scheduler may
@@ -84,45 +82,3 @@ const DefaultBytesPerTuple = 256.0
 // DefaultBaselineMemMB is the per-executor memory floor: queues, routing
 // state, and component state make even an idle executor non-free.
 const DefaultBaselineMemMB = 64.0
-
-// DeriveDemands estimates every executor's demand from the load
-// snapshot: CPU is the smoothed workload, network is total traffic
-// scaled by DefaultBytesPerTuple, and memory is the monitored footprint when
-// one exists, else DefaultBaselineMemMB. Executors absent from the snapshot get
-// zero CPU/network and baseline memory — matching how Algorithm 1 has
-// always treated unknown load. load may be nil.
-func DeriveDemands(topos []*topology.Topology, load *loaddb.Snapshot) map[topology.ExecutorID]Demand {
-	if load == nil {
-		load = &loaddb.Snapshot{}
-	}
-	total := load.TotalTraffic()
-	out := make(map[topology.ExecutorID]Demand)
-	for _, top := range topos {
-		for _, e := range top.Executors() {
-			d := Demand{
-				CPUMHz:  load.ExecLoad[e],
-				MemMB:   DefaultBaselineMemMB,
-				NetMBps: total[e] * DefaultBytesPerTuple / 1e6,
-			}
-			if mb, ok := load.ExecMem[e]; ok && mb > 0 {
-				d.MemMB = mb
-			}
-			out[e] = d
-		}
-	}
-	return out
-}
-
-// DemandFor reads one executor's demand, falling back to the zero-CPU /
-// baseline-memory estimate when the Demands map was never populated —
-// algorithms stay total on hand-built Inputs.
-func (in *Input) DemandFor(e topology.ExecutorID) Demand {
-	if d, ok := in.Demands[e]; ok {
-		return d
-	}
-	var load float64
-	if in.Load != nil {
-		load = in.Load.ExecLoad[e]
-	}
-	return Demand{CPUMHz: load, MemMB: DefaultBaselineMemMB}
-}

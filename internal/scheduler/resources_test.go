@@ -85,49 +85,33 @@ func TestConstraintsConvention(t *testing.T) {
 
 // TestDeriveDemands checks the snapshot-to-demand derivation: CPU is the
 // smoothed workload, network is total traffic scaled by DefaultBytesPerTuple,
-// and memory is the monitored footprint when present, else the baseline.
+// and memory is the monitored footprint when present, else the baseline —
+// also for an executor the snapshot has never seen.
 func TestDeriveDemands(t *testing.T) {
-	top := buildChain(t, "d", 2, 1, 1) // spout, mid, sink + 2 ackers
 	spout := topology.ExecutorID{Topology: "d", Component: "spout", Index: 0}
 	mid := topology.ExecutorID{Topology: "d", Component: "mid", Index: 0}
+	unknown := topology.ExecutorID{Topology: "other", Component: "x", Index: 0}
 
 	db := loaddb.New(1)
 	db.UpdateExecutorLoad(spout, 1200)
 	db.UpdateTraffic(spout, mid, 1e6) // 1M tuples/s
 	db.UpdateExecutorMemory(mid, 512)
-	snap := db.Snapshot()
 
-	demands := DeriveDemands([]*topology.Topology{top}, snap)
-	if len(demands) != top.NumExecutors() {
-		t.Fatalf("derived %d demands, want %d", len(demands), top.NumExecutors())
+	demands := func(load *loaddb.Snapshot, execs ...topology.ExecutorID) []Demand {
+		return resourcePolicy(&Input{Load: load}, "rstorm", execs, rstormScore).Demands
 	}
-	ds := demands[spout]
-	if ds.CPUMHz != 1200 {
-		t.Fatalf("spout CPU = %v, want 1200", ds.CPUMHz)
-	}
+	ds := demands(db.Snapshot(), spout, mid, unknown)
 	// 1M tuples/s × 256 B/tuple = 256 MB/s.
-	if ds.NetMBps != 256 {
-		t.Fatalf("spout net = %v MB/s, want 256", ds.NetMBps)
+	if want := (Demand{CPUMHz: 1200, MemMB: DefaultBaselineMemMB, NetMBps: 256}); ds[0] != want {
+		t.Fatalf("spout demand = %+v, want %+v", ds[0], want)
 	}
-	if ds.MemMB != DefaultBaselineMemMB {
-		t.Fatalf("spout mem = %v, want baseline %v", ds.MemMB, DefaultBaselineMemMB)
+	if want := (Demand{MemMB: 512, NetMBps: 256}); ds[1] != want {
+		t.Fatalf("mid demand = %+v, want %+v", ds[1], want)
 	}
-	if dm := demands[mid]; dm.MemMB != 512 {
-		t.Fatalf("mid mem = %v, want monitored 512", dm.MemMB)
+	if want := (Demand{MemMB: DefaultBaselineMemMB}); ds[2] != want {
+		t.Fatalf("unknown demand = %+v, want %+v", ds[2], want)
 	}
-
-	// NewInput derives demands itself; DemandFor falls back to baseline
-	// memory for executors it has never seen.
-	cl, err := cluster.Uniform(2, 4, 2000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInput([]*topology.Topology{top}, cl, snap, 0.9)
-	if got := in.DemandFor(spout); got != demands[spout] {
-		t.Fatalf("DemandFor(spout) = %+v, want %+v", got, demands[spout])
-	}
-	unknown := topology.ExecutorID{Topology: "other", Component: "x", Index: 0}
-	if got := in.DemandFor(unknown); got.MemMB != DefaultBaselineMemMB || got.CPUMHz != 0 {
-		t.Fatalf("DemandFor(unknown) = %+v, want baseline", got)
+	if got := demands(nil, spout); got[0] != (Demand{MemMB: DefaultBaselineMemMB}) {
+		t.Fatalf("demand without a snapshot = %+v, want baseline", got[0])
 	}
 }

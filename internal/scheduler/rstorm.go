@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"tstorm/internal/cluster"
+	"tstorm/internal/loaddb"
 	"tstorm/internal/topology"
 )
 
@@ -52,20 +53,34 @@ func rstormScore(n *NodeState, d Demand) float64 {
 
 // resourcePolicy is the part of the placement policy rstorm and hetero
 // share: all three resource dimensions enforced, relaxed bandwidth first,
-// then memory, then CPU.
+// then memory, then CPU. Each executor's demand is its smoothed CPU
+// workload, its total traffic × DefaultBytesPerTuple, and its monitored
+// memory footprint, else DefaultBaselineMemMB.
 func resourcePolicy(in *Input, algorithm string, execs []topology.ExecutorID, score func(*NodeState, Demand) float64) Policy {
-	p := Policy{
+	load := in.Load
+	if load == nil {
+		load = &loaddb.Snapshot{}
+	}
+	total := load.TotalTraffic()
+	demands := make([]Demand, len(execs))
+	for i, e := range execs {
+		demands[i] = Demand{
+			CPUMHz:  load.ExecLoad[e],
+			MemMB:   DefaultBaselineMemMB,
+			NetMBps: total[e] * DefaultBytesPerTuple / 1e6,
+		}
+		if mb, ok := load.ExecMem[e]; ok && mb > 0 {
+			demands[i].MemMB = mb
+		}
+	}
+	return Policy{
 		Algorithm: algorithm,
 		Executors: execs,
-		Demands:   make([]Demand, len(execs)),
+		Demands:   demands,
 		Enforce:   LimitCPU | LimitMem | LimitNet,
 		Relax:     []Limit{LimitNet, LimitMem, LimitCPU},
 		Score:     score,
 	}
-	for i, e := range execs {
-		p.Demands[i] = in.DemandFor(e)
-	}
-	return p
 }
 
 // Schedule packs every executor by 3D min-distance best fit.

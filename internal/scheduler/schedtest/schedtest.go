@@ -131,9 +131,9 @@ func Generate(next Source) (Case, error) {
 	in := scheduler.NewInput(tops, cl, snap, []float64{0, 0.5, 0.9, 1}[next(4)])
 	in.Constraints.MemFraction = []float64{0, 0.25, 1}[next(3)]
 	in.Constraints.NetFraction = []float64{0, 0.5}[next(2)]
-	if next(5) == 0 {
-		in.Demands = nil // a hand-built input: DemandFor falls back
-	}
+	// This draw once chose an input without derived demands; it stays so
+	// that every seed still generates the case it always generated.
+	next(5)
 	for _, n := range nodes {
 		switch next(6) {
 		case 0:

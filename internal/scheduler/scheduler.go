@@ -27,16 +27,12 @@ type Input struct {
 	// Cluster is the physical cluster.
 	Cluster *cluster.Cluster
 	// Load is the smoothed runtime load snapshot (may be empty for
-	// offline algorithms or initial scheduling).
+	// offline algorithms or initial scheduling). Each algorithm derives
+	// what it needs from it, the resource-aware ones their demands.
 	Load *loaddb.Snapshot
 	// Occupied marks slots unavailable because another topology (not in
 	// Topologies) owns them.
 	Occupied map[cluster.SlotID]bool
-	// Demands maps each executor to its multi-resource demand estimate
-	// (CPU MHz, memory MB, network MB/s), derived from Load by
-	// DeriveDemands. May be nil on hand-built inputs; algorithms read
-	// through DemandFor, which falls back to a model baseline.
-	Demands map[topology.ExecutorID]Demand
 	// Constraints bounds per-node resource use. All fractions are in
 	// [0,1] and 0 selects full capacity; CPUFraction is the paper's
 	// advice to set C_k below physical capacity (the old scalar
@@ -55,15 +51,12 @@ type Input struct {
 // (internal/core) and the live runtime's generator (internal/live), so
 // both backends hand algorithms inputs of identical shape. load may be
 // nil for offline/initial scheduling; capacityFraction populates
-// Constraints.CPUFraction (0 selects full capacity). Per-executor
-// resource demands are derived from the snapshot by DeriveDemands.
+// Constraints.CPUFraction (0 selects full capacity).
 func NewInput(topos []*topology.Topology, cl *cluster.Cluster, load *loaddb.Snapshot, capacityFraction float64) *Input {
-	topos = append([]*topology.Topology(nil), topos...)
 	return &Input{
-		Topologies:  topos,
+		Topologies:  append([]*topology.Topology(nil), topos...),
 		Cluster:     cl,
 		Load:        load,
-		Demands:     DeriveDemands(topos, load),
 		Constraints: Constraints{CPUFraction: capacityFraction},
 		Occupied:    make(map[cluster.SlotID]bool),
 	}

@@ -42,7 +42,11 @@ const (
 	MonitorSampled   Kind = "monitor-sampled"
 	WorkerCrashed    Kind = "worker-crashed"
 	WorkerRestarted  Kind = "worker-restarted"
-	TupleReplayed    Kind = "tuple-replayed"
+	// WorkerRejoined marks a respawned worker process that holds its
+	// executors again with every peer routing to it; the spouts were then
+	// told to replay their outstanding roots.
+	WorkerRejoined Kind = "worker-rejoined"
+	TupleReplayed  Kind = "tuple-replayed"
 )
 
 // Event kinds emitted by the SLO health engine (internal/health). Where

@@ -161,6 +161,11 @@ func (s *reliableCorpusSpout) Open(ctx *engine.Context) {
 
 func (s *reliableCorpusSpout) NextTuple(em engine.SpoutEmitter) {
 	s.led.mu.Lock()
+	// A failed line whose first attempt completed late is acked already:
+	// replaying it would count it twice.
+	for len(s.led.replays) > 0 && !s.led.inflight[s.led.replays[0]] {
+		s.led.replays = s.led.replays[1:]
+	}
 	var seq int
 	switch {
 	case len(s.led.replays) > 0:
