@@ -2,6 +2,7 @@ package tstorm_test
 
 import (
 	"encoding/json"
+	"go/token"
 	"go/types"
 	"os"
 	"regexp"
@@ -18,21 +19,32 @@ var (
 	// with an underscore are left out: those spans are benchmark metric
 	// keys such as live.apply_ms (the others are read from BENCHMARK.json).
 	declRef = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)(?:\.([A-Za-z][A-Za-z0-9]*))?(?:\(.*\))?$`)
+	// memberRef is Type.Member, optionally called: a field or method named
+	// through its type, without the package.
+	memberRef = regexp.MustCompile(`^([A-Z][A-Za-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)(?:\(.*\))?$`)
 	// fileName is a span like tstorm.go: a file, not a declaration.
 	fileName = regexp.MustCompile(`\.(go|md|json|csv|sh|txt|mod|html|svg|png)$`)
 )
 
 // TestDocsNameExistingDeclarations fails on an inline code span in the
 // docs shaped pkg.Name or pkg.Name.Member, where pkg is a package of this
-// module, that names no declaration, field or method the tree has. Fenced
-// blocks are skipped; bare names are out of its reach.
+// module, that names no declaration, field or method the tree has, and on
+// one shaped Type.Member, where Type is an exported type of a package of
+// this module, when no type of that name has the member. Fenced blocks
+// are skipped; bare names are out of its reach.
 func TestDocsNameExistingDeclarations(t *testing.T) {
 	u := loadUniverse(t)
 	metrics := benchmarkMetrics(t)
 	byName := map[string][]*types.Package{}
+	typePkgs := map[string][]*types.Package{} // exported type name → packages declaring it
 	for _, p := range u.order {
 		if p.types.Name() != "main" && !strings.HasPrefix(p.path, "tstorm/bench") {
 			byName[p.types.Name()] = append(byName[p.types.Name()], p.types)
+			for _, name := range p.types.Scope().Names() {
+				if _, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && token.IsExported(name) {
+					typePkgs[name] = append(typePkgs[name], p.types)
+				}
+			}
 		}
 	}
 	for _, file := range docFiles {
@@ -51,8 +63,17 @@ func TestDocsNameExistingDeclarations(t *testing.T) {
 			}
 			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
 				span := strings.TrimSpace(m[1])
+				if fileName.MatchString(span) || metrics[span] {
+					continue
+				}
+				if ref := memberRef.FindStringSubmatch(span); ref != nil {
+					if pkgs := typePkgs[ref[1]]; len(pkgs) > 0 && !declExists(pkgs, ref[1], ref[2]) {
+						t.Errorf("%s:%d: `%s`: no type %s in this module has a field or method %s", file, i+1, span, ref[1], ref[2])
+					}
+					continue
+				}
 				ref := declRef.FindStringSubmatch(span)
-				if ref == nil || fileName.MatchString(span) || metrics[span] {
+				if ref == nil {
 					continue
 				}
 				pkgs := byName[ref[1]]

@@ -143,7 +143,7 @@ func (c *Cluster) Node(id NodeID) (Node, bool) {
 // Slots enumerates every slot in deterministic order: nodes in declaration
 // order, ports ascending from BasePort. This is the paper's slot set S.
 func (c *Cluster) Slots() []SlotID {
-	var out []SlotID
+	out := make([]SlotID, 0, c.NumSlots())
 	for _, n := range c.nodes {
 		for p := 0; p < n.NumSlots; p++ {
 			out = append(out, SlotID{Node: n.ID, Port: BasePort + p})

@@ -88,10 +88,10 @@ func (t *TrafficAware) Schedule(in *scheduler.Input) (*cluster.Assignment, error
 	// topologies) with loads l_i and total traffic. Each executor's total
 	// is summed in flow order, as loaddb.Snapshot.TotalTraffic sums it.
 	for _, top := range in.Topologies {
-		for _, e := range top.Executors() {
-			p.Executors = append(p.Executors, e)
-			p.Demands = append(p.Demands, scheduler.Demand{CPUMHz: load.ExecLoad[e]})
-		}
+		p.Executors = top.AppendExecutors(p.Executors)
+	}
+	for _, e := range p.Executors {
+		p.Demands = append(p.Demands, scheduler.Demand{CPUMHz: load.ExecLoad[e]})
 	}
 	p.InternFlows(load.Flows)
 	// Line 2: sort executors by descending total traffic; ties broken by

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tstorm/internal/cluster"
@@ -425,5 +426,40 @@ func TestCountCapIgnoresFencedNodes(t *testing.T) {
 	}
 	if len(perNode) != 3 || perNode["node01"] != 4 || perNode["node03"] != 4 || perNode["node04"] != 4 {
 		t.Fatalf("executors per node = %v, want 4 on each of node01, node03, node04", perNode)
+	}
+}
+
+// TestNaNTrafficSortsLast: an executor whose total traffic is NaN is
+// placed after every executor with a number, NaNs among themselves in
+// executor-ID order, and the round still meets Algorithm 1's constraints.
+func TestNaNTrafficSortsLast(t *testing.T) {
+	top := buildChain(t, "t", 20, 2, 3, 1)
+	cl := tenNodes(t)
+	db := chainLoad(top, 100, 100)
+	snap := db.Snapshot()
+	spout0 := topology.ExecutorID{Topology: "t", Component: "spout", Index: 0}
+	sink2 := topology.ExecutorID{Topology: "t", Component: "sink", Index: 2}
+	snap.Flows = append(snap.Flows, loaddb.Flow{From: spout0, To: sink2, Rate: math.NaN()})
+	in := &scheduler.Input{Topologies: []*topology.Topology{top}, Cluster: cl, Load: snap}
+	in.Probe = decision.NewBuilder()
+	a, err := NewTrafficAware(2).Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := in.Probe.Report()
+	checkConstraints(t, in, a, rep)
+	total := snap.TotalTraffic()
+	var order []topology.ExecutorID
+	for _, p := range rep.Placements {
+		order = append(order, p.Executor)
+	}
+	if n := len(order); order[n-2] != sink2 || order[n-1] != spout0 {
+		t.Fatalf("NaN-traffic executors %v and %v not last in ID order: %v", sink2, spout0, order)
+	}
+	for i := 1; i < len(order)-2; i++ {
+		prev, cur := total[order[i-1]], total[order[i]]
+		if prev < cur || (prev == cur && !order[i-1].Less(order[i])) {
+			t.Fatalf("placement %d: %v (%v) after %v (%v)", i, order[i], cur, order[i-1], prev)
+		}
 	}
 }

@@ -381,8 +381,16 @@ func TestTransferBatchingDeliversEverythingWithOneNICSend(t *testing.T) {
 		// Four synchronized spout executors on node01 bursting at the same
 		// instants; everything else on node02: every data hop crosses the
 		// wire, and bursts find the NIC busy.
-		spoutComp, _ := app.Topology.Component("spout")
-		spoutComp.Parallelism = 4
+		b := topology.NewBuilder("test", 4)
+		b.SetAckers(1)
+		b.Spout("spout", 4).Output("default", "v")
+		b.Bolt("mid", 1).Shuffle("spout").Output("default", "v")
+		b.Bolt("sink", 1).Shuffle("mid")
+		top, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.Topology = top
 		a := cluster.NewAssignment(0)
 		for _, e := range app.Topology.Executors() {
 			if e.Component == "spout" {

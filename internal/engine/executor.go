@@ -483,20 +483,15 @@ func (ex *executor) routeDirect(consumer string, taskIndex int, stream string, v
 	if stream == "" {
 		stream = topology.DefaultStream
 	}
-	rt := ex.rt()
-	cons, ok := ex.ts.app.Topology.Component(consumer)
-	if !ok || taskIndex < 0 || taskIndex >= cons.Parallelism {
-		return 0, false
-	}
-	if ex.router.Stream(stream) == nil {
+	n, ok := ex.ts.app.Topology.Number(consumer, taskIndex)
+	if !ok || ex.router.Stream(stream) == nil {
 		return 0, false
 	}
 	var eid tuple.ID
 	if root != 0 {
-		eid = rt.newID()
+		eid = ex.rt().newID()
 	}
-	to := rt.dense[topology.ExecutorID{Topology: ex.id.Topology, Component: consumer, Index: taskIndex}]
-	ex.emitData(to, stream, vals, tuple.SizeOf(vals), root, eid)
+	ex.emitData(ex.ts.base+n, stream, vals, tuple.SizeOf(vals), root, eid)
 	return eid, true
 }
 

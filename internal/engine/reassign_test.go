@@ -196,7 +196,7 @@ func TestDrainLoadSamplesAndTraffic(t *testing.T) {
 		if s.Cycles > 0 {
 			busy++
 		}
-		if got, ok := rt.dense[s.Exec]; !ok || got != i {
+		if got, ok := denseOf(rt, s.Exec); !ok || got != i {
 			t.Fatalf("dense index mismatch for %v", s.Exec)
 		}
 		if rt.ExecutorByDense(i) != s.Exec {
@@ -216,8 +216,8 @@ func TestDrainLoadSamplesAndTraffic(t *testing.T) {
 	if len(traffic) == 0 {
 		t.Fatal("no traffic recorded")
 	}
-	spoutDense := rt.dense[topology.ExecutorID{Topology: "test", Component: "spout", Index: 0}]
-	midDense := rt.dense[topology.ExecutorID{Topology: "test", Component: "mid", Index: 0}]
+	spoutDense, _ := denseOf(rt, topology.ExecutorID{Topology: "test", Component: "spout", Index: 0})
+	midDense, _ := denseOf(rt, topology.ExecutorID{Topology: "test", Component: "mid", Index: 0})
 	found := false
 	for p, n := range traffic {
 		if p.From == spoutDense && p.To == midDense && n > 0 {
@@ -230,6 +230,17 @@ func TestDrainLoadSamplesAndTraffic(t *testing.T) {
 	if len(rt.DrainTraffic()) != 0 {
 		t.Fatal("traffic drain did not reset")
 	}
+}
+
+// denseOf is the runtime's dense index of a submitted executor: its
+// topology's base plus the executor's Topology.Number.
+func denseOf(rt *Runtime, e topology.ExecutorID) (int, bool) {
+	ts := rt.topos[e.Topology]
+	if ts == nil {
+		return 0, false
+	}
+	n, ok := ts.app.Topology.Number(e.Component, e.Index)
+	return ts.base + n, ok
 }
 
 func TestNodeCapacityAndAccessors(t *testing.T) {

@@ -181,8 +181,9 @@ type topoState struct {
 	name string
 	app  *App
 	tm   *TopologyMetrics
-	// The topology's executors are the dense indexes base..base+n-1, in
-	// Topology.Executors() order; its acker task i is ackerBase+i.
+	// The topology's executors are the dense indexes base..base+n-1: an
+	// executor's is base plus its Topology.Number. Its acker task i is
+	// ackerBase+i.
 	base, n           int
 	ackers, ackerBase int
 	// current is the newest published generation.
@@ -218,7 +219,6 @@ type Runtime struct {
 	topos    map[string]*topoState
 	appOrder []string
 
-	dense    map[topology.ExecutorID]int
 	denseRev []topology.ExecutorID
 	topoOf   []*topoState // per dense executor
 
@@ -249,7 +249,6 @@ func NewRuntime(cfg Config, cl *cluster.Cluster) (*Runtime, error) {
 		cl:          cl,
 		coord:       coord.NewStore(eng, time.Millisecond),
 		topos:       make(map[string]*topoState),
-		dense:       make(map[topology.ExecutorID]int),
 		traffic:     metrics.NewTrafficMatrix(),
 		generations: make(map[int64]*generation),
 		nodes:       make(map[cluster.NodeID]*nodeState),
@@ -345,7 +344,6 @@ func (r *Runtime) Submit(app *App, initial *cluster.Assignment) error {
 		if e.Component == topology.AckerComponent && e.Index == 0 {
 			ts.ackerBase = len(r.denseRev)
 		}
-		r.dense[e] = len(r.denseRev)
 		r.denseRev = append(r.denseRev, e)
 		r.topoOf = append(r.topoOf, ts)
 		r.cpu = append(r.cpu, 0)

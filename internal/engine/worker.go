@@ -90,8 +90,9 @@ func (r *Runtime) newWorker(ns *nodeState, ss *slotState, g *generation, execIDs
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 	for _, eid := range sorted {
 		comp, _ := app.Topology.Component(eid.Component)
+		n, _ := app.Topology.Number(eid.Component, eid.Index)
 		ex := &executor{
-			w: w, ts: ts, id: eid, dense: r.dense[eid], comp: comp,
+			w: w, ts: ts, id: eid, dense: ts.base + n, comp: comp,
 			cost:    app.costFor(eid.Component),
 			pending: make(map[tuple.ID]*pendingRoot),
 			router:  topology.NewRouter(app.Topology, comp, eid.Index),

@@ -40,9 +40,9 @@ func (Hetero) Schedule(in *Input) (*cluster.Assignment, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	var execs []topology.ExecutorID
+	execs := make([]topology.ExecutorID, 0, in.NumExecutors())
 	for _, top := range in.Topologies {
-		execs = append(execs, top.Executors()...)
+		execs = top.AppendExecutors(execs)
 	}
 	p := resourcePolicy(in, "hetero", execs, heteroScore)
 	cpu := make([]float64, len(p.Demands))

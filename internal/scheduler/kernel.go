@@ -13,8 +13,11 @@ package scheduler
 // output identical to the map-based implementations this replaced.
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 
 	"tstorm/internal/cluster"
 	"tstorm/internal/decision"
@@ -95,19 +98,17 @@ type Flow struct {
 	Rate     float64
 }
 
-// InternFlows sets p.Flows from the snapshot's flows, hashing each
-// endpoint once, and p.Traffic to each executor's total rate, incoming
-// plus outgoing, summed in flow order.
+// InternFlows sets p.Flows from the snapshot's flows and p.Traffic to
+// each executor's total rate, incoming plus outgoing, summed in flow order.
+// It hashes nothing: each endpoint is found among the placement order's
+// groups (groupsOf), a handful of (topology, component) runs, and
+// resolved by its Index within the run.
 func (p *Policy) InternFlows(flows []loaddb.Flow) {
-	// index holds position+1, so an executor outside the round reads -1.
-	index := make(map[topology.ExecutorID]int32, len(p.Executors))
-	for i, e := range p.Executors {
-		index[e] = int32(i) + 1
-	}
+	groups := groupsOf(p.Executors)
 	p.Flows = make([]Flow, len(flows))
 	p.Traffic = make([]float64, len(p.Executors))
 	for i, f := range flows {
-		from, to := index[f.From]-1, index[f.To]-1
+		from, to := position(groups, f.From), position(groups, f.To)
 		p.Flows[i] = Flow{From: from, To: to, Rate: f.Rate}
 		if from >= 0 {
 			p.Traffic[from] += f.Rate
@@ -118,55 +119,152 @@ func (p *Policy) InternFlows(flows []loaddb.Flow) {
 	}
 }
 
+// group is a run of the placement order that shares a topology and a
+// component and holds consecutive indexes: positions at..at+n-1 are
+// indexes first..first+n-1. Listed topology by topology in
+// Topology.Executors() order, as Algorithm 1 and hetero list them, the
+// executors form one group per component, and an executor's position is
+// its topology's offset plus its Topology.Number.
+type group struct {
+	topology, component string
+	at, first, n        int
+}
+
+// groupsOf splits the placement order into its groups.
+func groupsOf(execs []topology.ExecutorID) []group {
+	groups := make([]group, 0, 8) // a round rarely has more
+	for i, e := range execs {
+		if len(groups) > 0 {
+			g := &groups[len(groups)-1]
+			if e.Index == g.first+g.n && e.Component == g.component && e.Topology == g.topology {
+				g.n++
+				continue
+			}
+		}
+		groups = append(groups, group{topology: e.Topology, component: e.Component, at: i, first: e.Index, n: 1})
+	}
+	return groups
+}
+
+// position returns e's place in the placement order the groups were
+// taken from, -1 when no group holds it.
+func position(groups []group, e topology.ExecutorID) int32 {
+	for i := range groups {
+		g := &groups[i]
+		if d := e.Index - g.first; uint(d) < uint(g.n) && e.Component == g.component && e.Topology == g.topology {
+			return int32(g.at + d)
+		}
+	}
+	return -1
+}
+
+// idRanks returns each executor's rank in executor-ID order (topology,
+// component, index), computed without comparing IDs: the groups are
+// sorted once, and within a group the rank follows Index.
+func idRanks(execs []topology.ExecutorID) []int32 {
+	groups := groupsOf(execs)
+	slices.SortFunc(groups, func(a, b group) int {
+		if c := strings.Compare(a.topology, b.topology); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.component, b.component); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.first, b.first)
+	})
+	rank := make([]int32, len(execs))
+	next := int32(0)
+	for _, g := range groups {
+		for d := range g.n {
+			rank[g.at+d] = next + int32(d)
+		}
+		next += int32(g.n)
+	}
+	return rank
+}
+
 // SortDescending reorders the placement order — the executors, with their
 // demands and traffic — by descending key (one entry per executor), then
-// by executor ID, keeping equals in their current order, and renumbers
-// Flows to match. It sorts a permutation and applies it once. The key
-// comparison is `key[i] != key[j] && key[i] > key[j]`, so a NaN key orders
-// as the map-based implementations' sort.SliceStable ordered it.
+// by executor ID, and renumbers Flows to match. It reorders the policy's
+// slices in place, so key may be one of them. A NaN key sorts after every
+// number, NaNs by executor ID, and -0 ties with +0. No two executors
+// share an ID, so the order is total. The sort compares no IDs and calls
+// no comparator: the entries start in ID order (idRanks), and a stable
+// radix sort on the key's bits (descending) keeps equal keys in it.
 func (p *Policy) SortDescending(key []float64) {
-	order := make([]int, len(p.Executors))
-	for i := range order {
-		order[i] = i
+	type entry struct {
+		key uint64
+		pos int32
 	}
-	slices.SortStableFunc(order, func(i, j int) int {
-		switch {
-		case key[i] > key[j]:
-			return -1
-		case key[i] != key[j]:
-			return 1
+	rank := idRanks(p.Executors)
+	buf := make([]entry, 2*len(rank))
+	src, dst := buf[:len(rank)], buf[len(rank):]
+	for i, r := range rank {
+		src[r] = entry{descending(key[i]), int32(i)}
+	}
+	var start [256]int32
+	for shift := 0; shift < 64 && len(src) > 0; shift += 8 {
+		clear(start[:])
+		for _, e := range src {
+			start[uint8(e.key>>shift)]++
 		}
-		return p.Executors[i].Compare(p.Executors[j])
-	})
-	p.Executors = permute(p.Executors, order)
-	p.Demands = permute(p.Demands, order)
-	if p.Traffic != nil {
-		p.Traffic = permute(p.Traffic, order)
+		if int(start[uint8(src[0].key>>shift)]) == len(src) {
+			continue // every key has this digit: the pass would only copy
+		}
+		sum := int32(0)
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, e := range src {
+			d := uint8(e.key >> shift)
+			dst[start[d]] = e
+			start[d]++
+		}
+		src, dst = dst, src
 	}
-	if len(p.Flows) == 0 {
-		return
-	}
-	rank := make([]int32, len(order))
-	for r, i := range order {
-		rank[i] = int32(r)
+	// moved[i] is where the executor at position i goes. The lists are
+	// reordered in place, one swap per executor that moves.
+	moved := rank
+	for r, e := range src {
+		moved[e.pos] = int32(r)
 	}
 	for i, f := range p.Flows {
 		if f.From >= 0 {
-			p.Flows[i].From = rank[f.From]
+			p.Flows[i].From = moved[f.From]
 		}
 		if f.To >= 0 {
-			p.Flows[i].To = rank[f.To]
+			p.Flows[i].To = moved[f.To]
+		}
+	}
+	for i := range moved {
+		for j := moved[i]; j != int32(i); j = moved[i] {
+			p.Executors[i], p.Executors[j] = p.Executors[j], p.Executors[i]
+			p.Demands[i], p.Demands[j] = p.Demands[j], p.Demands[i]
+			if p.Traffic != nil {
+				p.Traffic[i], p.Traffic[j] = p.Traffic[j], p.Traffic[i]
+			}
+			moved[i], moved[j] = moved[j], j
 		}
 	}
 }
 
-// permute returns s reordered so that element r is s[order[r]].
-func permute[T any](s []T, order []int) []T {
-	out := make([]T, len(s))
-	for r, i := range order {
-		out[r] = s[i]
+// descending maps a sort key to an integer that ascends as the key
+// descends: the IEEE 754 bits of a negative key as they are, those of a
+// positive one with the sign set and then inverted. -0 maps as +0, and
+// every NaN to the largest integer, after every number.
+func descending(k float64) uint64 {
+	switch {
+	case k != k:
+		return math.MaxUint64
+	case k == 0:
+		k = 0
 	}
-	return out
+	b := math.Float64bits(k)
+	if b>>63 != 0 {
+		return b
+	}
+	return ^(b | 1<<63)
 }
 
 // kernel is the interned state of one Place call.
@@ -202,6 +300,7 @@ func newKernel(in *Input, execs []topology.ExecutorID) *kernel {
 		topoOf:   make([]int32, len(execs)),
 		nodeOf:   make([]int32, len(execs)),
 		adjStart: make([]int32, len(execs)+1), // every row empty until loadFlows
+		nodes:    make([]NodeState, 0, in.Cluster.NumNodes()),
 	}
 	k.slotOwner = make([]int32, len(k.slots))
 	for i, s := range k.slots {
@@ -247,52 +346,61 @@ func (k *kernel) loadFlows(flows []Flow) {
 		hi, lo int32
 		rate   float64
 	}
-	edges := make([]edge, 0, len(flows))
-	for _, f := range flows {
-		u, v := f.From, f.To
-		if u < 0 || v < 0 || u == v {
-			continue
-		}
-		if u < v {
-			u, v = v, u
-		}
-		edges = append(edges, edge{u, v, f.Rate})
+	ends := func(f Flow) (hi, lo int32, ok bool) {
+		hi, lo = max(f.From, f.To), min(f.From, f.To)
+		return hi, lo, lo >= 0 && hi != lo
 	}
-	// Two stable counting sorts, by lo and then by hi, leave every row's
-	// neighbours in ascending rank and the repeats of a pair adjacent, still
-	// in flow order.
+	// Two stable counting sorts, by lo into edges and then by hi into the
+	// rows, leave every row's neighbours in ascending rank and the repeats
+	// of a pair adjacent, still in flow order.
 	start := make([]int32, ne+1)
-	bucket := func(dst, src []edge, key func(edge) int32) {
-		clear(start)
-		for _, e := range src {
-			start[key(e)+1]++
-		}
+	prefix := func() {
 		for i := 1; i <= ne; i++ {
 			start[i] += start[i-1]
 		}
-		for _, e := range src {
-			dst[start[key(e)]] = e
-			start[key(e)]++
+	}
+	for _, f := range flows {
+		if _, lo, ok := ends(f); ok {
+			start[lo+1]++
 		}
 	}
-	sorted := make([]edge, len(edges))
-	bucket(sorted, edges, func(e edge) int32 { return e.lo })
-	bucket(edges, sorted, func(e edge) int32 { return e.hi })
-
-	k.adjTo = make([]int32, 0, len(edges))
-	k.adjRate = make([]float64, 0, len(edges))
-	for i, e := range edges {
-		if i > 0 && e.hi == edges[i-1].hi && e.lo == edges[i-1].lo {
-			k.adjRate[len(k.adjRate)-1] += e.rate
-			continue
+	prefix()
+	edges := make([]edge, start[ne])
+	for _, f := range flows {
+		if hi, lo, ok := ends(f); ok {
+			edges[start[lo]] = edge{hi, lo, f.Rate}
+			start[lo]++
 		}
-		k.adjTo = append(k.adjTo, e.lo)
-		k.adjRate = append(k.adjRate, e.rate)
-		k.adjStart[e.hi+1]++
 	}
-	for i := 1; i <= ne; i++ {
-		k.adjStart[i] += k.adjStart[i-1]
+	clear(start)
+	for _, e := range edges {
+		start[e.hi+1]++
 	}
+	prefix()
+	k.adjTo = make([]int32, len(edges))
+	k.adjRate = make([]float64, len(edges))
+	for _, e := range edges {
+		k.adjTo[start[e.hi]] = e.lo
+		k.adjRate[start[e.hi]] = e.rate
+		start[e.hi]++
+	}
+	// start[r] now ends row r. Sum the repeats of a pair into its first
+	// entry, compacting the rows in place.
+	n, from := int32(0), int32(0)
+	for r := 0; r < ne; r++ {
+		k.adjStart[r] = n
+		for i := from; i < start[r]; i++ {
+			if n > k.adjStart[r] && k.adjTo[i] == k.adjTo[n-1] {
+				k.adjRate[n-1] += k.adjRate[i]
+				continue
+			}
+			k.adjTo[n], k.adjRate[n] = k.adjTo[i], k.adjRate[i]
+			n++
+		}
+		from = start[r]
+	}
+	k.adjStart[ne] = n
+	k.adjTo, k.adjRate = k.adjTo[:n], k.adjRate[:n]
 	for _, r := range k.adjRate {
 		if !(r >= 0) {
 			k.negative = true

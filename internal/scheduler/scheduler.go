@@ -89,8 +89,9 @@ func (in *Input) NumExecutors() int {
 // FreeSlots returns all slots not marked occupied, in deterministic
 // node-major order.
 func (in *Input) FreeSlots() []cluster.SlotID {
-	var out []cluster.SlotID
-	for _, s := range in.Cluster.Slots() {
+	all := in.Cluster.Slots()
+	out := all[:0]
+	for _, s := range all {
 		if !in.Occupied[s] {
 			out = append(out, s)
 		}

@@ -9,9 +9,8 @@ import "tstorm/internal/tuple"
 // path free of topology walks, string-keyed counters and slice allocations.
 type OutEdge struct {
 	Edge ConsumerEdge
-	// First is the position of the consumer's task 0 in
-	// Topology.Executors(), so a task index resolves to an executor by
-	// addition.
+	// First is the consumer's base, the Topology.Number of its task 0, so
+	// a task index resolves to an executor by addition.
 	First int
 
 	par      int   // consumer parallelism
@@ -45,12 +44,6 @@ type Router struct {
 
 // NewRouter resolves the output streams of one executor of comp.
 func NewRouter(top *Topology, comp *Component, index int) *Router {
-	first := make(map[string]int, len(top.order))
-	n := 0
-	for _, name := range top.order {
-		first[name] = n
-		n += top.components[name].Parallelism
-	}
 	r := &Router{streams: make(map[string]*OutStream, len(comp.Outputs)), index: index}
 	for stream, schema := range comp.Outputs {
 		os := &OutStream{}
@@ -58,7 +51,8 @@ func NewRouter(top *Topology, comp *Component, index int) *Router {
 			if edge.Grouping.Type == DirectGrouping {
 				continue
 			}
-			oe := OutEdge{Edge: edge, First: first[edge.Consumer], par: top.components[edge.Consumer].Parallelism}
+			cons := top.components[edge.Consumer]
+			oe := OutEdge{Edge: edge, First: cons.base, par: cons.Parallelism}
 			if edge.Grouping.Type == FieldsGrouping {
 				for _, fn := range edge.Grouping.FieldNames {
 					if idx, ok := schema.Index(fn); ok {

@@ -105,6 +105,11 @@ type Component struct {
 	Inputs []Grouping
 	// Outputs maps stream name to its declared field schema.
 	Outputs map[string]tuple.Fields
+
+	// base is the position of the component's executor 0 in
+	// Topology.Executors(): the parallelism of every component declared
+	// before it, summed when the topology is built.
+	base int
 }
 
 // ExecutorID identifies one executor of one topology.
@@ -153,7 +158,9 @@ func (t *Topology) NumWorkers() int { return t.numWorkers }
 // Ackers returns the configured number of acker executors.
 func (t *Topology) Ackers() int { return t.ackers }
 
-// Component returns the named component.
+// Component returns the named component. It is the topology's own: the
+// numbering (Number) is fixed when the topology is built, so its
+// Parallelism must not change afterwards.
 func (t *Topology) Component(name string) (*Component, bool) {
 	c, ok := t.components[name]
 	return c, ok
@@ -168,16 +175,34 @@ func (t *Topology) ComponentNames() []string {
 }
 
 // Executors enumerates every executor of the topology in deterministic
-// order: components in declaration order, indexes ascending.
+// order: components in declaration order, indexes ascending. An
+// executor's position in it is its Number.
 func (t *Topology) Executors() []ExecutorID {
-	var out []ExecutorID
+	return t.AppendExecutors(make([]ExecutorID, 0, t.NumExecutors()))
+}
+
+// AppendExecutors appends Executors() to dst and returns the extended
+// slice, so a caller listing several topologies copies no list twice.
+func (t *Topology) AppendExecutors(dst []ExecutorID) []ExecutorID {
 	for _, name := range t.order {
 		c := t.components[name]
 		for i := 0; i < c.Parallelism; i++ {
-			out = append(out, ExecutorID{Topology: t.name, Component: name, Index: i})
+			dst = append(dst, ExecutorID{Topology: t.name, Component: name, Index: i})
 		}
 	}
-	return out
+	return dst
+}
+
+// Number returns the position of the component's executor index in
+// Executors(): the component's base, the parallelism of every component
+// declared before it, plus index. ok is false for an unknown component or
+// an index outside [0, Parallelism).
+func (t *Topology) Number(component string, index int) (n int, ok bool) {
+	c, ok := t.components[component]
+	if !ok || index < 0 || index >= c.Parallelism {
+		return -1, false
+	}
+	return c.base + index, true
 }
 
 // NumExecutors returns the total executor count (the paper's N_e for a
@@ -430,6 +455,12 @@ func (b *Builder) Build() (*Topology, error) {
 			Outputs: map[string]tuple.Fields{}}
 		t.components[AckerComponent] = c
 		t.order = append(t.order, AckerComponent)
+	}
+	n := 0
+	for _, name := range t.order {
+		c := t.components[name]
+		c.base = n
+		n += c.Parallelism
 	}
 	return t, nil
 }

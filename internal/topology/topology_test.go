@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -294,5 +296,49 @@ func TestLocalOrShuffleBuilderAndString(t *testing.T) {
 	}
 	if LocalOrShuffleGrouping.String() != "local-or-shuffle" {
 		t.Fatal("String wrong")
+	}
+}
+
+// TestNumberIsExecutorsPosition builds seeded random topologies and checks
+// that every executor's Number is its position in Executors(), that the
+// router's First agrees with it, and that an unknown component or an
+// index outside [0, Parallelism) reads as absent.
+func TestNumberIsExecutorsPosition(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 47))
+		b := NewBuilder(fmt.Sprintf("t%d", seed), 1+rng.IntN(4))
+		b.SetAckers(rng.IntN(3))
+		comps := 1 + rng.IntN(6)
+		b.Spout("c0", 1+rng.IntN(5)).Output(DefaultStream, "v")
+		for i := 1; i < comps; i++ {
+			b.Bolt(fmt.Sprintf("c%d", i), 1+rng.IntN(5)).Shuffle(fmt.Sprintf("c%d", rng.IntN(i))).Output(DefaultStream, "v")
+		}
+		top, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos, e := range top.Executors() {
+			if n, ok := top.Number(e.Component, e.Index); !ok || n != pos {
+				t.Fatalf("seed %d: Number(%v) = %d, %v; want %d", seed, e, n, ok, pos)
+			}
+		}
+		for _, name := range top.ComponentNames() {
+			c, _ := top.Component(name)
+			for _, index := range []int{-1, c.Parallelism, c.Parallelism + rng.IntN(9)} {
+				if n, ok := top.Number(name, index); ok || n != -1 {
+					t.Fatalf("seed %d: Number(%s, %d) = %d, %v for parallelism %d", seed, name, index, n, ok, c.Parallelism)
+				}
+			}
+			if os := NewRouter(top, c, 0).Stream(DefaultStream); os != nil {
+				for _, edge := range os.Edges {
+					if n, _ := top.Number(edge.Edge.Consumer, 0); edge.First != n {
+						t.Fatalf("seed %d: router's First for %s = %d, Number %d", seed, edge.Edge.Consumer, edge.First, n)
+					}
+				}
+			}
+		}
+		if n, ok := top.Number("absent", 0); ok || n != -1 {
+			t.Fatalf("seed %d: unknown component numbered %d, %v", seed, n, ok)
+		}
 	}
 }
